@@ -4,11 +4,9 @@ PR 1 made the SPF half of a controller reaction incremental; the other half —
 rescanning every prefix to rebuild each router's RIB and re-resolving every
 route into FIB entries — remained a full recomputation per router per event.
 This benchmark replays the same lie injection/withdrawal churn as the SPF
-cache benchmark and times the complete SPF + RIB + FIB wave three ways: full
-per-router recomputation, the :class:`~repro.igp.rib_cache.RibCache`
-pipeline on the pure-Python SPF kernel, and the same pipeline on the numpy
-array kernel (``REPRO_KERNEL=numpy``).  The acceptance bars are >= 1.5x for
-the Python pipeline and >= 10x for the array-kernel pipeline.
+cache benchmark and times the complete SPF + RIB + FIB wave both ways: full
+per-router recomputation and the :class:`~repro.igp.rib_cache.RibCache`
+pipeline.  The acceptance bar is >= 1.5x.
 """
 
 import os
@@ -16,7 +14,6 @@ import time
 
 import pytest
 
-from repro.igp import kernel as kernel_mod
 from repro.igp.fib import resolve_rib_to_fib
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa
@@ -28,8 +25,7 @@ from repro.util.prefixes import Prefix
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Wave-benchmark topology size (see test_bench_spf_cache.py: the >= 10x
-#: array-kernel bar needs the full side's superlinear growth).
+#: Wave-benchmark topology size (same as test_bench_spf_cache.py).
 WAVE_ROUTERS = 20 if QUICK else 120
 NUM_ROUTERS = 20 if QUICK else 40
 NUM_EVENTS = 10 if QUICK else 30
@@ -52,22 +48,18 @@ def _lie(index: int, anchor: str, forwarding_address: str) -> FakeNodeLsa:
 def run_fib_wave_comparison():
     """Replay a lie churn; time the all-router SPF+RIB+FIB wave full vs incremental.
 
-    Returns ``(full, python, numpy, python_counters, numpy_counters)``
-    times in seconds; the numpy slots are ``None`` when numpy is missing.
+    Returns ``(full_seconds, incremental_seconds, cache_counters)``.
     """
     topology = random_topology(WAVE_ROUTERS, edge_probability=0.15, seed=1)
     routers = topology.routers
-    caches = {"python": RibCache(kernel="python")}
-    if kernel_mod.NUMPY_AVAILABLE:
-        caches["numpy"] = RibCache(kernel="numpy")
-    for cache in caches.values():
-        graph = cache.observe(ComputationGraph.from_topology(topology))
-        for router in routers:  # warm the cache once, like a converged network
-            cache.resolve(graph, router, max_ecmp=MAX_ECMP)
+    cache = RibCache()
+    graph = cache.observe(ComputationGraph.from_topology(topology))
+    for router in routers:  # warm the cache once, like a converged network
+        cache.resolve(graph, router, max_ecmp=MAX_ECMP)
 
     lies = []
     full_time = 0.0
-    incremental_time = {name: 0.0 for name in caches}
+    incremental_time = 0.0
     for event in range(NUM_EVENTS):
         anchor = routers[event % len(routers)]
         if event % 5 == 4 and lies:
@@ -83,69 +75,52 @@ def run_fib_wave_comparison():
             resolve_rib_to_fib(rebuilt, rib, max_ecmp=MAX_ECMP)
         full_time += time.perf_counter() - start
 
-        # Each incremental engine is charged for its whole cost: the
+        # The incremental engine is charged for its whole cost: the
         # observe() state diff that produces the change log plus the repairs.
-        for name, cache in caches.items():
-            rebuilt_for_cache = ComputationGraph.from_topology(topology, lies)
-            start = time.perf_counter()
-            chained = cache.observe(rebuilt_for_cache)
-            for router in routers:
-                cache.resolve(chained, router, max_ecmp=MAX_ECMP)
-            incremental_time[name] += time.perf_counter() - start
-    numpy_cache = caches.get("numpy")
-    return (
-        full_time,
-        incremental_time["python"],
-        incremental_time.get("numpy"),
-        caches["python"].counters.snapshot(),
-        numpy_cache.counters.snapshot() if numpy_cache is not None else None,
-    )
+        start = time.perf_counter()
+        chained = cache.observe(rebuilt)
+        for router in routers:
+            cache.resolve(chained, router, max_ecmp=MAX_ECMP)
+        incremental_time += time.perf_counter() - start
+    return full_time, incremental_time, cache.counters.snapshot()
 
 
 def test_static_fib_wave_speedup(benchmark, report):
-    full_time, python_time, numpy_time, counters, numpy_counters = benchmark.pedantic(
+    full_time, incremental_time, counters = benchmark.pedantic(
         run_fib_wave_comparison, rounds=1, iterations=1
     )
-    speedup = full_time / python_time
+    speedup = full_time / incremental_time
 
     report.add_line(
         f"RIB cache — all-router static-FIB reaction wave "
         f"({WAVE_ROUTERS} routers, {NUM_EVENTS} lie events)"
     )
-    rows = [
-        ("full recompute per router", f"{full_time:.4f}"),
-        ("incremental, python kernel", f"{python_time:.4f} ({speedup:.1f}x)"),
-    ]
+    report.add_table(
+        ["engine", "all-router SPF+RIB+FIB time [s]"],
+        [
+            ("full recompute per router", f"{full_time:.4f}"),
+            ("incremental", f"{incremental_time:.4f} ({speedup:.1f}x)"),
+        ],
+    )
     report.add_metric("full_seconds", full_time)
-    report.add_metric("incremental_seconds", python_time)
-    report.add_metric("speedup_python", speedup)
+    report.add_metric("incremental_seconds", incremental_time)
+    report.add_metric("speedup", speedup)
     report.add_metric("num_routers", WAVE_ROUTERS)
     report.add_metric("num_events", NUM_EVENTS)
-    if numpy_time is not None:
-        numpy_speedup = full_time / numpy_time
-        rows.append(("incremental, numpy kernel", f"{numpy_time:.4f} ({numpy_speedup:.1f}x)"))
-        report.add_metric("numpy_seconds", numpy_time)
-        report.add_metric("speedup_numpy", numpy_speedup)
-    report.add_table(["engine", "all-router SPF+RIB+FIB time [s]"], rows)
-    report.add_line(f"cache counters (python): {counters}")
-    if numpy_counters is not None:
-        report.add_line(f"cache counters (numpy): {numpy_counters}")
+    report.add_line(f"cache counters: {counters}")
 
-    # The acceptance bars for the incremental RIB/FIB engine.  Quick mode
+    # The acceptance bar for the incremental RIB/FIB engine.  Quick mode
     # measures sub-millisecond intervals on shared CI runners, so it only
-    # smoke-checks that the incremental paths are not slower.
+    # smoke-checks that the incremental path is not slower.
     assert speedup >= (1.2 if QUICK else 1.5)
-    for snapshot in (counters, numpy_counters) if numpy_counters else (counters,):
-        assert snapshot["rib_fallbacks"] == 0
-        # Every event repaired every router's RIB incrementally (no silent
-        # full rescans beyond the initial warm-up).
-        assert snapshot["rib_incremental_updates"] >= NUM_EVENTS * WAVE_ROUTERS
-        assert snapshot["rib_full_recomputes"] == WAVE_ROUTERS
-        # The dirty sets stayed small: the overwhelming majority of routes
-        # were reused wholesale instead of re-resolved.
-        assert snapshot["rib_prefixes_reused"] > 10 * snapshot["rib_prefixes_repaired"]
-    if numpy_time is not None:
-        assert full_time / numpy_time >= (1.2 if QUICK else 10.0)
+    assert counters["rib_fallbacks"] == 0
+    # Every event repaired every router's RIB incrementally (no silent
+    # full rescans beyond the initial warm-up).
+    assert counters["rib_incremental_updates"] >= NUM_EVENTS * WAVE_ROUTERS
+    assert counters["rib_full_recomputes"] == WAVE_ROUTERS
+    # The dirty sets stayed small: the overwhelming majority of routes
+    # were reused wholesale instead of re-resolved.
+    assert counters["rib_prefixes_reused"] > 10 * counters["rib_prefixes_repaired"]
 
 
 def test_controller_reaction_rib_counters(benchmark, report):

@@ -8,9 +8,7 @@ replay style — clean requirements included.  The sharded facade
 knob per shard sub-wave, so a reaction whose churn is confined to one
 shard's prefixes re-plans exactly that shard and serves the rest from the
 per-shard plan caches — the controller-layer mirror of the data plane's
-per-component warm-start repair, and a win that needs no extra cores (the
-``parallel=`` executor overlaps the sub-wave planning on top, when cores
-are available).
+per-component warm-start repair, and a win that needs no extra cores.
 
 The canonical workload: a requirement set partitioned round-robin across 4
 shards, each wave churning every requirement of exactly one shard (1/4 of
@@ -42,7 +40,7 @@ SHARDS = 4
 THRESHOLD = 0.2  # both engines; 1/SHARDS dirty per wave trips the global one
 
 
-def run_shard_comparison(parallel: str = "thread"):
+def run_shard_comparison():
     """Replay the disjoint-prefix churn through both engines."""
     topology = build_ring_topology(RING, COUNT)
 
@@ -53,25 +51,21 @@ def run_shard_comparison(parallel: str = "thread"):
         topology,
         shards=SHARDS,
         plan_dirty_threshold=THRESHOLD,
-        parallel=parallel,
         assignment=ring_shard_assignment(topology, COUNT, SHARDS),
     )
-    try:
-        sharded_time = replay_shard_churn(sharded, topology, COUNT, WAVES, SHARDS)
-        # Equivalence first, speed second: a facade that skips work it should
-        # not skip would also "win" this benchmark.
-        assert lie_set_digest(sharded.active_lies()) == lie_set_digest(
-            single.active_lies()
-        )
-        return (
-            single_time,
-            sharded_time,
-            single.reconciler.counters.snapshot(),
-            sharded.reconciler.counters.snapshot(),
-            sharded.shard_counters.snapshot(),
-        )
-    finally:
-        sharded.close()
+    sharded_time = replay_shard_churn(sharded, topology, COUNT, WAVES, SHARDS)
+    # Equivalence first, speed second: a facade that skips work it should
+    # not skip would also "win" this benchmark.
+    assert lie_set_digest(sharded.active_lies()) == lie_set_digest(
+        single.active_lies()
+    )
+    return (
+        single_time,
+        sharded_time,
+        single.reconciler.counters.snapshot(),
+        sharded.reconciler.counters.snapshot(),
+        sharded.shard_counters.snapshot(),
+    )
 
 
 def test_shard_wave_speedup(benchmark, report):
@@ -84,7 +78,7 @@ def test_shard_wave_speedup(benchmark, report):
         f"Sharded controller — disjoint-prefix reaction waves "
         f"({COUNT} requirements on a {RING}-router ring, {WAVES} waves, "
         f"one shard of {SHARDS} churning per wave, plan_dirty_threshold="
-        f"{THRESHOLD}, parallel=thread on {os.cpu_count()} core(s))"
+        f"{THRESHOLD})"
     )
     report.add_table(
         ["engine", "steady-state churn time [s]"],
@@ -139,7 +133,7 @@ def test_shard_wave_speedup(benchmark, report):
     assert shard["shard_dirty"] == SHARDS + WAVES
     assert shard["shard_clean"] == WAVES * (SHARDS - 1)
     assert shard["shard_cross_fallbacks"] == 0
-    assert shard["shard_waves_parallel"] == WAVES + 1
+    assert shard["shard_waves_serial"] == WAVES + 1
 
 
 def test_shard_scaling_rows(benchmark, report):

@@ -4,12 +4,10 @@ When the Fibbing controller reacts to an alarm, every router (or, in the
 static oracle, every SPF source) must refresh its view after the injected
 lies.  Before the incremental engine this was one full Dijkstra per source
 per reaction; now the per-source results are repaired from the dirty-edge
-delta log, either by the pure-Python kernel or by the numpy array kernel
-(``REPRO_KERNEL=numpy``).  This benchmark replays a long injection/
-withdrawal churn on a mid-sized random topology and measures the
-all-source SPF wave three ways — full Dijkstra, Python incremental, numpy
-incremental — and asserts the acceptance bars of both engines (>= 2x for
-the Python repair, >= 10x for the array kernel).
+delta log.  This benchmark replays a long injection/withdrawal churn on a
+mid-sized random topology, measures the all-source SPF wave both ways —
+full Dijkstra and incremental repair — and asserts the acceptance bar
+(>= 2x).
 """
 
 import os
@@ -19,7 +17,6 @@ import pytest
 
 from repro.core.controller import FibbingController
 from repro.core.requirements import DestinationRequirement
-from repro.igp import kernel as kernel_mod
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa
 from repro.igp.spf import compute_spf
@@ -29,10 +26,8 @@ from repro.util.prefixes import Prefix
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Wave-benchmark topology size: large enough that the array kernel's flat
-#: per-repair cost decisively beats the full Dijkstra wave (the >= 10x bar
-#: needs the full side's superlinear growth; see the measured numbers in
-#: README.md).  The controller-reaction test keeps its own smaller size.
+#: Wave-benchmark topology size (see the measured numbers in README.md).
+#: The controller-reaction test keeps its own smaller size.
 WAVE_ROUTERS = 20 if QUICK else 120
 NUM_ROUTERS = 20 if QUICK else 40
 NUM_EVENTS = 10 if QUICK else 30
@@ -54,22 +49,18 @@ def _lie(index: int, anchor: str, forwarding_address: str) -> FakeNodeLsa:
 def run_spf_wave_comparison():
     """Replay a lie churn; time the all-source SPF wave full vs incremental.
 
-    Returns ``(full, python, numpy, python_counters, numpy_counters)``
-    times in seconds; the numpy slots are ``None`` when numpy is missing.
+    Returns ``(full_seconds, incremental_seconds, cache_counters)``.
     """
     topology = random_topology(WAVE_ROUTERS, edge_probability=0.15, seed=1)
     routers = topology.routers
-    caches = {"python": SpfCache(kernel="python")}
-    if kernel_mod.NUMPY_AVAILABLE:
-        caches["numpy"] = SpfCache(kernel="numpy")
-    for cache in caches.values():
-        graph = cache.observe(ComputationGraph.from_topology(topology))
-        for router in routers:  # warm the cache once, like a converged network
-            cache.spf(graph, router)
+    cache = SpfCache()
+    graph = cache.observe(ComputationGraph.from_topology(topology))
+    for router in routers:  # warm the cache once, like a converged network
+        cache.spf(graph, router)
 
     lies = []
     full_time = 0.0
-    incremental_time = {name: 0.0 for name in caches}
+    incremental_time = 0.0
     for event in range(NUM_EVENTS):
         anchor = routers[event % len(routers)]
         if event % 5 == 4 and lies:
@@ -83,70 +74,49 @@ def run_spf_wave_comparison():
             compute_spf(rebuilt, router)
         full_time += time.perf_counter() - start
 
-        # Each incremental engine is charged for its whole cost: the
-        # observe() edge diff that produces the deltas plus the repairs
-        # (and, for the array kernel, the CSR index rebuilds).
-        for name, cache in caches.items():
-            rebuilt_for_cache = ComputationGraph.from_topology(topology, lies)
-            start = time.perf_counter()
-            chained = cache.observe(rebuilt_for_cache)
-            for router in routers:
-                cache.spf(chained, router)
-            incremental_time[name] += time.perf_counter() - start
-    numpy_cache = caches.get("numpy")
-    return (
-        full_time,
-        incremental_time["python"],
-        incremental_time.get("numpy"),
-        caches["python"].counters.snapshot(),
-        numpy_cache.counters.snapshot() if numpy_cache is not None else None,
-    )
+        # The incremental engine is charged for its whole cost: the
+        # observe() edge diff that produces the deltas plus the repairs.
+        start = time.perf_counter()
+        chained = cache.observe(rebuilt)
+        for router in routers:
+            cache.spf(chained, router)
+        incremental_time += time.perf_counter() - start
+    return full_time, incremental_time, cache.counters.snapshot()
 
 
 def test_spf_wave_speedup(benchmark, report):
-    full_time, python_time, numpy_time, counters, numpy_counters = benchmark.pedantic(
+    full_time, incremental_time, counters = benchmark.pedantic(
         run_spf_wave_comparison, rounds=1, iterations=1
     )
-    speedup = full_time / python_time
+    speedup = full_time / incremental_time
 
     report.add_line(
         f"SPF cache — controller-reaction hot path "
         f"({WAVE_ROUTERS} routers, {NUM_EVENTS} lie events)"
     )
-    rows = [
-        ("full Dijkstra per source", f"{full_time:.4f}"),
-        ("incremental, python kernel", f"{python_time:.4f} ({speedup:.1f}x)"),
-    ]
+    report.add_table(
+        ["engine", "all-source SPF time [s]"],
+        [
+            ("full Dijkstra per source", f"{full_time:.4f}"),
+            ("incremental", f"{incremental_time:.4f} ({speedup:.1f}x)"),
+        ],
+    )
     report.add_metric("full_seconds", full_time)
-    report.add_metric("incremental_seconds", python_time)
-    report.add_metric("speedup_python", speedup)
+    report.add_metric("incremental_seconds", incremental_time)
+    report.add_metric("speedup", speedup)
     report.add_metric("num_routers", WAVE_ROUTERS)
     report.add_metric("num_events", NUM_EVENTS)
-    if numpy_time is not None:
-        numpy_speedup = full_time / numpy_time
-        rows.append(("incremental, numpy kernel", f"{numpy_time:.4f} ({numpy_speedup:.1f}x)"))
-        report.add_metric("numpy_seconds", numpy_time)
-        report.add_metric("speedup_numpy", numpy_speedup)
-    report.add_table(["engine", "all-source SPF time [s]"], rows)
-    report.add_line(f"cache counters (python): {counters}")
-    if numpy_counters is not None:
-        report.add_line(f"cache counters (numpy): {numpy_counters}")
+    report.add_line(f"cache counters: {counters}")
 
-    # The acceptance bars.  Quick mode measures sub-millisecond intervals on
-    # shared CI runners, so it only smoke-checks that the incremental paths
-    # are not slower.
+    # The acceptance bar.  Quick mode measures sub-millisecond intervals on
+    # shared CI runners, so it only smoke-checks that the incremental path
+    # is not slower.
     assert speedup >= (1.2 if QUICK else 2.0)
-    for snapshot in (counters, numpy_counters) if numpy_counters else (counters,):
-        assert snapshot["spf_fallbacks"] == 0
-        # Every event repaired every source incrementally (no silent full
-        # runs beyond the initial warm-up).
-        assert snapshot["spf_incremental_updates"] >= NUM_EVENTS * WAVE_ROUTERS
-        assert snapshot["spf_full_recomputes"] == WAVE_ROUTERS
-    if numpy_time is not None:
-        assert full_time / numpy_time >= (1.2 if QUICK else 10.0)
-        # Every incremental repair actually ran on the array kernel.
-        assert numpy_counters["spf_kernel_updates"] >= NUM_EVENTS * WAVE_ROUTERS
-        assert numpy_counters["spf_kernel_computes"] == WAVE_ROUTERS
+    assert counters["spf_fallbacks"] == 0
+    # Every event repaired every source incrementally (no silent full
+    # runs beyond the initial warm-up).
+    assert counters["spf_incremental_updates"] >= NUM_EVENTS * WAVE_ROUTERS
+    assert counters["spf_full_recomputes"] == WAVE_ROUTERS
 
 
 def test_controller_reaction_with_cache(benchmark, report):

@@ -158,8 +158,7 @@ def main() -> None:
         print(f"{index:>5} {prefixes:>9} {injected:>9} {retracted:>10} "
               f"{kept:>6} {replans:>8} {hits:>10}")
     counters = enabled["shard_counters"]
-    print(f"wave dispatch: {counters['shard_waves_serial']} serial / "
-          f"{counters['shard_waves_parallel']} parallel, "
+    print(f"waves: {counters['shard_waves_serial']}, "
           f"{counters['shard_dirty']} shard sub-waves dirty, "
           f"{counters['shard_clean']} clean, "
           f"{counters['shard_cross_fallbacks']} cross-shard fallbacks")

@@ -83,7 +83,6 @@ class ControllerStats:
     ctl_stagger_lsas_dropped: int = 0
     # Sharded-facade counters (always zero for a single controller); see
     # :class:`repro.core.shard.ShardCounters`.
-    shard_waves_parallel: int = 0
     shard_waves_serial: int = 0
     shard_dirty: int = 0
     shard_clean: int = 0
@@ -131,7 +130,6 @@ class ControllerStats:
             "ctl_resync_lies_recovered": self.ctl_resync_lies_recovered,
             "ctl_reactions_abandoned": self.ctl_reactions_abandoned,
             "ctl_stagger_lsas_dropped": self.ctl_stagger_lsas_dropped,
-            "shard_waves_parallel": self.shard_waves_parallel,
             "shard_waves_serial": self.shard_waves_serial,
             "shard_dirty": self.shard_dirty,
             "shard_clean": self.shard_clean,

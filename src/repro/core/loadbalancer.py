@@ -57,10 +57,9 @@ class RebalanceAction:
     #: reaction was served from the plan cache vs. re-planned, and how many
     #: lies the wave actually moved.  With a
     #: :class:`~repro.core.shard.ShardedFibbingController` the snapshot
-    #: additionally carries the ``shard_*`` keys (waves dispatched in
-    #: parallel vs. serially, shard sub-waves dirty vs. clean, cross-shard
-    #: fallbacks), so per-reaction diffs also show how the wave spread
-    #: across the shard fleet.
+    #: additionally carries the ``shard_*`` keys (waves, shard sub-waves
+    #: dirty vs. clean, cross-shard fallbacks), so per-reaction diffs also
+    #: show how the wave spread across the shard fleet.
     controller_counters: Dict[str, int] = field(default_factory=dict)
     #: Simulated time at which the reaction actually executed.  With the
     #: synchronous wiring this equals ``time`` (the alarm instant); under the

@@ -421,24 +421,13 @@ class LieReconciler:
             )
             if version is not None:
                 self.plan_cache.store_shapes(version, requirement, epsilon, shapes)
-        return self.desired_from_shapes(requirement.prefix, shapes)
-
-    def desired_from_shapes(
-        self, prefix: Prefix, shapes: Tuple[LieShape, ...]
-    ) -> List[FakeNodeLsa]:
-        """Materialise placeholder-named LSAs from pre-computed lie shapes.
-
-        Used by :meth:`desired_lies` and by the sharded facade's process
-        mode, where the shapes of a wave are synthesised out-of-process and
-        only the (cheap) diffing runs in the controller.
-        """
         return [
             FakeNodeLsa(
                 origin=self.controller,
                 fake_node=f"pending-{index + 1}",
                 anchor=shape.anchor,
                 link_cost=shape.link_cost,
-                prefix=prefix,
+                prefix=requirement.prefix,
                 prefix_cost=shape.prefix_cost,
                 forwarding_address=shape.forwarding_address,
             )

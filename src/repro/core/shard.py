@@ -1,4 +1,4 @@
-"""Sharded multi-controller: parallel per-shard reaction planning behind one
+"""Sharded multi-controller: per-shard reaction planning behind one
 reconciliation facade.
 
 This is the controller-layer mirror of the data plane's component
@@ -17,21 +17,15 @@ independently:
   prefix (installed lies, plan-cache entries, skip bookkeeping) lives in
   exactly one shard, so shard sub-waves never contend.
 
-* **Parallel planning** — the expensive per-requirement work (validation
-  walk, lie synthesis, registry diff) runs per shard, dispatched through a
-  ``concurrent.futures`` executor: ``parallel="thread"`` uses a shared
-  :class:`~concurrent.futures.ThreadPoolExecutor`, ``parallel="process"``
-  farms the pure shape synthesis out to a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (the diffing stays
-  in-process), and ``parallel="serial"`` is the deterministic reference
-  mode.  All three produce identical plans; they only differ in wall-clock.
+* **Per-shard planning** — the expensive per-requirement work (validation
+  walk, lie synthesis, registry diff) runs per shard, one sub-wave after
+  the other.
 
 * **Localised fallback** — the ``plan_dirty_threshold`` knob is evaluated
   *per shard sub-wave*: a reaction that churns every requirement of one
   shard trips only that shard's clear-and-replay fallback, while a single
   controller would re-plan the whole wave.  This is where the sharded
-  facade wins even on one core (see
-  ``benchmarks/test_bench_shard_scaling.py``).
+  facade wins (see ``benchmarks/test_bench_shard_scaling.py``).
 
 * **Centralised merge** — the per-shard retract/inject deltas are merged
   into one batched injection wave: fake-node names are allocated by the
@@ -42,19 +36,17 @@ independently:
 The non-negotiable invariant, in the style of PRs 1–4:
 ``ShardedFibbingController(shards=N)`` installs bit-identical lie sets
 (fake-node names included), FIBs and data-plane rates to the
-single-controller ``incremental=False`` oracle, for any N and any parallel
-mode — the differential suite ``tests/test_controller_sharded.py`` holds it
-to that.
+single-controller ``incremental=False`` oracle, for any N — the
+differential suite ``tests/test_controller_sharded.py`` holds it to that.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.augmentation import DEFAULT_EPSILON, LieShape, synthesize_lie_shapes
+from repro.core.augmentation import DEFAULT_EPSILON
 from repro.core.controller import ControllerUpdate, FibbingController
 from repro.core.lies import Lie, LieUpdate
 from repro.core.reconciler import (
@@ -75,11 +67,7 @@ __all__ = [
     "ShardCounters",
     "ShardedFibbingController",
     "default_shard_assignment",
-    "PARALLEL_MODES",
 ]
-
-#: Accepted values of the ``parallel=`` knob.
-PARALLEL_MODES = ("serial", "thread", "process")
 
 
 def default_shard_assignment(prefix: Prefix, shards: int) -> int:
@@ -98,9 +86,7 @@ def default_shard_assignment(prefix: Prefix, shards: int) -> int:
 class ShardCounters:
     """Facade-level accounting of the sharded planner (``shard_*`` keys).
 
-    ``waves_parallel`` / ``waves_serial`` count enforce waves dispatched
-    through the executor versus planned inline (serial mode, single
-    populated shard, or a cross-shard fallback).  ``shards_dirty`` /
+    ``waves_serial`` counts enforce waves.  ``shards_dirty`` /
     ``shards_clean`` count shard sub-waves that re-planned at least one
     requirement versus sub-waves served entirely from the shard's plan
     cache.  ``cross_shard_fallbacks`` are waves the facade could not
@@ -108,7 +94,6 @@ class ShardCounters:
     baseline) and planned serially in wave order instead.
     """
 
-    waves_parallel: int = 0
     waves_serial: int = 0
     shards_dirty: int = 0
     shards_clean: int = 0
@@ -117,7 +102,6 @@ class ShardCounters:
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy for reporting."""
         return {
-            "shard_waves_parallel": self.waves_parallel,
             "shard_waves_serial": self.waves_serial,
             "shard_dirty": self.shards_dirty,
             "shard_clean": self.shards_clean,
@@ -126,7 +110,6 @@ class ShardCounters:
 
     def merge(self, other: "ShardCounters") -> None:
         """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.waves_parallel += other.waves_parallel
         self.waves_serial += other.waves_serial
         self.shards_dirty += other.shards_dirty
         self.shards_clean += other.shards_clean
@@ -140,12 +123,10 @@ def _plan_shard_wave(
     baseline_fibs: Mapping[str, Fib],
     version: Optional[int],
     epsilon: float,
-    precomputed: Optional[Dict[Prefix, Tuple[LieShape, ...]]] = None,
 ) -> Tuple[List[LieUpdate], int]:
     """Plan one shard's sub-wave; returns ``(plans, dirty_count)``.
 
-    This is the per-shard body dispatched by the facade (possibly on a
-    worker thread): the skip/fallback logic of
+    This is the per-shard body run by the facade: the skip/fallback logic of
     :meth:`FibbingController.enforce` evaluated over the *shard's* slice of
     the wave, producing per-requirement plans whose injected lies still
     carry placeholder names.  Nothing is committed here — the facade
@@ -158,8 +139,6 @@ def _plan_shard_wave(
     plans: List[LieUpdate] = []
 
     def desired_for(req: DestinationRequirement) -> List[FakeNodeLsa]:
-        if precomputed is not None and req.prefix in precomputed:
-            return reconciler.desired_from_shapes(req.prefix, precomputed[req.prefix])
         return reconciler.desired_lies(
             topology=topology,
             requirement=req,
@@ -196,21 +175,6 @@ def _plan_shard_wave(
                 reconciler.reconcile(req.prefix, desired_for(req), allocate_names=False)
             )
     return plans, dirty
-
-
-def _synthesize_shapes_task(
-    topology: Topology,
-    reqs: List[DestinationRequirement],
-    epsilon: float,
-    baseline_fibs: Mapping[str, Fib],
-) -> List[Tuple[LieShape, ...]]:
-    """Process-pool task: pure shape synthesis for one shard's dirty slice."""
-    return [
-        synthesize_lie_shapes(
-            topology, req, epsilon=epsilon, baseline_fibs=baseline_fibs
-        )
-        for req in reqs
-    ]
 
 
 class _ShardedRegistryView:
@@ -300,9 +264,9 @@ class ShardedFibbingController(FibbingController):
     on-demand load balancer, the Fig. 1/Fig. 2 experiments, a live
     :class:`~repro.igp.network.IgpNetwork`): requirements are partitioned
     by prefix across ``shards`` inner controllers, shard sub-waves are
-    planned concurrently (``parallel=`` knob) and the resulting deltas are
-    named, committed and injected as one batched wave.  See the module
-    docstring for the decomposition and the equivalence guarantee.
+    planned independently and the resulting deltas are named, committed
+    and injected as one batched wave.  See the module docstring for the
+    decomposition and the equivalence guarantee.
     """
 
     def __init__(
@@ -315,26 +279,18 @@ class ShardedFibbingController(FibbingController):
         epsilon: float = DEFAULT_EPSILON,
         incremental: bool = True,
         plan_dirty_threshold: float = 0.5,
-        parallel: str = "serial",
         assignment: Optional[Callable[[Prefix, int], int]] = None,
     ) -> None:
         """Create a sharded controller for ``topology``.
 
         ``assignment(prefix, shards)`` pins prefixes to shard indices
         (default: :func:`default_shard_assignment`, a stable content hash).
-        ``parallel`` picks the executor: ``"serial"`` (deterministic
-        reference), ``"thread"`` (one worker per shard) or ``"process"``
-        (shape synthesis in a process pool).  ``incremental`` and
-        ``plan_dirty_threshold`` are forwarded to every shard; the
-        threshold is evaluated per shard sub-wave, which localises the
-        clear-and-replay fallback to the shard that actually churned.
+        ``incremental`` and ``plan_dirty_threshold`` are forwarded to every
+        shard; the threshold is evaluated per shard sub-wave, which localises
+        the clear-and-replay fallback to the shard that actually churned.
         """
         if shards < 1:
             raise ControllerError(f"need at least 1 shard, got {shards}")
-        if parallel not in PARALLEL_MODES:
-            raise ControllerError(
-                f"parallel must be one of {PARALLEL_MODES}, got {parallel!r}"
-            )
         super().__init__(
             topology,
             name=name,
@@ -345,7 +301,6 @@ class ShardedFibbingController(FibbingController):
             plan_dirty_threshold=plan_dirty_threshold,
         )
         self.shard_count = shards
-        self.parallel = parallel
         self.plan_dirty_threshold = plan_dirty_threshold
         self._assignment = assignment if assignment is not None else default_shard_assignment
         self._shard_index: Dict[Prefix, int] = {}
@@ -377,8 +332,6 @@ class ShardedFibbingController(FibbingController):
         # Advances once per injected lie, in wave order — the exact name
         # sequence a single controller's committed history would produce.
         self._fake_name_counter = 0
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
         #: Optional injection override installed by the asynchronous control
         #: loop (:class:`repro.core.scheduler.ControlLoopScheduler`): called
         #: as ``wave_injector(attachment, groups)`` where ``groups`` is an
@@ -416,10 +369,10 @@ class ShardedFibbingController(FibbingController):
         """Enforce a wave: partition, plan per shard, merge, inject once.
 
         The wave is split into per-shard sub-waves (wave order preserved
-        within each shard), the sub-waves are planned concurrently per the
-        ``parallel`` mode, and the per-shard deltas are merged back in wave
-        order: fake-node names are allocated centrally, plans are committed
-        into their shard's registry, and every LSA ships in one injection.
+        within each shard), each sub-wave is planned by its shard, and the
+        per-shard deltas are merged back in wave order: fake-node names are
+        allocated centrally, plans are committed into their shard's
+        registry, and every LSA ships in one injection.
         A wave naming the same prefix more than once cannot be partitioned
         (the later requirement must see the earlier one's committed lies)
         and falls back to serial in-order planning, counted as a
@@ -440,11 +393,17 @@ class ShardedFibbingController(FibbingController):
         groups: Dict[int, List[DestinationRequirement]] = {}
         for req in reqs:
             groups.setdefault(self.shard_of(req.prefix), []).append(req)
-        jobs = [(index, self.shards[index], groups[index]) for index in sorted(groups)]
-
-        results = self._dispatch(jobs, baseline_fibs, version)
+        self.shard_counters.waves_serial += 1
         shard_plans: Dict[int, List[LieUpdate]] = {}
-        for (index, _shard, _reqs), (plans, dirty) in zip(jobs, results):
+        for index in sorted(groups):
+            plans, dirty = _plan_shard_wave(
+                self.shards[index],
+                groups[index],
+                self.topology,
+                baseline_fibs,
+                version,
+                self.epsilon,
+            )
             shard_plans[index] = plans
             if dirty:
                 self.shard_counters.shards_dirty += 1
@@ -644,136 +603,6 @@ class ShardedFibbingController(FibbingController):
         return self._ship_committed([(shard, plan)], now)[0]
 
     # ------------------------------------------------------------------ #
-    # Parallel dispatch
-    # ------------------------------------------------------------------ #
-    def _dispatch(self, jobs, baseline_fibs, version):
-        """Run the per-shard planners per the ``parallel`` mode."""
-        topology = self.topology
-        if self.parallel == "thread" and len(jobs) > 1:
-            self.shard_counters.waves_parallel += 1
-            pool = self._threads()
-            futures = [
-                pool.submit(
-                    _plan_shard_wave,
-                    shard,
-                    shard_reqs,
-                    topology,
-                    baseline_fibs,
-                    version,
-                    self.epsilon,
-                )
-                for _index, shard, shard_reqs in jobs
-            ]
-            return [future.result() for future in futures]
-        if self.parallel == "process" and len(jobs) > 1:
-            self.shard_counters.waves_parallel += 1
-            return self._dispatch_process(jobs, baseline_fibs, version)
-        self.shard_counters.waves_serial += 1
-        return [
-            _plan_shard_wave(
-                shard, shard_reqs, topology, baseline_fibs, version, self.epsilon
-            )
-            for _index, shard, shard_reqs in jobs
-        ]
-
-    def _dispatch_process(self, jobs, baseline_fibs, version):
-        """Process mode: synthesise shapes out-of-process, diff in-process.
-
-        Only the pure, stateless stage (validation + lie synthesis) crosses
-        the process boundary; the registry diff needs the shard's installed
-        lies and stays local.  Requirements whose shapes are already cached
-        are not shipped at all.
-        """
-        pool = self._processes()
-        submissions = []
-        for _index, shard, shard_reqs in jobs:
-            to_plan = self._requirements_to_replan(shard, shard_reqs, version)
-            if version is not None:
-                to_plan = [
-                    req
-                    for req in to_plan
-                    if shard.reconciler.plan_cache.shapes(version, req, self.epsilon)
-                    is None
-                ]
-            future = (
-                pool.submit(
-                    _synthesize_shapes_task,
-                    self.topology,
-                    to_plan,
-                    self.epsilon,
-                    baseline_fibs,
-                )
-                if to_plan
-                else None
-            )
-            submissions.append((shard, shard_reqs, to_plan, future))
-
-        results = []
-        for shard, shard_reqs, to_plan, future in submissions:
-            precomputed: Dict[Prefix, Tuple[LieShape, ...]] = {}
-            if future is not None:
-                for req, shapes in zip(to_plan, future.result()):
-                    if version is not None:
-                        shard.reconciler.plan_cache.store_shapes(
-                            version, req, self.epsilon, shapes
-                        )
-                    else:
-                        precomputed[req.prefix] = shapes
-            results.append(
-                _plan_shard_wave(
-                    shard,
-                    shard_reqs,
-                    self.topology,
-                    baseline_fibs,
-                    version,
-                    self.epsilon,
-                    precomputed=precomputed or None,
-                )
-            )
-        return results
-
-    @staticmethod
-    def _requirements_to_replan(shard, shard_reqs, version):
-        """Which of ``shard_reqs`` the shard planner will actually re-plan."""
-        if version is None:
-            return list(shard_reqs)
-        reconciler = shard.reconciler
-        dirty = [
-            req for req in shard_reqs if not reconciler.is_clean(version, req)
-        ]
-        if reconciler.wave_fallback(len(shard_reqs), len(dirty)):
-            return list(shard_reqs)
-        return dirty
-
-    def _threads(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.shard_count,
-                thread_name_prefix=f"{self.name}-shard",
-            )
-        return self._thread_pool
-
-    def _processes(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(max_workers=self.shard_count)
-        return self._process_pool
-
-    def close(self) -> None:
-        """Shut down the executors (idempotent; serial mode never starts any)."""
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
-
-    def __enter__(self) -> "ShardedFibbingController":
-        return self
-
-    def __exit__(self, *_exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
     # Merge phase: naming, commit, batched injection
     # ------------------------------------------------------------------ #
     def _allocate_fake_name(self, anchor: str) -> str:
@@ -857,7 +686,6 @@ class ShardedFibbingController(FibbingController):
     def _sync_spf_stats(self) -> None:
         super()._sync_spf_stats()
         counters = self.shard_counters
-        self._stats.shard_waves_parallel = counters.waves_parallel
         self._stats.shard_waves_serial = counters.waves_serial
         self._stats.shard_dirty = counters.shards_dirty
         self._stats.shard_clean = counters.shards_clean
@@ -866,5 +694,5 @@ class ShardedFibbingController(FibbingController):
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"ShardedFibbingController(name={self.name!r}, shards={self.shard_count}, "
-            f"parallel={self.parallel!r}, active_lies={self.active_lie_count()})"
+            f"active_lies={self.active_lie_count()})"
         )

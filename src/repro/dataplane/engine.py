@@ -70,7 +70,6 @@ from repro.dataplane.path_cache import (
     WarmStartAllocator,
 )
 from repro.igp.fib import Fib
-from repro.igp.kernel import resolve_kernel
 from repro.igp.topology import Topology
 from repro.util.errors import SimulationError
 from repro.util.prefixes import Prefix
@@ -137,7 +136,6 @@ class DataPlaneEngineBase:
         sample_interval: float = 1.0,
         hash_salt: int = 0,
         incremental: bool = True,
-        kernel: Optional[str] = None,
     ) -> None:
         self.topology = topology
         self.fib_provider = fib_provider
@@ -145,8 +143,6 @@ class DataPlaneEngineBase:
         self.sample_interval = check_positive(sample_interval, "sample_interval")
         self.hash_salt = hash_salt
         self.incremental = incremental
-        #: Progressive-filling kernel (resolved once; ``REPRO_KERNEL`` default).
-        self.kernel = resolve_kernel(kernel)
 
         self.events = EventLog()
         self.samples: List[LinkSample] = []
@@ -345,7 +341,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
         hash_salt: int = 0,
         incremental: bool = True,
         alloc_dirty_threshold: float = 0.5,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__(
             topology,
@@ -354,13 +349,10 @@ class DataPlaneEngine(DataPlaneEngineBase):
             sample_interval=sample_interval,
             hash_salt=hash_salt,
             incremental=incremental,
-            kernel=kernel,
         )
         self.flows = FlowSet()
         self._path_cache = FlowPathCache()
-        self._allocator = WarmStartAllocator(
-            dirty_threshold=alloc_dirty_threshold, kernel=self.kernel
-        )
+        self._allocator = WarmStartAllocator(dirty_threshold=alloc_dirty_threshold)
         # Current (instantaneous) state, valid since _last_advance.
         self._flow_rates: Dict[int, float] = {}
         self._flow_paths: Dict[int, FlowPath] = {}
@@ -532,9 +524,7 @@ class DataPlaneEngine(DataPlaneEngineBase):
             path = self._flow_paths[flow.flow_id]
             flow_links[flow.flow_id], demands[flow.flow_id], _ = self._effective_input(flow, path)
 
-        rates = max_min_fair_allocation(
-            flow_links, demands, self._capacities, kernel=self.kernel
-        )
+        rates = max_min_fair_allocation(flow_links, demands, self._capacities)
         self._flow_rates = rates
 
         contributions: Dict[LinkKey, List[Tuple[float, int]]] = {}
@@ -740,7 +730,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         hash_salt: int = 0,
         incremental: bool = True,
         alloc_dirty_threshold: float = 0.5,
-        kernel: Optional[str] = None,
     ) -> None:
         super().__init__(
             topology,
@@ -749,13 +738,10 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             sample_interval=sample_interval,
             hash_salt=hash_salt,
             incremental=incremental,
-            kernel=kernel,
         )
         self.classes = ClassSet()
         self._path_cache = FlowPathCache()  # entity ids are class ids here
-        self._allocator = WarmStartAllocator(
-            dirty_threshold=alloc_dirty_threshold, kernel=self.kernel
-        )
+        self._allocator = WarmStartAllocator(dirty_threshold=alloc_dirty_threshold)
         # Path groups and their allocator entities, per class.
         self._class_groups: Dict[int, List[ClassPathGroup]] = {}
         self._class_entities: Dict[int, Tuple[int, ...]] = {}
@@ -1077,7 +1063,7 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 counts[entity_id] = group.count
 
         rates = max_min_fair_allocation(
-            entity_links, demands, self._capacities, counts=counts, kernel=self.kernel
+            entity_links, demands, self._capacities, counts=counts
         )
         self._entity_rates = rates
 

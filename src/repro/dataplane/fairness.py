@@ -18,21 +18,13 @@ is filled independently.  This is what makes the warm-start repair of
 only the dirty components through the very same :func:`fill_component`
 reproduces a from-scratch allocation bit for bit.
 
-Two generalisations support the aggregate-demand data plane:
-
-* **Multiplicity.**  Every allocation entity carries a session ``count``;
-  a link crossed by an entity consumes ``count`` fair shares.  Capacity is
-  drained *once per link and round* as ``remaining -= usage * increment``
-  (``usage`` being the exact integer sum of active counts), so one entity
-  of count ``n`` produces bit-identical rates to ``n`` separate entities of
-  count 1 — the property the aggregate engine's differential oracle pins.
-* **Kernels.**  ``kernel="numpy"`` (or ``REPRO_KERNEL=numpy``) runs each
-  progressive-filling round over entity×link incidence arrays instead of
-  Python dicts.  Every per-round operation is elementwise or an
-  order-independent minimum, so the array kernel reproduces the Python
-  kernel's IEEE float64 rates bit for bit — same discipline as the SPF
-  kernels in :mod:`repro.igp.kernel`, whose ``resolve_kernel`` knob idiom
-  this module reuses.
+One generalisation supports the aggregate-demand data plane: every
+allocation entity carries a session ``count``, and a link crossed by an
+entity consumes ``count`` fair shares.  Capacity is drained *once per link
+and round* as ``remaining -= usage * increment`` (``usage`` being the exact
+integer sum of active counts), so one entity of count ``n`` produces
+bit-identical rates to ``n`` separate entities of count 1 — the property the
+aggregate engine's differential oracle pins.
 
 Saturation and progress tests use a *capacity-relative* epsilon
 (:func:`rate_tolerance`).  The previous absolute ``1e-6`` bit/s threshold
@@ -46,14 +38,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.igp.kernel import resolve_kernel
 from repro.util.errors import SimulationError, ValidationError
 from repro.util.validation import check_non_negative
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - minimal installs only
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "max_min_fair_allocation",
@@ -89,7 +75,6 @@ def max_min_fair_allocation(
     demands: Mapping[int, float],
     capacities: Mapping[LinkKey, float],
     counts: Optional[Mapping[int, int]] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[int, float]:
     """Compute the max-min fair rate of every flow (or demand class).
 
@@ -108,16 +93,12 @@ def max_min_fair_allocation(
         Session multiplicity of each entity (default 1).  An entity of
         count ``n`` receives the same per-session rate as ``n`` identical
         count-1 entities would, bit for bit.
-    kernel:
-        ``"python"`` / ``"numpy"`` / ``None`` (= the ``REPRO_KERNEL``
-        environment default), as in :func:`repro.igp.kernel.resolve_kernel`.
 
     Returns
     -------
     dict
         Mapping from entity id to allocated per-session rate.
     """
-    kernel_name = resolve_kernel(kernel)
     for flow_id in flow_links:
         if flow_id not in demands:
             raise ValidationError(f"flow {flow_id} has a path but no demand")
@@ -137,11 +118,7 @@ def max_min_fair_allocation(
         constrained[flow_id] = tuple(links)
 
     for component in decompose_components(constrained):
-        rates.update(
-            fill_component(
-                component, constrained, demands, capacities, counts=counts, kernel=kernel_name
-            )
-        )
+        rates.update(fill_component(component, constrained, demands, capacities, counts=counts))
     return rates
 
 
@@ -181,30 +158,6 @@ def decompose_components(
     return sorted((tuple(members) for members in groups.values()), key=lambda g: g[0])
 
 
-def fill_component(
-    flow_ids: Sequence[int],
-    flow_links: Mapping[int, Sequence[LinkKey]],
-    demands: Mapping[int, float],
-    capacities: Mapping[LinkKey, float],
-    counts: Optional[Mapping[int, int]] = None,
-    kernel: Optional[str] = None,
-) -> Dict[int, float]:
-    """Progressive filling restricted to one connected component.
-
-    ``flow_ids`` must be the component's entities in ascending id order;
-    every entity must have a non-empty path and a demand above the rate
-    tolerance.  The result depends only on the *set* of entities and their
-    links, demands, counts and capacities — not on iteration order or on
-    the kernel — so re-filling an unchanged component always reproduces the
-    exact same floating-point rates.
-    """
-    kernel_name = resolve_kernel(kernel)
-    entity_counts = _resolve_counts(flow_ids, counts)
-    if kernel_name == "numpy":
-        return _fill_component_numpy(flow_ids, flow_links, demands, capacities, entity_counts)
-    return _fill_component_python(flow_ids, flow_links, demands, capacities, entity_counts)
-
-
 def _resolve_counts(
     flow_ids: Sequence[int], counts: Optional[Mapping[int, int]]
 ) -> Dict[int, int]:
@@ -219,13 +172,23 @@ def _resolve_counts(
     return resolved
 
 
-def _fill_component_python(
+def fill_component(
     flow_ids: Sequence[int],
     flow_links: Mapping[int, Sequence[LinkKey]],
     demands: Mapping[int, float],
     capacities: Mapping[LinkKey, float],
-    counts: Dict[int, int],
+    counts: Optional[Mapping[int, int]] = None,
 ) -> Dict[int, float]:
+    """Progressive filling restricted to one connected component.
+
+    ``flow_ids`` must be the component's entities in ascending id order;
+    every entity must have a non-empty path and a demand above the rate
+    tolerance.  The result depends only on the *set* of entities and their
+    links, demands, counts and capacities — not on iteration order — so
+    re-filling an unchanged component always reproduces the exact same
+    floating-point rates.
+    """
+    counts = _resolve_counts(flow_ids, counts)
     rates: Dict[int, float] = {}
     active: Dict[int, Tuple[LinkKey, ...]] = {}
     demand_tol: Dict[int, float] = {}
@@ -305,98 +268,3 @@ def _fill_component_python(
             f"progressive filling did not converge; {len(active)} flows still active"
         )
     return rates
-
-
-def _fill_component_numpy(
-    flow_ids: Sequence[int],
-    flow_links: Mapping[int, Sequence[LinkKey]],
-    demands: Mapping[int, float],
-    capacities: Mapping[LinkKey, float],
-    counts: Dict[int, int],
-) -> Dict[int, float]:
-    """Array kernel: one progressive-filling round per numpy pass.
-
-    Mirrors :func:`_fill_component_python` operation for operation.  The
-    entity×link incidence is a CSR-style multiplicity matrix; per round the
-    kernel computes integer link usage (exact), the order-independent
-    link/demand minima, and the elementwise rate/remaining updates — all
-    IEEE float64 ops identical to the Python loop, hence bit-identical
-    results.
-    """
-    if np is None:  # pragma: no cover - resolve_kernel rejects this earlier
-        raise ValidationError("numpy kernel requested but numpy is not importable")
-
-    entities = list(flow_ids)
-    n = len(entities)
-    link_names = sorted({link for flow_id in entities for link in flow_links[flow_id]})
-    link_index = {link: j for j, link in enumerate(link_names)}
-    m = len(link_names)
-
-    # CSR-style multiplicity incidence: incidence[i, j] counts how many
-    # times entity i's path crosses link j.
-    incidence = np.zeros((n, m), dtype=np.int64)
-    for i, flow_id in enumerate(entities):
-        for link in flow_links[flow_id]:
-            incidence[i, link_index[link]] += 1
-
-    count_vec = np.array([counts[flow_id] for flow_id in entities], dtype=np.int64)
-    demand_vec = np.array([demands[flow_id] for flow_id in entities], dtype=np.float64)
-    demand_tol = np.array(
-        [rate_tolerance(demands[flow_id]) for flow_id in entities], dtype=np.float64
-    )
-    capacity_vec = np.array(
-        [float(capacities[link]) for link in link_names], dtype=np.float64
-    )
-    link_tol = np.array(
-        [rate_tolerance(float(capacities[link])) for link in link_names], dtype=np.float64
-    )
-
-    rates = np.zeros(n, dtype=np.float64)
-    remaining = capacity_vec.copy()
-    active = np.ones(n, dtype=bool)
-
-    progress_tol = rate_tolerance(
-        max(
-            float(capacity_vec.max()) if m else 0.0,
-            float(demand_vec.max()) if n else 0.0,
-        )
-    )
-
-    max_rounds = n + m + 1
-    for _ in range(max_rounds):
-        if not active.any():
-            break
-        usage = (count_vec * active) @ incidence  # int64: exact session sums
-        live = usage > 0
-        if live.any():
-            link_limit = float(np.min(remaining[live] / usage[live]))
-        else:
-            link_limit = float("inf")
-        headroom = demand_vec - rates
-        demand_limit = float(np.min(headroom[active]))
-        increment = min(link_limit, demand_limit)
-        if increment < 0:
-            raise SimulationError("negative increment during progressive filling")
-
-        if increment > 0:
-            rates[active] += increment
-            remaining[live] -= usage[live] * increment
-
-        headroom = demand_vec - rates
-        saturated = remaining <= link_tol
-        frozen = active & (
-            (headroom <= demand_tol) | ((incidence @ saturated.astype(np.int64)) > 0)
-        )
-        if not frozen.any() and increment <= progress_tol:
-            raise SimulationError(
-                "progressive filling made no progress; capacities may be inconsistent"
-            )
-        active &= ~frozen
-
-    if active.any():
-        raise SimulationError(
-            f"progressive filling did not converge; {int(active.sum())} flows still active"
-        )
-    # Materialise builtin floats so results are indistinguishable from the
-    # Python kernel's to every downstream consumer (repr, json, digests).
-    return {flow_id: float(rates[i]) for i, flow_id in enumerate(entities)}

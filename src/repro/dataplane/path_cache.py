@@ -37,7 +37,6 @@ from repro.dataplane.fairness import (
     fill_component,
     rate_tolerance,
 )
-from repro.igp.kernel import resolve_kernel
 from repro.dataplane.flows import Flow
 from repro.dataplane.forwarding import FlowPath
 from repro.igp.fib import Fib
@@ -290,7 +289,7 @@ class _Component:
 class WarmStartAllocator:
     """Max-min fair allocation with per-component warm-start repair."""
 
-    def __init__(self, dirty_threshold: float = 0.5, kernel: Optional[str] = None) -> None:
+    def __init__(self, dirty_threshold: float = 0.5) -> None:
         if not 0.0 <= dirty_threshold <= 1.0:
             raise SimulationError(
                 f"dirty_threshold must be in [0, 1], got {dirty_threshold}"
@@ -298,9 +297,6 @@ class WarmStartAllocator:
         #: Fraction of the active flows beyond which a repair falls back to
         #: a from-scratch decomposition (the fallback threshold knob).
         self.dirty_threshold = dirty_threshold
-        #: Progressive-filling kernel (``"python"``/``"numpy"``), resolved
-        #: once from the knob or the ``REPRO_KERNEL`` environment default.
-        self.kernel = resolve_kernel(kernel)
         #: Current per-flow rates; the engine reads this mapping directly.
         self.rates: Dict[int, float] = {}
         self._inputs: Dict[int, FlowInput] = {}
@@ -425,14 +421,7 @@ class WarmStartAllocator:
         counts = {flow_id: self._inputs[flow_id][2] for flow_id in constrained}
         for flow_ids in decompose_components(constrained):
             new_rates.update(
-                fill_component(
-                    flow_ids,
-                    constrained,
-                    demands,
-                    capacities,
-                    counts=counts,
-                    kernel=self.kernel,
-                )
+                fill_component(flow_ids, constrained, demands, capacities, counts=counts)
             )
             links = frozenset(
                 link for flow_id in flow_ids for link in constrained[flow_id]

@@ -122,10 +122,8 @@ def run_demo_timeseries(
     hash_salt: int = 0,
     dataplane_incremental: bool = True,
     dataplane_aggregate: bool = False,
-    dataplane_kernel: Optional[str] = None,
     controller_incremental: bool = True,
     controller_shards: int = 0,
-    controller_parallel: str = "serial",
     seed: Optional[int] = None,
     poll_jitter: float = 0.0,
     reaction_latency: float = 0.0,
@@ -147,15 +145,12 @@ def run_demo_timeseries(
     so the run's cost is O(arrival batches), not O(sessions) — link series,
     byte counters and samples stay bit-identical to the per-flow run (the
     dual-engine differential suite pins this), while the QoE report
-    aggregates count-weighted cohorts.  ``dataplane_kernel`` picks the
-    progressive-filling kernel (``"python"``/``"numpy"``; default follows
-    ``REPRO_KERNEL``).  ``controller_incremental=False`` likewise runs
-    the controller's clear-and-replay oracle instead of the plan-cache
-    reconciler, with bit-identical installed lies and traffic.
+    aggregates count-weighted cohorts.  ``controller_incremental=False``
+    likewise runs the controller's clear-and-replay oracle instead of the
+    plan-cache reconciler, with bit-identical installed lies and traffic.
     ``controller_shards > 0`` swaps the single controller for a
     :class:`~repro.core.shard.ShardedFibbingController` with that many
-    shards (``controller_parallel`` picks its dispatch mode) — again
-    bit-identical, per the shard differential suite; the run's
+    shards — again bit-identical, per the shard differential suite; the run's
     ``controller_stats`` then carry the ``shard_*`` wave counters.
     ``seed`` (the sweep harness entry point) derives the flow ``hash_salt``
     from an explicit ``random.Random(seed)`` when no salt is given — the
@@ -224,7 +219,6 @@ def run_demo_timeseries(
         sample_interval=sample_interval,
         hash_salt=hash_salt,
         incremental=dataplane_incremental,
-        kernel=dataplane_kernel,
     )
     engine.bind_to_network(network)
     engine.start()
@@ -272,7 +266,6 @@ def run_demo_timeseries(
                 attachment=scenario.controller_attachment,
                 epsilon=policy.epsilon,
                 incremental=controller_incremental,
-                parallel=controller_parallel,
             )
         else:
             controller = FibbingController(
@@ -333,15 +326,7 @@ def run_demo_timeseries(
     sessions = apply_schedule(service, timeline, schedule, scenario.blue_prefix)
 
     # --- run ------------------------------------------------------------------ #
-    try:
-        timeline.run_until(epoch + duration)
-    finally:
-        close = getattr(controller, "close", None)
-        if close is not None:
-            # Shut the sharded facade's executors down (also when the run
-            # raises); counters and installed lies survive for the result
-            # collection below.
-            close()
+    timeline.run_until(epoch + duration)
 
     # --- collect results ----------------------------------------------------- #
     throughput_series: Dict[LinkKey, List[Tuple[float, float]]] = {

@@ -102,7 +102,6 @@ def run_flashcrowd_classes(
     policy: LoadBalancerPolicy = LoadBalancerPolicy(),
     hash_salt: int = 0,
     dataplane_incremental: bool = True,
-    dataplane_kernel: Optional[str] = None,
     seed: Optional[int] = None,
     keep_demo_result: bool = True,
 ) -> FlashCrowdClassesResult:
@@ -126,7 +125,6 @@ def run_flashcrowd_classes(
         hash_salt=hash_salt,
         dataplane_incremental=dataplane_incremental,
         dataplane_aggregate=True,
-        dataplane_kernel=dataplane_kernel,
         seed=seed,
     )
     wall_seconds = time.perf_counter() - start

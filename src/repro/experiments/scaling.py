@@ -24,8 +24,7 @@ These back the design-choice discussions of DESIGN.md:
   dirty-threshold fallback re-plans the *whole* wave.  Sharding evaluates
   the threshold per shard sub-wave, confining the clear-and-replay blast
   radius to the shard that actually churned — the controller-layer mirror
-  of the data plane's per-component warm-start repair; on multi-core hosts
-  the ``parallel=`` executor additionally overlaps the sub-wave planning.
+  of the data plane's per-component warm-start repair.
 """
 
 from __future__ import annotations
@@ -474,7 +473,6 @@ class ShardScalingRow:
     sharded_plan_cache_hits: int
     shard_dirty: int
     shard_clean: int
-    waves_parallel: int
     waves_serial: int
 
     @property
@@ -550,7 +548,6 @@ def run_shard_scaling(
     waves: int = 30,
     ring: int = 32,
     plan_dirty_threshold: float = 0.2,
-    parallel: str = "serial",
     seed: Optional[int] = None,
 ) -> List[ShardScalingRow]:
     """A6 — replay disjoint-prefix churn through single and sharded control.
@@ -561,13 +558,11 @@ def run_shard_scaling(
     the threshold, the single controller's fallback re-plans the whole wave
     — clean requirements included — while the facade evaluates the
     threshold per shard sub-wave and re-plans only the shard that churned.
-    The lie sets are verified identical before any timing is reported.  On
-    multi-core hosts ``parallel="thread"`` (or ``"process"``) additionally
-    overlaps the sub-wave planning; the algorithmic gap measured here needs
-    no extra cores.  ``seed`` (sweep entry point) randomises which shard
-    churns per wave through an explicit ``random.Random(seed)`` — one fresh
-    instance per controller replay, so both sides see identical churns;
-    ``seed=None`` keeps the historical rotating churn.
+    The lie sets are verified identical before any timing is reported.
+    ``seed`` (sweep entry point) randomises which shard churns per wave
+    through an explicit ``random.Random(seed)`` — one fresh instance per
+    controller replay, so both sides see identical churns; ``seed=None``
+    keeps the historical rotating churn.
     """
     from repro.core.controller import FibbingController
     from repro.core.lies import lie_set_digest
@@ -591,42 +586,37 @@ def run_shard_scaling(
             topology,
             shards=shards,
             plan_dirty_threshold=plan_dirty_threshold,
-            parallel=parallel,
             assignment=ring_shard_assignment(topology, requirements, shards),
         )
-        try:
-            sharded_seconds = replay_shard_churn(
-                sharded, topology, requirements, waves, shards,
-                rng=None if seed is None else random.Random(seed),
+        sharded_seconds = replay_shard_churn(
+            sharded, topology, requirements, waves, shards,
+            rng=None if seed is None else random.Random(seed),
+        )
+        if lie_set_digest(sharded.active_lies()) != lie_set_digest(
+            single.active_lies()
+        ):
+            raise ValidationError(
+                "sharded facade and single controller diverged on the churn workload"
             )
-            if lie_set_digest(sharded.active_lies()) != lie_set_digest(
-                single.active_lies()
-            ):
-                raise ValidationError(
-                    "sharded facade and single controller diverged on the churn workload"
-                )
-            single_counters = single.reconciler.counters
-            sharded_counters = sharded.reconciler.counters
-            shard_counters = sharded.shard_counters
-            rows.append(
-                ShardScalingRow(
-                    shards=shards,
-                    requirements=requirements,
-                    waves=waves,
-                    single_seconds=single_seconds,
-                    sharded_seconds=sharded_seconds,
-                    single_plans_recomputed=single_counters.plans_recomputed,
-                    single_fallbacks=single_counters.fallbacks,
-                    sharded_plans_recomputed=sharded_counters.plans_recomputed,
-                    sharded_plan_cache_hits=sharded_counters.plan_cache_hits,
-                    shard_dirty=shard_counters.shards_dirty,
-                    shard_clean=shard_counters.shards_clean,
-                    waves_parallel=shard_counters.waves_parallel,
-                    waves_serial=shard_counters.waves_serial,
-                )
+        single_counters = single.reconciler.counters
+        sharded_counters = sharded.reconciler.counters
+        shard_counters = sharded.shard_counters
+        rows.append(
+            ShardScalingRow(
+                shards=shards,
+                requirements=requirements,
+                waves=waves,
+                single_seconds=single_seconds,
+                sharded_seconds=sharded_seconds,
+                single_plans_recomputed=single_counters.plans_recomputed,
+                single_fallbacks=single_counters.fallbacks,
+                sharded_plans_recomputed=sharded_counters.plans_recomputed,
+                sharded_plan_cache_hits=sharded_counters.plan_cache_hits,
+                shard_dirty=shard_counters.shards_dirty,
+                shard_clean=shard_counters.shards_clean,
+                waves_serial=shard_counters.waves_serial,
             )
-        finally:
-            sharded.close()
+        )
     return rows
 
 

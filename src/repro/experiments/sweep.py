@@ -10,9 +10,7 @@ embarrassingly parallel with respect to the others.  This module turns the
   deterministic, ordered list of :class:`RunSpec` runs.
 * :class:`SweepHarness` executes the runs through a
   :mod:`concurrent.futures` pool (``parallel="serial" | "thread" |
-  "process"``, mirroring the ``core.shard`` executor knob that paved the
-  pickling groundwork — :class:`~repro.util.prefixes.Prefix` already
-  crosses process boundaries).  Every cache lineage an experiment builds
+  "process"``).  Every cache lineage an experiment builds
   (``SpfCache``/``RibCache``/``PlanCache``, engine path caches) is created
   *inside* the run, so each worker process owns its lineages outright and
   no cache state crosses process boundaries; every run derives its
@@ -67,7 +65,7 @@ __all__ = [
     "run_digest",
 ]
 
-#: Accepted values of the ``parallel=`` knob (same set as ``core.shard``).
+#: Accepted values of the ``parallel=`` knob.
 PARALLEL_MODES = ("serial", "thread", "process")
 
 
@@ -181,7 +179,6 @@ def _shard_experiment(seed, params):
             "ctl_plan_cache_hits": row.sharded_plan_cache_hits,
             "shard_dirty": row.shard_dirty,
             "shard_clean": row.shard_clean,
-            "shard_waves_parallel": row.waves_parallel,
             "shard_waves_serial": row.waves_serial,
         }
         for row in rows

@@ -53,7 +53,6 @@ from repro.igp.lsa import (
     LsaKey,
 )
 from repro.igp.graph import ComputationGraph, EdgeDelta, GraphChange
-from repro.igp.kernel import ArraySpf, CsrIndex, InternTable, resolve_kernel
 from repro.igp.spf import ShortestPaths, compute_spf, update_spf
 from repro.igp.spf_cache import SpfCache, SpfCounters
 from repro.igp.rib import Route, Rib, compute_rib, update_rib, rib_digest
@@ -81,10 +80,6 @@ __all__ = [
     "ShortestPaths",
     "compute_spf",
     "update_spf",
-    "ArraySpf",
-    "CsrIndex",
-    "InternTable",
-    "resolve_kernel",
     "SpfCache",
     "SpfCounters",
     "Route",

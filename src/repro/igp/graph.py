@@ -372,7 +372,11 @@ class ComputationGraph:
 
         Directed edges are only added when *both* endpoints advertised them
         (OSPF's two-way connectivity check), except for fake nodes where the
-        controller vouches for the link.
+        controller vouches for the link.  A fake-node LSA is ignored while
+        its anchor is gone or its forwarding address is not a two-way
+        neighbour of the anchor — as OSPF ignores an external LSA whose
+        forwarding address is unreachable — so a failed adjacency falls back
+        to plain IGP paths until the link returns.
         """
         graph = cls()
         graph._recording = False  # no usable history during construction
@@ -404,7 +408,7 @@ class ComputationGraph:
             graph.announce(lsa.origin, lsa.prefix, lsa.metric)
 
         for lsa in fake_lsas:
-            if lsa.anchor in graph._edges:
+            if lsa.forwarding_address in graph._edges.get(lsa.anchor, ()):
                 graph.add_fake_node(
                     name=lsa.fake_node,
                     anchor=lsa.anchor,

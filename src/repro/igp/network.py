@@ -51,7 +51,6 @@ class IgpNetwork:
         timeline: Optional[Timeline] = None,
         timers: RouterTimers = RouterTimers(),
         max_ecmp: int = DEFAULT_MAX_ECMP,
-        kernel: Optional[str] = None,
     ) -> None:
         topology.validate()
         self.topology = topology
@@ -66,7 +65,6 @@ class IgpNetwork:
                 fabric=self.fabric,
                 timers=timers,
                 max_ecmp=max_ecmp,
-                kernel=kernel,
             )
             for name in topology.routers
         }
@@ -448,7 +446,6 @@ def compute_static_fibs(
     max_ecmp: int = DEFAULT_MAX_ECMP,
     cache: Optional[SpfCache] = None,
     rib_cache: Optional[RibCache] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[str, Fib]:
     """Compute the converged FIB of every router without event simulation.
 
@@ -465,15 +462,9 @@ def compute_static_fibs(
     resolved FIB set outright.  A bare
     :class:`~repro.igp.spf_cache.SpfCache` (``cache``) still gives the SPF
     half of that; ``rib_cache`` supersedes it when both are given.
-
-    ``kernel`` selects the SPF kernel (``"python"`` or ``"numpy"``; default:
-    the ``REPRO_KERNEL`` environment variable) for the cache-free path and
-    for caches this call creates; a supplied cache keeps its own kernel.
     """
     lies = list(lies)
     graph = ComputationGraph.from_topology(topology, lies)
-    if rib_cache is None and cache is None and kernel is not None:
-        rib_cache = RibCache(kernel=kernel)
     if rib_cache is not None:
         spf_cache = rib_cache.spf_cache
         graph = rib_cache.observe(graph)

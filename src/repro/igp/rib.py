@@ -16,7 +16,6 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.igp.graph import ComputationGraph, GraphChange
-from repro.igp.kernel import changed_nodes
 from repro.igp.spf import ShortestPaths, compute_spf, costs_equal
 from repro.util.errors import RoutingError
 from repro.util.prefixes import Prefix
@@ -212,20 +211,11 @@ def dirty_prefixes(
     dirty: Set[Prefix] = set(change.prefixes)
 
     if spf is not prev_spf:
-        # Array-kernel states answer "which nodes moved" with three
-        # vectorised comparisons instead of a union-over-keys dict walk.
-        changed = changed_nodes(prev_spf, spf)
-        if changed is None:
-            changed = [
-                node
-                for node in prev_spf.distance.keys() | spf.distance.keys()
-                if (
-                    prev_spf.distance.get(node) != spf.distance.get(node)
-                    or prev_spf.next_hops.get(node) != spf.next_hops.get(node)
-                )
-            ]
-        for node in changed:
-            if graph.has_node(node):
+        for node in prev_spf.distance.keys() | spf.distance.keys():
+            if (
+                prev_spf.distance.get(node) != spf.distance.get(node)
+                or prev_spf.next_hops.get(node) != spf.next_hops.get(node)
+            ) and graph.has_node(node):
                 dirty.update(graph.announcements_of(node))
 
     if change.fake_nodes:

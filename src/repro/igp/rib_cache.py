@@ -96,17 +96,14 @@ class RibCache:
         self,
         spf_cache: Optional[SpfCache] = None,
         dirty_threshold: float = 0.5,
-        kernel: Optional[str] = None,
     ) -> None:
         if not 0.0 <= dirty_threshold <= 1.0:
             raise RoutingError(
                 f"dirty_threshold must be in [0, 1], got {dirty_threshold}"
             )
         #: Underlying per-source SPF cache (shared or owned); its lineage is
-        #: also this cache's lineage.  ``kernel`` selects the SPF kernel of
-        #: an *owned* cache (``REPRO_KERNEL`` by default); a shared
-        #: ``spf_cache`` keeps whatever kernel it was built with.
-        self.spf_cache = spf_cache if spf_cache is not None else SpfCache(kernel=kernel)
+        #: also this cache's lineage.
+        self.spf_cache = spf_cache if spf_cache is not None else SpfCache()
         #: Fraction of the announced prefixes beyond which a repair falls
         #: back to a from-scratch ``compute_rib`` (the fallback threshold
         #: knob; see README).
@@ -130,11 +127,6 @@ class RibCache:
     def version(self) -> Optional[int]:
         """Version of the lineage's most recently observed graph."""
         return self.spf_cache.version
-
-    @property
-    def kernel(self) -> str:
-        """The SPF kernel of the underlying cache (``"python"``/``"numpy"``)."""
-        return self.spf_cache.kernel
 
     # ------------------------------------------------------------------ #
     # Lookups

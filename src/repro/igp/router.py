@@ -52,7 +52,6 @@ class RouterProcess:
         fabric: FloodingFabric,
         timers: RouterTimers = RouterTimers(),
         max_ecmp: int = DEFAULT_MAX_ECMP,
-        kernel: Optional[str] = None,
     ) -> None:
         self.name = name
         self.timeline = timeline
@@ -68,9 +67,8 @@ class RouterProcess:
         #: leave the computation graph identical (refreshes) are free, changed
         #: graphs are repaired from the dirty-edge deltas instead of rerunning
         #: Dijkstra from scratch, and the RIB/FIB are repaired per dirty
-        #: prefix instead of rescanning every announced prefix.  ``kernel``
-        #: picks the SPF kernel (``REPRO_KERNEL`` env default).
-        self.rib_cache = RibCache(kernel=kernel)
+        #: prefix instead of rescanning every announced prefix.
+        self.rib_cache = RibCache()
         self.spf_cache = self.rib_cache.spf_cache
         self._spf_scheduled = False
         self._fib_graph_version: Optional[int] = None

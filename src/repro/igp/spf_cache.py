@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.igp import kernel as kernel_mod
 from repro.igp.graph import ComputationGraph
 from repro.igp.spf import ShortestPaths, compute_spf, update_spf
 
@@ -47,11 +46,6 @@ class SpfCounters:
     ``full_recomputes`` (no usable cache entry or delta history).
     ``fib_cache_hits`` counts whole FIB-set reuses, which skip the SPF
     lookups entirely and are therefore *not* part of ``spf_lookups``.
-
-    The ``kernel_*`` counters account for the array kernel
-    (``REPRO_KERNEL=numpy``): Dijkstra runs and Ramalingam–Reps repairs
-    executed by :mod:`repro.igp.kernel`, plus CSR adjacency index builds.
-    They stay zero under the pure-Python kernel.
     """
 
     hits: int = 0
@@ -59,9 +53,6 @@ class SpfCounters:
     full_recomputes: int = 0
     fallbacks: int = 0
     fib_cache_hits: int = 0
-    kernel_computes: int = 0
-    kernel_updates: int = 0
-    kernel_index_builds: int = 0
 
     @property
     def spf_lookups(self) -> int:
@@ -76,9 +67,6 @@ class SpfCounters:
             "spf_full_recomputes": self.full_recomputes,
             "spf_fallbacks": self.fallbacks,
             "fib_cache_hits": self.fib_cache_hits,
-            "spf_kernel_computes": self.kernel_computes,
-            "spf_kernel_updates": self.kernel_updates,
-            "spf_kernel_index_builds": self.kernel_index_builds,
         }
 
     def merge(self, other: "SpfCounters") -> None:
@@ -88,36 +76,18 @@ class SpfCounters:
         self.full_recomputes += other.full_recomputes
         self.fallbacks += other.fallbacks
         self.fib_cache_hits += other.fib_cache_hits
-        self.kernel_computes += other.kernel_computes
-        self.kernel_updates += other.kernel_updates
-        self.kernel_index_builds += other.kernel_index_builds
 
 
 class SpfCache:
     """Per-source SPF results keyed by graph version, with delta replay."""
 
-    def __init__(
-        self, full_threshold: float = 0.5, kernel: Optional[str] = None
-    ) -> None:
+    def __init__(self, full_threshold: float = 0.5) -> None:
         self.full_threshold = full_threshold
-        #: Resolved kernel name (``"python"`` or ``"numpy"``); defaults to
-        #: the ``REPRO_KERNEL`` environment variable, else ``"python"``.
-        self.kernel = kernel_mod.resolve_kernel(kernel)
         self.counters = SpfCounters()
         self._graph: Optional[ComputationGraph] = None
         self._entries: Dict[str, Tuple[int, ShortestPaths]] = {}
         # Latest complete FIB set per max_ecmp: {max_ecmp: (version, fibs)}.
         self._fibs: Dict[int, Tuple[int, Dict[str, "Fib"]]] = {}
-        # Array-kernel state: the interning table is append-only and spans
-        # graph versions; the CSR index is rebuilt lazily per (graph,
-        # version) and shared by every per-source lookup at that version.
-        self._intern: Optional["kernel_mod.InternTable"] = None
-        self._index: Optional["kernel_mod.CsrIndex"] = None
-        self._index_graph: Optional[ComputationGraph] = None
-        self._index_version: Optional[int] = None
-        # One collapsed delta list per (from_version, to_version): every
-        # per-source repair of the same wave shares the same edge changes.
-        self._effective_memo: Dict[Tuple[int, int], list] = {}
 
     # ------------------------------------------------------------------ #
     # Graph lineage
@@ -138,9 +108,6 @@ class SpfCache:
         self._graph = None
         self._entries.clear()
         self._fibs.clear()
-        self._index = None
-        self._index_graph = None
-        self._index_version = None
 
     @property
     def version(self) -> Optional[int]:
@@ -151,17 +118,10 @@ class SpfCache:
     # Lookups
     # ------------------------------------------------------------------ #
     def spf(self, graph: ComputationGraph, source: str) -> ShortestPaths:
-        """The shortest paths from ``source`` over ``graph``, cached.
-
-        Under ``kernel="numpy"`` the returned object is an
-        :class:`~repro.igp.kernel.ArraySpf` (same query surface, identical
-        contents); the dispatch logic — version hit, delta replay, full
-        recompute — is shared between both kernels.
-        """
+        """The shortest paths from ``source`` over ``graph``, cached."""
         if graph is not self._graph:
             self.observe(graph)
         version = graph.version
-        use_arrays = self.kernel == "numpy"
         entry = self._entries.get(source)
         if entry is not None:
             cached_version, cached = entry
@@ -170,59 +130,19 @@ class SpfCache:
                 return cached
             deltas = graph.deltas_since(cached_version)
             if deltas is not None:
-                if use_arrays and isinstance(cached, kernel_mod.ArraySpf):
-                    index = self._kernel_index(graph, version)
-                    memo_key = (cached_version, version)
-                    effective = self._effective_memo.get(memo_key)
-                    if effective is None:
-                        effective = kernel_mod.collapse_deltas(graph, index, deltas)
-                        self._effective_memo[memo_key] = effective
-                    result = kernel_mod.update_spf_arrays(
-                        cached,
-                        graph,
-                        index,
-                        deltas,
-                        full_threshold=self.full_threshold,
-                        counters=self.counters,
-                        effective=effective,
-                    )
-                    self._entries[source] = (version, result)
-                    return result
-                if not use_arrays:
-                    result = update_spf(
-                        cached,
-                        graph,
-                        deltas,
-                        full_threshold=self.full_threshold,
-                        counters=self.counters,
-                    )
-                    self._entries[source] = (version, result)
-                    return result
+                result = update_spf(
+                    cached,
+                    graph,
+                    deltas,
+                    full_threshold=self.full_threshold,
+                    counters=self.counters,
+                )
+                self._entries[source] = (version, result)
+                return result
         self.counters.full_recomputes += 1
-        if use_arrays:
-            result = kernel_mod.compute_spf_arrays(
-                graph, self._kernel_index(graph, version), source, counters=self.counters
-            )
-        else:
-            result = compute_spf(graph, source)
+        result = compute_spf(graph, source)
         self._entries[source] = (version, result)
         return result
-
-    def _kernel_index(self, graph: ComputationGraph, version: int) -> "kernel_mod.CsrIndex":
-        """The CSR adjacency index for ``graph`` at ``version`` (rebuilt lazily)."""
-        if (
-            self._index is None
-            or self._index_graph is not graph
-            or self._index_version != version
-        ):
-            if self._intern is None:
-                self._intern = kernel_mod.InternTable()
-            self._index = kernel_mod.CsrIndex.build(graph, self._intern)
-            self._index_graph = graph
-            self._index_version = version
-            self._effective_memo.clear()
-            self.counters.kernel_index_builds += 1
-        return self._index
 
     # ------------------------------------------------------------------ #
     # Whole-FIB-set caching (static computations)

@@ -26,7 +26,6 @@ __all__ = [
     "SnmpAgent",
     "build_agents",
     "collect_counters",
-    "collect_spf_counters",
 ]
 
 
@@ -84,10 +83,7 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
     This is the monitoring-plane view of the incremental engines: for
     every router it reports how many SPF triggers were served from cache,
     repaired incrementally from the dirty-edge delta log, recomputed in full,
-    or fell back after an oversized delta (under ``REPRO_KERNEL=numpy`` the
-    ``spf_kernel_computes``/``spf_kernel_updates``/``spf_kernel_index_builds``
-    keys additionally count array-kernel Dijkstra runs, repairs and CSR
-    index compilations) — and, one layer up, how many RIB
+    or fell back after an oversized delta — and, one layer up, how many RIB
     resolutions were cache hits, per-prefix dirty repairs, full prefix
     rescans, or fallbacks past the dirty-prefix threshold (the ``rib_*``
     keys).  The ``"dataplane"`` entry carries the flow-level ``dp_*``
@@ -136,8 +132,3 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
         **faults.snapshot(),
     }
     return per_router
-
-
-#: Backwards-compatible alias: the collector predates the data-plane layer
-#: and used to report SPF/RIB counters only.
-collect_spf_counters = collect_counters

@@ -3,10 +3,9 @@
 Top of the PR 1–4 stack: after an arbitrary sequence of requirement
 additions/updates/removals, link-weight and capacity events, and
 alarm-driven ``react()`` calls through the on-demand load balancer, the
-sharded facade (``ShardedFibbingController(shards=N)``, any N, any
-``parallel`` mode) must be indistinguishable from the single-controller
-clear-and-replay oracle (``FibbingController(incremental=False)``): the
-installed lie sets (exact :class:`~repro.igp.lsa.FakeNodeLsa` objects,
+sharded facade (``ShardedFibbingController(shards=N)``, any N) must be
+indistinguishable from the single-controller clear-and-replay oracle
+(``FibbingController(incremental=False)``): the installed lie sets (exact :class:`~repro.igp.lsa.FakeNodeLsa` objects,
 fake-node names included), the ``current_fibs()`` of every router, and the
 data-plane rates/paths of a flow population routed over those FIBs all
 bit-identical.
@@ -31,7 +30,7 @@ from repro.util.prefixes import Prefix
 from test_controller_incremental import ACTIONS, DualControllerDriver
 
 
-def sharded_factory(shards, parallel="serial"):
+def sharded_factory(shards):
     """An ``incremental_factory`` for the dual driver building the facade."""
 
     def build(topology, plan_dirty_threshold):
@@ -39,7 +38,6 @@ def sharded_factory(shards, parallel="serial"):
             topology,
             shards=shards,
             plan_dirty_threshold=plan_dirty_threshold,
-            parallel=parallel,
         )
 
     return build
@@ -48,20 +46,17 @@ def sharded_factory(shards, parallel="serial"):
 class ShardedDualDriver(DualControllerDriver):
     """The PR 4 dual driver with the sharded facade on the non-oracle side."""
 
-    def __init__(self, seed, shards, parallel="serial", plan_dirty_threshold=0.5, **kwargs):
+    def __init__(self, seed, shards, plan_dirty_threshold=0.5, **kwargs):
         super().__init__(
             seed,
             plan_dirty_threshold=plan_dirty_threshold,
-            incremental_factory=sharded_factory(shards, parallel),
+            incremental_factory=sharded_factory(shards),
             **kwargs,
         )
 
     @property
     def sharded(self) -> ShardedFibbingController:
         return self.incremental
-
-    def close(self):
-        self.sharded.close()
 
 
 class TestShardedDifferentialRandomized:
@@ -83,42 +78,6 @@ class TestShardedDifferentialRandomized:
         # Every wave partitioned cleanly: the differential driver never
         # repeats a prefix within one wave.
         assert driver.sharded.shard_counters.cross_shard_fallbacks == 0
-
-    def test_thread_mode_matches_the_oracle(self):
-        driver = ShardedDualDriver(13, shards=4, parallel="thread")
-        try:
-            steps = 0
-            while steps < 25:
-                action = driver.rng.choice(ACTIONS)
-                if not driver.apply(action):
-                    continue
-                steps += 1
-                driver.check(context=f"thread step={steps} action={action}")
-            counters = driver.sharded.shard_counters
-            # Multi-shard waves went through the executor.
-            assert counters.waves_parallel > 0
-        finally:
-            driver.close()
-
-    def test_process_mode_matches_the_oracle(self):
-        """Smoke: shape synthesis through the process pool stays identical."""
-        driver = ShardedDualDriver(5, shards=2, parallel="process")
-        try:
-            facade = driver.sharded
-            added = 0
-            while added < 4:
-                if driver.apply("add"):
-                    added += 1
-                    driver.check(context=f"process add {added}")
-            # Seed 5 spreads the requirements over both shards.
-            assert len({facade.shard_of(p) for p in driver.requirements}) == 2
-            for step in range(3):
-                if driver.apply(driver.rng.choice(("update", "weight", "reenforce"))):
-                    driver.check(context=f"process step={step}")
-            # Waves spanning both shards went through the process pool.
-            assert facade.shard_counters.waves_parallel > 0
-        finally:
-            driver.close()
 
 
 class TestShardedDifferentialHypothesis:
@@ -310,19 +269,13 @@ class TestShardCountersAndFallbacks:
         assert facade.active_lies() == driver.oracle.active_lies()
 
     def test_single_shard_facade_matches_and_dispatches_serially(self):
-        driver = ShardedDualDriver(4, shards=1, parallel="thread")
-        try:
-            applied = 0
-            while applied < 5:
-                if driver.apply(driver.rng.choice(("add", "update", "reenforce"))):
-                    applied += 1
-                    driver.check()
-            counters = driver.sharded.shard_counters
-            # One populated shard: nothing to overlap, no executor dispatch.
-            assert counters.waves_parallel == 0
-            assert counters.waves_serial > 0
-        finally:
-            driver.close()
+        driver = ShardedDualDriver(4, shards=1)
+        applied = 0
+        while applied < 5:
+            if driver.apply(driver.rng.choice(("add", "update", "reenforce"))):
+                applied += 1
+                driver.check()
+        assert driver.sharded.shard_counters.waves_serial > 0
 
     def test_per_shard_fallback_localises_the_blast_radius(self):
         """A wave churning one shard trips only that shard's fallback."""
@@ -358,8 +311,6 @@ class TestShardCountersAndFallbacks:
         driver = ShardedDualDriver(0, shards=2)
         with pytest.raises(ControllerError):
             ShardedFibbingController(driver.topology, shards=0)
-        with pytest.raises(ControllerError):
-            ShardedFibbingController(driver.topology, shards=2, parallel="fleet")
 
     def test_stats_surface_the_shard_counters(self):
         driver = ShardedDualDriver(6, shards=2)

@@ -190,34 +190,3 @@ class TestGbitScaleEpsilon:
         assert rate_tolerance(1.0) == RATE_EPSILON
         assert rate_tolerance(0.0) == RATE_EPSILON
 
-
-class TestKernelEquivalence:
-    """The numpy water-filling kernel is bit-identical to the python one."""
-
-    def _instance(self):
-        flows = {
-            0: [LINK, LINK2],
-            1: [LINK],
-            2: [LINK2],
-            3: [LINK, LINK2],
-            4: [],
-        }
-        demands = {0: 97.3, 1: 41.0001, 2: 300.0, 3: 12.5, 4: 7.0}
-        capacities = {LINK: 123.456, LINK2: 61.5}
-        counts = {0: 3, 2: 1000, 3: 2}
-        return flows, demands, capacities, counts
-
-    def test_numpy_matches_python_bitwise(self):
-        pytest.importorskip("numpy")
-        flows, demands, capacities, counts = self._instance()
-        python = max_min_fair_allocation(
-            flows, demands, capacities, counts=counts, kernel="python"
-        )
-        numpy = max_min_fair_allocation(
-            flows, demands, capacities, counts=counts, kernel="numpy"
-        )
-        assert python == numpy
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(Exception):
-            max_min_fair_allocation({0: [LINK]}, {0: 1.0}, {LINK: 10.0}, kernel="fortran")

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.sweep import (
     EXPERIMENTS,
-    PARALLEL_MODES,
     SWEEPS,
     GridSpec,
     RunSpec,
@@ -72,11 +71,6 @@ class TestHarnessValidation:
     def test_rejects_non_positive_workers(self):
         with pytest.raises(SweepError):
             SweepHarness(QUICK, max_workers=0)
-
-    def test_parallel_modes_match_shard_knob(self):
-        from repro.core.shard import PARALLEL_MODES as SHARD_MODES
-
-        assert set(PARALLEL_MODES) == set(SHARD_MODES)
 
 
 class TestCounterMerge:

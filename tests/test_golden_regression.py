@@ -191,25 +191,6 @@ class TestFlashCrowdClassesGolden:
         assert result.dataplane_stats["dp_classes_rewalked"] > 0
         assert result.sessions >= 62_000
 
-    def test_numpy_kernel_reproduces_the_same_golden(self, golden):
-        """The vectorized water-filling kernel is not allowed to move a
-        single bit of the QoE report or the byte counters."""
-        pytest.importorskip("numpy")
-        from repro.experiments.flashcrowd_classes import run_flashcrowd_classes
-
-        expected = golden["with_controller"]
-        result = run_flashcrowd_classes(
-            sessions=62_000, with_controller=True, duration=60.0,
-            dataplane_kernel="numpy",
-        )
-        for field_name, value in expected["qoe"].items():
-            assert getattr(result.qoe, field_name) == value, field_name
-        actual_counters = {
-            f"{source}->{target}": value
-            for (source, target), value in result.demo.link_counters.items()
-        }
-        assert actual_counters == expected["link_counters"]
-
 
 class TestLieSetGolden:
     """Installed-lie snapshots: per-prefix digests of the FakeNodeLsa sets

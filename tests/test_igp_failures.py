@@ -140,6 +140,24 @@ class TestLinkRestore:
             live_network.converge()
         assert self._fib_state(live_network) == before
 
+    def test_lie_is_ignored_while_its_forwarding_adjacency_is_down(self, live_network):
+        """Regression: failing the link between a lie's anchor and its
+        forwarding address raised ``RoutingError`` out of every router's SPF
+        event.  Like an OSPF external LSA with an unreachable forwarding
+        address, the lie must be ignored until the adjacency returns."""
+        live_network.inject(demo_lies(), at_router="R3")
+        live_network.converge()
+        before = self._fib_state(live_network)
+        assert live_network.fib_of("B").split_ratios(BLUE_PREFIX) == {"R2": 0.5, "R3": 0.5}
+        live_network.fail_link("B", "R3")
+        live_network.converge()
+        # B falls back to its plain IGP path; the lies at A are untouched.
+        assert live_network.fib_of("B").split_ratios(BLUE_PREFIX) == {"R2": 1.0}
+        assert live_network.fib_of("A").lookup(BLUE_PREFIX).total_weight == 3
+        live_network.restore_link("B", "R3")
+        live_network.converge()
+        assert self._fib_state(live_network) == before
+
 
 class TestWeightChange:
     def test_weight_change_moves_traffic(self, live_network):

@@ -7,7 +7,7 @@ from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.router import RouterTimers
 from repro.igp.spf_cache import SpfCache
 from repro.igp.topology import Topology
-from repro.monitoring.counters import collect_spf_counters
+from repro.monitoring.counters import collect_counters
 from repro.topologies.demo import BLUE_PREFIX, build_demo_topology, demo_lies
 from repro.util.errors import TopologyError
 from repro.util.timeline import Timeline
@@ -200,7 +200,7 @@ class TestSpfCacheInvalidation:
     def test_monitoring_view_matches_network_aggregate(self, converged_network):
         converged_network.inject(demo_lies(), at_router="R3")
         converged_network.converge()
-        per_router = collect_spf_counters(converged_network)
+        per_router = collect_counters(converged_network)
         aggregate = converged_network.spf_stats
         assert per_router["total"] == aggregate
         # The per-layer aggregates are exactly their slice of spf_stats.

@@ -170,3 +170,26 @@ class TestFakeNodesInSpf:
         # R2 reaches fB via B (cost 1 to B + 1 fake link).
         assert spf.distance_to("fB") == 2.0
         assert spf.next_hops_to("fB") == frozenset({"B"})
+
+
+class TestLongChainPaths:
+    """Regression: ``paths_to`` recursed once per hop and blew the stack
+    at ~1000 hops; it must now handle arbitrarily long chains."""
+
+    HOPS = 1500
+
+    def chain_graph(self):
+        graph = ComputationGraph()
+        for i in range(self.HOPS):
+            graph.add_edge(f"n{i}", f"n{i + 1}", 1.0)
+            graph.add_edge(f"n{i + 1}", f"n{i}", 1.0)
+        return graph
+
+    def test_long_chain_single_path(self):
+        spf = compute_spf(self.chain_graph(), "n0")
+        last = f"n{self.HOPS}"
+        assert spf.distance_to(last) == float(self.HOPS)
+        paths = spf.paths_to(last)  # would raise RecursionError before
+        assert len(paths) == 1
+        assert len(paths[0]) == self.HOPS + 1
+        assert paths[0][0] == "n0" and paths[0][-1] == last

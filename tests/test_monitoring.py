@@ -419,11 +419,6 @@ class TestCounterCollection:
                 if name != "total"
             )
 
-    def test_collect_spf_counters_alias_is_preserved(self):
-        from repro.monitoring.counters import collect_counters, collect_spf_counters
-
-        assert collect_spf_counters is collect_counters
-
     def test_network_merges_multiple_engines(self):
         from repro.dataplane.path_cache import DataPlaneCounters
 
@@ -494,14 +489,14 @@ class TestCounterCollection:
         )
         facade.shards[0].reconciler.counters.plans_recomputed += 4
         facade.shards[2].reconciler.counters.plans_recomputed += 6
-        facade.shard_counters.waves_parallel += 2
+        facade.shard_counters.waves_serial += 2
         assert network.controller_counters().plans_recomputed == 10
-        assert network.spf_stats["shard_waves_parallel"] == 2
+        assert network.spf_stats["shard_waves_serial"] == 2
         per_router = collect_counters(network)
         assert per_router["controller"]["ctl_plans_recomputed"] == 10
-        assert per_router["controller"]["shard_waves_parallel"] == 2
-        assert per_router["total"]["shard_waves_parallel"] == 2
-        assert facade.stats.snapshot()["shard_waves_parallel"] == 2
+        assert per_router["controller"]["shard_waves_serial"] == 2
+        assert per_router["total"]["shard_waves_serial"] == 2
+        assert facade.stats.snapshot()["shard_waves_serial"] == 2
         # Registering an inner shard directly afterwards must not make its
         # counters count twice: the facade's view already folds it in.
         network.register_controller(facade.shards[0])

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-quick sweep sweep-quick golden
+.PHONY: test test-fast bench bench-quick bench-record sweep sweep-quick golden
 
 ## Tier-1 verification: the full test suite plus benchmarks-as-tests.
 test:
@@ -11,8 +11,8 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ -q
 
-## Full benchmark run; reproduced tables/series are appended under
-## benchmarks/results/<test-name>.txt.
+## Full benchmark run; reproduced tables/series and BENCH_*.json land in the
+## git-ignored benchmarks/out/ (like every other target except bench-record).
 bench:
 	$(PYTHON) -m pytest benchmarks/ -q
 
@@ -20,9 +20,16 @@ bench:
 bench-quick:
 	BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/ -q
 
-## Full parameter-grid sweep across a process pool; writes BENCH_default.json
-## at the repository root and verifies the process-pool run is byte-identical
-## to a serial re-run of the same grid.
+## The one target that rewrites the tracked trajectory: full benchmarks into
+## benchmarks/results/*.txt + BENCH_*.json at the repository root, then the
+## full sweep into BENCH_default.json.  Run from a clean checkout and commit.
+bench-record:
+	BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks/ -q
+	$(PYTHON) -m repro sweep --parallel process --check --out .
+
+## Full parameter-grid sweep across a process pool; writes
+## benchmarks/out/BENCH_default.json and verifies the process-pool run is
+## byte-identical to a serial re-run of the same grid.
 sweep:
 	$(PYTHON) -m repro sweep --parallel process --check
 

@@ -4,10 +4,14 @@ Every benchmark regenerates one table/figure of the paper (or one ablation
 from DESIGN.md).  Besides timing the underlying computation with
 pytest-benchmark, each benchmark *prints* the reproduced rows/series and
 saves them through :class:`repro.util.artifacts.BenchmarkReport`, which
-atomically rewrites ``benchmarks/results/<name>.txt`` (tmp file + rename,
-keyed per test and per pid — safe under process pools, and a regenerated
-result fully replaces the previous run instead of appending stale rows)
-plus a machine-readable ``BENCH_<name>.json`` at the repository root.
+atomically rewrites ``<name>.txt`` (tmp file + rename, keyed per test and
+per pid — safe under process pools, and a regenerated result fully replaces
+the previous run instead of appending stale rows) plus a machine-readable
+``BENCH_<name>.json``.  Both go to the git-ignored ``benchmarks/out/``, so
+running the suite leaves the tree clean; ``BENCH_RECORD=1`` (the
+``make bench-record`` target) rewrites the tracked copies instead —
+``benchmarks/results/<name>.txt`` and ``BENCH_<name>.json`` at the
+repository root.
 
 Setting ``BENCH_QUICK=1`` in the environment switches the suite into a
 reduced smoke mode (smaller sweeps and topologies) suitable for CI; the
@@ -17,6 +21,7 @@ reduced smoke mode (smaller sweeps and topologies) suitable for CI; the
 from __future__ import annotations
 
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -24,7 +29,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.util.artifacts import RESULTS_DIR, BenchmarkReport  # noqa: E402
+from repro.util.artifacts import REPO_ROOT, RESULTS_DIR, BenchmarkReport  # noqa: E402
 
 __all__ = ["RESULTS_DIR", "BenchmarkReport"]
 
@@ -53,7 +58,12 @@ def _freeze_collection_heap():
 @pytest.fixture
 def report(request) -> BenchmarkReport:
     """Per-test report, saved automatically at teardown."""
-    bench_report = BenchmarkReport(request.node.name)
+    tracked = (
+        {"results_dir": RESULTS_DIR, "bench_dir": REPO_ROOT}
+        if os.environ.get("BENCH_RECORD") == "1"
+        else {}
+    )
+    bench_report = BenchmarkReport(request.node.name, **tracked)
     yield bench_report
     if bench_report.lines:
         bench_report.save()

@@ -15,7 +15,7 @@ regenerated without touching pytest::
 
 ``repro sweep`` runs a declarative experiment × seeds × knobs grid across a
 process pool (see :mod:`repro.experiments.sweep`) and writes the merged
-report as ``BENCH_<name>.json`` at the repository root; ``--check``
+report as ``BENCH_<name>.json`` under ``benchmarks/out/``; ``--check``
 additionally re-runs the grid serially and fails unless the per-run digests
 and merged counters are byte-identical between the two executions.
 """
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
              "unless digests and merged counters are byte-identical",
     )
     sweep.add_argument("--out", default=None,
-                       help="directory for BENCH_<name>.json (default: repository root)")
+                       help="directory for BENCH_<name>.json (default: benchmarks/out/)")
     sweep.set_defaults(handler=_cmd_sweep)
 
     return parser

@@ -52,8 +52,13 @@ from repro.core.merger import LieMerger, MergeReport, reduce_weights
 from repro.core.lies import Lie, LieState, LieRegistry, LieUpdate
 from repro.core.reconciler import CtlCounters, LieReconciler, PlanCache
 from repro.core.optimizer import MinMaxLoadOptimizer, OptimizationResult
-from repro.core.controller import FibbingController, ControllerUpdate, ControllerStats
-from repro.core.shard import ShardCounters, ShardedFibbingController, default_shard_assignment
+from repro.core.controller import (
+    FibbingController,
+    ControllerUpdate,
+    ControllerStats,
+    ShardCounters,
+)
+from repro.core.shard import ShardedFibbingController, default_shard_assignment
 from repro.core.loadbalancer import OnDemandLoadBalancer, RebalanceAction
 from repro.core.policies import LoadBalancerPolicy
 

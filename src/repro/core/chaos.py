@@ -34,6 +34,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.util.counters import Counters, counter
 from repro.util.errors import ValidationError
 from repro.util.validation import check_non_negative
 
@@ -56,7 +57,7 @@ FAULT_KINDS = ("link_down", "link_up", "controller_crash", "controller_restart")
 
 
 @dataclass
-class FaultCounters:
+class FaultCounters(Counters):
     """Accounting of injected chaos (the ``fault_*`` counters).
 
     ``link_downs`` / ``link_ups`` count executed link failure/restoration
@@ -69,35 +70,13 @@ class FaultCounters:
     by the injector.
     """
 
-    link_downs: int = 0
-    link_ups: int = 0
-    lsas_dropped: int = 0
-    poll_timeouts: int = 0
-    poll_omissions: int = 0
-    controller_crashes: int = 0
-    controller_restarts: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "fault_link_downs": self.link_downs,
-            "fault_link_ups": self.link_ups,
-            "fault_lsas_dropped": self.lsas_dropped,
-            "fault_poll_timeouts": self.poll_timeouts,
-            "fault_poll_omissions": self.poll_omissions,
-            "fault_controller_crashes": self.controller_crashes,
-            "fault_controller_restarts": self.controller_restarts,
-        }
-
-    def merge(self, other: "FaultCounters") -> None:
-        """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.link_downs += other.link_downs
-        self.link_ups += other.link_ups
-        self.lsas_dropped += other.lsas_dropped
-        self.poll_timeouts += other.poll_timeouts
-        self.poll_omissions += other.poll_omissions
-        self.controller_crashes += other.controller_crashes
-        self.controller_restarts += other.controller_restarts
+    link_downs: int = counter("fault_link_downs")
+    link_ups: int = counter("fault_link_ups")
+    lsas_dropped: int = counter("fault_lsas_dropped")
+    poll_timeouts: int = counter("fault_poll_timeouts")
+    poll_omissions: int = counter("fault_poll_omissions")
+    controller_crashes: int = counter("fault_controller_crashes")
+    controller_restarts: int = counter("fault_controller_restarts")
 
 
 @dataclass(frozen=True)

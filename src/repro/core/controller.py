@@ -15,126 +15,74 @@ material of the control-plane overhead comparison against MPLS RSVP-TE.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.augmentation import DEFAULT_EPSILON
 from repro.core.lies import LieRegistry, LieUpdate
 from repro.core.reconciler import LieReconciler, PlanCache
 from repro.core.requirements import DestinationRequirement, RequirementSet
+from repro.dataplane.path_cache import DataPlaneCounters
 from repro.igp.fib import DEFAULT_MAX_ECMP, Fib
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa, Lsa
 from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.rib_cache import RibCache, RibCounters
-from repro.igp.spf_cache import SpfCache, SpfCounters
+from repro.igp.spf_cache import SpfCounters
 from repro.igp.topology import Topology
+from repro.util.counters import Counters, Number, counter, merge_snapshots
 from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
-__all__ = ["ControllerStats", "ControllerUpdate", "FibbingController"]
+__all__ = ["ControllerStats", "ControllerUpdate", "FibbingController", "ShardCounters"]
 
 
 @dataclass
-class ControllerStats:
-    """Control-plane overhead counters, plus SPF/RIB-cache effectiveness."""
+class ShardCounters(Counters):
+    """Facade-level accounting of the sharded planner (``shard_*`` keys).
 
-    lies_injected: int = 0
-    lies_withdrawn: int = 0
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    updates_applied: int = 0
-    spf_cache_hits: int = 0
-    spf_incremental_updates: int = 0
-    spf_full_recomputes: int = 0
-    spf_fallbacks: int = 0
-    fib_cache_hits: int = 0
-    rib_cache_hits: int = 0
-    rib_incremental_updates: int = 0
-    rib_full_recomputes: int = 0
-    rib_fallbacks: int = 0
-    rib_prefixes_repaired: int = 0
-    rib_prefixes_reused: int = 0
-    dp_flows_rerouted: int = 0
-    dp_flows_reused: int = 0
-    dp_alloc_warm_starts: int = 0
-    dp_alloc_full: int = 0
-    dp_fallbacks: int = 0
-    ctl_plan_cache_hits: int = 0
-    ctl_plans_recomputed: int = 0
-    ctl_lies_injected: int = 0
-    ctl_lies_retracted: int = 0
-    ctl_lies_kept: int = 0
-    ctl_fallbacks: int = 0
-    ctl_opt_cache_hits: int = 0
-    ctl_merge_cache_hits: int = 0
-    # Asynchronous control-loop counters (see core.scheduler): zero while
-    # the loop runs at the synchronous degenerate point.
-    ctl_reactions_deferred: int = 0
-    ctl_supersessions: int = 0
-    ctl_transient_loops: int = 0
-    ctl_transient_blackholes: int = 0
-    ctl_converge_events: int = 0
-    ctl_converge_seconds: float = 0.0
-    # Crash/recovery counters (see detach()/resync() and core.chaos): zero
-    # until a controller crash is injected.
-    ctl_resyncs: int = 0
-    ctl_resync_lies_recovered: int = 0
-    ctl_reactions_abandoned: int = 0
-    ctl_stagger_lsas_dropped: int = 0
-    # Sharded-facade counters (always zero for a single controller); see
-    # :class:`repro.core.shard.ShardCounters`.
-    shard_waves_serial: int = 0
-    shard_dirty: int = 0
-    shard_clean: int = 0
-    shard_cross_fallbacks: int = 0
+    ``waves_serial`` counts enforce waves.  ``shards_dirty`` /
+    ``shards_clean`` count shard sub-waves that re-planned at least one
+    requirement versus sub-waves served entirely from the shard's plan
+    cache.  ``cross_shard_fallbacks`` are waves the facade could not
+    partition (a prefix appearing twice in one wave, or a caller-supplied
+    baseline) and planned serially in wave order instead.  Every controller
+    owns a set; only a :class:`~repro.core.shard.ShardedFibbingController`
+    ever increments it.
+    """
 
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "lies_injected": self.lies_injected,
-            "lies_withdrawn": self.lies_withdrawn,
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "updates_applied": self.updates_applied,
-            "spf_cache_hits": self.spf_cache_hits,
-            "spf_incremental_updates": self.spf_incremental_updates,
-            "spf_full_recomputes": self.spf_full_recomputes,
-            "spf_fallbacks": self.spf_fallbacks,
-            "fib_cache_hits": self.fib_cache_hits,
-            "rib_cache_hits": self.rib_cache_hits,
-            "rib_incremental_updates": self.rib_incremental_updates,
-            "rib_full_recomputes": self.rib_full_recomputes,
-            "rib_fallbacks": self.rib_fallbacks,
-            "rib_prefixes_repaired": self.rib_prefixes_repaired,
-            "rib_prefixes_reused": self.rib_prefixes_reused,
-            "dp_flows_rerouted": self.dp_flows_rerouted,
-            "dp_flows_reused": self.dp_flows_reused,
-            "dp_alloc_warm_starts": self.dp_alloc_warm_starts,
-            "dp_alloc_full": self.dp_alloc_full,
-            "dp_fallbacks": self.dp_fallbacks,
-            "ctl_plan_cache_hits": self.ctl_plan_cache_hits,
-            "ctl_plans_recomputed": self.ctl_plans_recomputed,
-            "ctl_lies_injected": self.ctl_lies_injected,
-            "ctl_lies_retracted": self.ctl_lies_retracted,
-            "ctl_lies_kept": self.ctl_lies_kept,
-            "ctl_fallbacks": self.ctl_fallbacks,
-            "ctl_opt_cache_hits": self.ctl_opt_cache_hits,
-            "ctl_merge_cache_hits": self.ctl_merge_cache_hits,
-            "ctl_reactions_deferred": self.ctl_reactions_deferred,
-            "ctl_supersessions": self.ctl_supersessions,
-            "ctl_transient_loops": self.ctl_transient_loops,
-            "ctl_transient_blackholes": self.ctl_transient_blackholes,
-            "ctl_converge_events": self.ctl_converge_events,
-            "ctl_converge_seconds": self.ctl_converge_seconds,
-            "ctl_resyncs": self.ctl_resyncs,
-            "ctl_resync_lies_recovered": self.ctl_resync_lies_recovered,
-            "ctl_reactions_abandoned": self.ctl_reactions_abandoned,
-            "ctl_stagger_lsas_dropped": self.ctl_stagger_lsas_dropped,
-            "shard_waves_serial": self.shard_waves_serial,
-            "shard_dirty": self.shard_dirty,
-            "shard_clean": self.shard_clean,
-            "shard_cross_fallbacks": self.shard_cross_fallbacks,
-        }
+    waves_serial: int = counter("shard_waves_serial")
+    shards_dirty: int = counter("shard_dirty")
+    shards_clean: int = counter("shard_clean")
+    cross_shard_fallbacks: int = counter("shard_cross_fallbacks")
+
+
+@dataclass
+class ControllerStats(Counters):
+    """Control-plane overhead counters of one controller.
+
+    The five fields are the controller's own.  :meth:`snapshot` appends the
+    controller's live SPF/RIB-cache, data-plane, ``ctl_*`` and ``shard_*``
+    counter sets, read at call time: other components share the
+    controller's caches (the load balancer hands ``baseline_route_cache``
+    to its merger) and advance those counters without going through a
+    controller method.
+    """
+
+    lies_injected: int = counter("lies_injected")
+    lies_withdrawn: int = counter("lies_withdrawn")
+    messages_sent: int = counter("messages_sent")
+    bytes_sent: int = counter("bytes_sent")
+    updates_applied: int = counter("updates_applied")
+    #: Set by the owning controller: returns its live counter sets, in
+    #: export order (wiring, not an option — hence no constructor argument).
+    live_sets: Callable[[], Iterable[Counters]] = field(
+        default=tuple, init=False, repr=False, compare=False
+    )
+
+    def snapshot(self) -> Dict[str, Number]:
+        """Plain-dict copy for reporting: own fields, then every live set."""
+        own = super().snapshot()
+        return merge_snapshots([own, *(live.snapshot() for live in self.live_sets())])
 
 
 @dataclass(frozen=True)
@@ -195,7 +143,11 @@ class FibbingController:
             plan_cache=plan_cache,
             plan_dirty_threshold=plan_dirty_threshold,
         )
-        self._stats = ControllerStats()
+        #: Overhead counters; ``stats.snapshot()`` also reads the live sets.
+        self.stats = ControllerStats()
+        self.stats.live_sets = self._live_counter_sets
+        #: ``shard_*`` counters (all zero unless a sharded facade drives them).
+        self.shard_counters = ShardCounters()
         self.updates: List[ControllerUpdate] = []
         # Baseline-FIB memo keyed on the topology revision:
         # (revision, max_ecmp, fibs).  Incremental mode only.
@@ -224,23 +176,6 @@ class FibbingController:
     def plan_cache(self) -> PlanCache:
         """The controller's plan cache (shared with its optimizer/merger)."""
         return self.reconciler.plan_cache
-
-    @property
-    def baseline_spf_cache(self) -> SpfCache:
-        """The baseline lineage's SPF cache (kept for API compatibility)."""
-        return self.baseline_route_cache.spf_cache
-
-    @property
-    def stats(self) -> ControllerStats:
-        """Controller counters; the SPF/RIB-cache fields are refreshed on read.
-
-        The refresh happens at read time because other components may share
-        the controller's caches (the load balancer hands
-        ``baseline_route_cache`` to its merger) and advance the counters
-        without going through a controller method.
-        """
-        self._sync_spf_stats()
-        return self._stats
 
     # ------------------------------------------------------------------ #
     # Requirement enforcement
@@ -587,59 +522,27 @@ class FibbingController:
             self.updates.append(update)
             applied.append(update)
             self.reconciler.record_applied(plan)
-            self._stats.updates_applied += 1
-            self._stats.lies_injected += len(plan.to_inject)
-            self._stats.lies_withdrawn += len(plan.to_withdraw)
-            self._stats.messages_sent += len(messages)
-            self._stats.bytes_sent += sum(lsa.size_bytes for lsa in messages)
+            self.stats.updates_applied += 1
+            self.stats.lies_injected += len(plan.to_inject)
+            self.stats.lies_withdrawn += len(plan.to_withdraw)
+            self.stats.messages_sent += len(messages)
+            self.stats.bytes_sent += sum(lsa.size_bytes for lsa in messages)
         return applied
 
-    def _sync_spf_stats(self) -> None:
-        """Mirror the SPF and RIB cache counters into :class:`ControllerStats`."""
-        total = SpfCounters()
-        rib_total = RibCounters()
-        for route_cache in (self.baseline_route_cache, self._lied_route_cache):
-            total.merge(route_cache.spf_cache.counters)
-            rib_total.merge(route_cache.counters)
-        self._stats.spf_cache_hits = total.hits
-        self._stats.spf_incremental_updates = total.incremental_updates
-        self._stats.spf_full_recomputes = total.full_recomputes
-        self._stats.spf_fallbacks = total.fallbacks
-        self._stats.fib_cache_hits = total.fib_cache_hits
-        self._stats.rib_cache_hits = rib_total.hits
-        self._stats.rib_incremental_updates = rib_total.incremental_updates
-        self._stats.rib_full_recomputes = rib_total.full_recomputes
-        self._stats.rib_fallbacks = rib_total.fallbacks
-        self._stats.rib_prefixes_repaired = rib_total.prefixes_repaired
-        self._stats.rib_prefixes_reused = rib_total.prefixes_reused
-        ctl = self.reconciler.counters
-        self._stats.ctl_plan_cache_hits = ctl.plan_cache_hits
-        self._stats.ctl_plans_recomputed = ctl.plans_recomputed
-        self._stats.ctl_lies_injected = ctl.lies_injected
-        self._stats.ctl_lies_retracted = ctl.lies_retracted
-        self._stats.ctl_lies_kept = ctl.lies_kept
-        self._stats.ctl_fallbacks = ctl.fallbacks
-        self._stats.ctl_opt_cache_hits = ctl.opt_cache_hits
-        self._stats.ctl_merge_cache_hits = ctl.merge_cache_hits
-        self._stats.ctl_reactions_deferred = ctl.reactions_deferred
-        self._stats.ctl_supersessions = ctl.supersessions
-        self._stats.ctl_transient_loops = ctl.transient_loops
-        self._stats.ctl_transient_blackholes = ctl.transient_blackholes
-        self._stats.ctl_converge_events = ctl.converge_events
-        self._stats.ctl_converge_seconds = ctl.converge_seconds
-        self._stats.ctl_resyncs = ctl.resyncs
-        self._stats.ctl_resync_lies_recovered = ctl.resync_lies_recovered
-        self._stats.ctl_reactions_abandoned = ctl.reactions_abandoned
-        self._stats.ctl_stagger_lsas_dropped = ctl.stagger_lsas_dropped
-        if self.network is not None:
+    def _live_counter_sets(self) -> List[Counters]:
+        """The counter sets :attr:`stats` reports besides its own fields."""
+        route_caches = (self.baseline_route_cache, self._lied_route_cache)
+        return [
+            SpfCounters.total(cache.spf_cache.counters for cache in route_caches),
+            RibCounters.total(cache.counters for cache in route_caches),
             # The data plane hangs off the live network; its counters are
             # part of the controller's end-to-end reaction accounting.
-            dataplane = self.network.dataplane_counters()
-            self._stats.dp_flows_rerouted = dataplane.flows_rerouted
-            self._stats.dp_flows_reused = dataplane.flows_reused
-            self._stats.dp_alloc_warm_starts = dataplane.alloc_warm_starts
-            self._stats.dp_alloc_full = dataplane.alloc_full
-            self._stats.dp_fallbacks = dataplane.fallbacks
+            self.network.counter_sets()["dataplane"]
+            if self.network is not None
+            else DataPlaneCounters(),
+            self.reconciler.counters,
+            self.shard_counters,
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

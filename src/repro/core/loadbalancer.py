@@ -232,9 +232,8 @@ class OnDemandLoadBalancer:
         """The controller's ``ctl_*`` (and, when sharded, ``shard_*``)
         counters at this instant."""
         snapshot = self.controller.reconciler.counters.snapshot()
-        shard_counters = getattr(self.controller, "shard_counters", None)
-        if shard_counters is not None:
-            snapshot.update(shard_counters.snapshot())
+        if hasattr(self.controller, "shards"):
+            snapshot.update(self.controller.shard_counters.snapshot())
         return snapshot
 
     def handle_topology_change(self, time: float = 0.0) -> Optional[RebalanceAction]:

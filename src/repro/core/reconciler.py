@@ -42,6 +42,7 @@ from repro.core.lies import LieRegistry, LieUpdate
 from repro.core.requirements import DestinationRequirement
 from repro.igp.fib import Fib
 from repro.igp.lsa import FakeNodeLsa
+from repro.util.counters import Counters, counter
 from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
@@ -88,7 +89,7 @@ def wave_past_threshold(
 
 
 @dataclass
-class CtlCounters:
+class CtlCounters(Counters):
     """Reconciliation accounting of one controller (the ``ctl_*`` counters).
 
     ``plan_cache_hits`` are requirements served without any planning work
@@ -102,84 +103,40 @@ class CtlCounters:
     maps reused from the :class:`PlanCache`.
     """
 
-    plan_cache_hits: int = 0
-    plans_recomputed: int = 0
-    lies_injected: int = 0
-    lies_retracted: int = 0
-    lies_kept: int = 0
-    fallbacks: int = 0
-    opt_cache_hits: int = 0
-    merge_cache_hits: int = 0
+    plan_cache_hits: int = counter("ctl_plan_cache_hits")
+    plans_recomputed: int = counter("ctl_plans_recomputed")
+    lies_injected: int = counter("ctl_lies_injected")
+    lies_retracted: int = counter("ctl_lies_retracted")
+    lies_kept: int = counter("ctl_lies_kept")
+    fallbacks: int = counter("ctl_fallbacks")
+    opt_cache_hits: int = counter("ctl_opt_cache_hits")
+    merge_cache_hits: int = counter("ctl_merge_cache_hits")
     # Asynchronous control-loop accounting (see core.scheduler): reactions
     # deferred past the controller's reaction latency, pending reactions
     # superseded by a fresher alarm, data-plane entities caught looping or
     # blackholed on mixed-FIB interim states while an injection wave
     # converged, and the FIB-install churn/time those waves cost.
-    reactions_deferred: int = 0
-    supersessions: int = 0
-    transient_loops: int = 0
-    transient_blackholes: int = 0
-    converge_events: int = 0
-    converge_seconds: float = 0.0
+    reactions_deferred: int = counter("ctl_reactions_deferred")
+    supersessions: int = counter("ctl_supersessions")
+    transient_loops: int = counter("ctl_transient_loops")
+    transient_blackholes: int = counter("ctl_transient_blackholes")
+    converge_events: int = counter("ctl_converge_events")
+    converge_seconds: float = counter("ctl_converge_seconds", 0.0)
     # Crash/recovery accounting (see FibbingController.detach/resync and
     # core.chaos): controller restarts that re-learned state from the LSDB,
     # surviving lies recovered that way, in-flight reactions abandoned
     # because their baseline topology revision moved (or the controller
     # detached) before they fired, and staggered sub-wave LSAs dropped
     # because their anchor adjacency died while the wave was pending.
-    resyncs: int = 0
-    resync_lies_recovered: int = 0
-    reactions_abandoned: int = 0
-    stagger_lsas_dropped: int = 0
+    resyncs: int = counter("ctl_resyncs")
+    resync_lies_recovered: int = counter("ctl_resync_lies_recovered")
+    reactions_abandoned: int = counter("ctl_reactions_abandoned")
+    stagger_lsas_dropped: int = counter("ctl_stagger_lsas_dropped")
 
     @property
     def plans_served(self) -> int:
         """Total per-requirement plans served (hits + recomputations)."""
         return self.plan_cache_hits + self.plans_recomputed
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "ctl_plan_cache_hits": self.plan_cache_hits,
-            "ctl_plans_recomputed": self.plans_recomputed,
-            "ctl_lies_injected": self.lies_injected,
-            "ctl_lies_retracted": self.lies_retracted,
-            "ctl_lies_kept": self.lies_kept,
-            "ctl_fallbacks": self.fallbacks,
-            "ctl_opt_cache_hits": self.opt_cache_hits,
-            "ctl_merge_cache_hits": self.merge_cache_hits,
-            "ctl_reactions_deferred": self.reactions_deferred,
-            "ctl_supersessions": self.supersessions,
-            "ctl_transient_loops": self.transient_loops,
-            "ctl_transient_blackholes": self.transient_blackholes,
-            "ctl_converge_events": self.converge_events,
-            "ctl_converge_seconds": self.converge_seconds,
-            "ctl_resyncs": self.resyncs,
-            "ctl_resync_lies_recovered": self.resync_lies_recovered,
-            "ctl_reactions_abandoned": self.reactions_abandoned,
-            "ctl_stagger_lsas_dropped": self.stagger_lsas_dropped,
-        }
-
-    def merge(self, other: "CtlCounters") -> None:
-        """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plans_recomputed += other.plans_recomputed
-        self.lies_injected += other.lies_injected
-        self.lies_retracted += other.lies_retracted
-        self.lies_kept += other.lies_kept
-        self.fallbacks += other.fallbacks
-        self.opt_cache_hits += other.opt_cache_hits
-        self.merge_cache_hits += other.merge_cache_hits
-        self.reactions_deferred += other.reactions_deferred
-        self.supersessions += other.supersessions
-        self.transient_loops += other.transient_loops
-        self.transient_blackholes += other.transient_blackholes
-        self.converge_events += other.converge_events
-        self.converge_seconds += other.converge_seconds
-        self.resyncs += other.resyncs
-        self.resync_lies_recovered += other.resync_lies_recovered
-        self.reactions_abandoned += other.reactions_abandoned
-        self.stagger_lsas_dropped += other.stagger_lsas_dropped
 
 
 @dataclass(frozen=True)

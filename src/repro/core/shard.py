@@ -43,7 +43,7 @@ differential suite ``tests/test_controller_sharded.py`` holds it to that.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.augmentation import DEFAULT_EPSILON
@@ -64,7 +64,6 @@ from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
 __all__ = [
-    "ShardCounters",
     "ShardedFibbingController",
     "default_shard_assignment",
 ]
@@ -80,40 +79,6 @@ def default_shard_assignment(prefix: Prefix, shards: int) -> int:
     """
     digest = hashlib.sha256(str(prefix).encode()).digest()
     return int.from_bytes(digest[:8], "big") % shards
-
-
-@dataclass
-class ShardCounters:
-    """Facade-level accounting of the sharded planner (``shard_*`` keys).
-
-    ``waves_serial`` counts enforce waves.  ``shards_dirty`` /
-    ``shards_clean`` count shard sub-waves that re-planned at least one
-    requirement versus sub-waves served entirely from the shard's plan
-    cache.  ``cross_shard_fallbacks`` are waves the facade could not
-    partition (a prefix appearing twice in one wave, or a caller-supplied
-    baseline) and planned serially in wave order instead.
-    """
-
-    waves_serial: int = 0
-    shards_dirty: int = 0
-    shards_clean: int = 0
-    cross_shard_fallbacks: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "shard_waves_serial": self.waves_serial,
-            "shard_dirty": self.shards_dirty,
-            "shard_clean": self.shards_clean,
-            "shard_cross_fallbacks": self.cross_shard_fallbacks,
-        }
-
-    def merge(self, other: "ShardCounters") -> None:
-        """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.waves_serial += other.waves_serial
-        self.shards_dirty += other.shards_dirty
-        self.shards_clean += other.shards_clean
-        self.cross_shard_fallbacks += other.cross_shard_fallbacks
 
 
 def _plan_shard_wave(
@@ -241,11 +206,10 @@ class _AggregateReconciler:
 
     @property
     def counters(self) -> CtlCounters:
-        total = CtlCounters()
-        total.merge(self.plan_cache.counters)
-        for shard in self._facade.shards:
-            total.merge(shard.reconciler.counters)
-        return total
+        return CtlCounters.total(
+            [self.plan_cache.counters]
+            + [shard.reconciler.counters for shard in self._facade.shards]
+        )
 
     @property
     def has_state(self) -> bool:
@@ -322,7 +286,6 @@ class ShardedFibbingController(FibbingController):
             )
             for _ in range(shards)
         ]
-        self.shard_counters = ShardCounters()
         # The facade-level plan cache built by super().__init__ is kept for
         # the optimizer/merger (whole-LP and merged-weight-map reuse); the
         # per-requirement planning state lives in the shard caches.
@@ -664,11 +627,11 @@ class ShardedFibbingController(FibbingController):
             )
             self.updates.append(update)
             applied.append(update)
-            self._stats.updates_applied += 1
-            self._stats.lies_injected += len(plan.to_inject)
-            self._stats.lies_withdrawn += len(plan.to_withdraw)
-            self._stats.messages_sent += len(messages)
-            self._stats.bytes_sent += sum(lsa.size_bytes for lsa in messages)
+            self.stats.updates_applied += 1
+            self.stats.lies_injected += len(plan.to_inject)
+            self.stats.lies_withdrawn += len(plan.to_withdraw)
+            self.stats.messages_sent += len(messages)
+            self.stats.bytes_sent += sum(lsa.size_bytes for lsa in messages)
         if self.network is not None and to_send:
             assert self.attachment is not None  # enforced in __init__
             if self.wave_injector is None:
@@ -679,17 +642,6 @@ class ShardedFibbingController(FibbingController):
                     [(index, shard_groups[index]) for index in sorted(shard_groups)],
                 )
         return applied
-
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
-    def _sync_spf_stats(self) -> None:
-        super()._sync_spf_stats()
-        counters = self.shard_counters
-        self._stats.shard_waves_serial = counters.waves_serial
-        self._stats.shard_dirty = counters.shards_dirty
-        self._stats.shard_clean = counters.shards_clean
-        self._stats.shard_cross_fallbacks = counters.cross_shard_fallbacks
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

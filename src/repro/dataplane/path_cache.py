@@ -40,6 +40,7 @@ from repro.dataplane.fairness import (
 from repro.dataplane.flows import Flow
 from repro.dataplane.forwarding import FlowPath
 from repro.igp.fib import Fib
+from repro.util.counters import Counters, counter
 from repro.util.errors import SimulationError
 from repro.util.prefixes import Prefix
 
@@ -65,7 +66,7 @@ FlowInput = Tuple[Tuple[LinkKey, ...], float, int]
 
 
 @dataclass
-class DataPlaneCounters:
+class DataPlaneCounters(Counters):
     """Reroute/reuse and warm-start accounting of one incremental data plane.
 
     ``flows_rerouted`` / ``flows_reused`` split every event's active flows
@@ -82,43 +83,19 @@ class DataPlaneCounters:
     only place the aggregate engine does O(sessions) work).
     """
 
-    flows_rerouted: int = 0
-    flows_reused: int = 0
-    alloc_warm_starts: int = 0
-    alloc_full: int = 0
-    fallbacks: int = 0
-    classes_rewalked: int = 0
-    classes_reused: int = 0
-    class_splits: int = 0
+    flows_rerouted: int = counter("dp_flows_rerouted")
+    flows_reused: int = counter("dp_flows_reused")
+    alloc_warm_starts: int = counter("dp_alloc_warm_starts")
+    alloc_full: int = counter("dp_alloc_full")
+    fallbacks: int = counter("dp_fallbacks")
+    classes_rewalked: int = counter("dp_classes_rewalked")
+    classes_reused: int = counter("dp_classes_reused")
+    class_splits: int = counter("dp_classes_splits")
 
     @property
     def alloc_events(self) -> int:
         """Total allocation passes performed."""
         return self.alloc_warm_starts + self.alloc_full + self.fallbacks
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "dp_flows_rerouted": self.flows_rerouted,
-            "dp_flows_reused": self.flows_reused,
-            "dp_alloc_warm_starts": self.alloc_warm_starts,
-            "dp_alloc_full": self.alloc_full,
-            "dp_fallbacks": self.fallbacks,
-            "dp_classes_rewalked": self.classes_rewalked,
-            "dp_classes_reused": self.classes_reused,
-            "dp_classes_splits": self.class_splits,
-        }
-
-    def merge(self, other: "DataPlaneCounters") -> None:
-        """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.flows_rerouted += other.flows_rerouted
-        self.flows_reused += other.flows_reused
-        self.alloc_warm_starts += other.alloc_warm_starts
-        self.alloc_full += other.alloc_full
-        self.fallbacks += other.fallbacks
-        self.classes_rewalked += other.classes_rewalked
-        self.classes_reused += other.classes_reused
-        self.class_splits += other.class_splits
 
 
 class FlowPathCache:

@@ -21,8 +21,9 @@ embarrassingly parallel with respect to the others.  This module turns the
   ``spf_*``/``rib_*``/``dp_*``/``ctl_*``/``shard_*`` key space that
   :func:`repro.monitoring.counters.collect_counters` aggregates within one
   run) plus per-run wall-clock timings into one report, and saves it as a
-  machine-readable ``BENCH_<name>.json`` at the repository root (schema:
-  :data:`repro.util.artifacts.BENCH_SCHEMA`) so the perf trajectory is
+  machine-readable ``BENCH_<name>.json`` (schema:
+  :data:`repro.util.artifacts.BENCH_SCHEMA`; ``make bench-record`` writes
+  the tracked copy at the repository root) so the perf trajectory is
   tracked across PRs.
 
 Determinism is the contract: each run's ``digest`` hashes its result rows
@@ -47,6 +48,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.util.artifacts import bench_json_path, write_bench_json
+from repro.util.counters import Number, merge_snapshots
 from repro.util.errors import SweepError
 
 __all__ = [
@@ -97,19 +99,15 @@ def run_digest(rows: Sequence[Mapping[str, object]]) -> str:
 
 
 def merge_counter_snapshots(
-    snapshots: Iterable[Mapping[str, int]]
-) -> Dict[str, int]:
+    snapshots: Iterable[Mapping[str, Number]]
+) -> Dict[str, Number]:
     """Key-wise sum of per-run counter snapshots (sorted keys).
 
     The within-run mirror of this is
     :func:`repro.monitoring.counters.collect_counters`'s ``"total"`` entry;
     here the same counter key space is merged *across* runs of a sweep.
     """
-    merged: Dict[str, int] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            merged[key] = merged.get(key, 0) + int(value)
-    return dict(sorted(merged.items()))
+    return dict(sorted(merge_snapshots(snapshots).items()))
 
 
 # --------------------------------------------------------------------- #
@@ -631,7 +629,7 @@ class SweepReport:
         return metrics
 
     def save(self, directory=None):
-        """Write ``BENCH_<name>.json`` (repo root by default); returns the path."""
+        """Write ``BENCH_<name>.json`` (``benchmarks/out/`` by default); returns the path."""
         return write_bench_json(
             self.name, "sweep", self.to_payload(), directory, metrics=self.metrics()
         )

@@ -39,9 +39,6 @@ the demo depends on:
 ``network``
     Orchestration of a whole IGP domain plus a static (non event-driven)
     route computation used by baselines and quick analyses.
-``convergence``
-    Helpers to measure how long the domain takes to reach a stable set of
-    FIBs after a change.
 """
 
 from repro.igp.topology import Topology, Link, RouterInfo, PrefixAttachment
@@ -62,7 +59,6 @@ from repro.igp.lsdb import LinkStateDatabase
 from repro.igp.router import RouterProcess, RouterTimers
 from repro.igp.flooding import FloodingFabric, FloodingStats
 from repro.igp.network import IgpNetwork, compute_static_fibs
-from repro.igp.convergence import ConvergenceTracker
 
 __all__ = [
     "Topology",
@@ -100,5 +96,4 @@ __all__ = [
     "FloodingStats",
     "IgpNetwork",
     "compute_static_fibs",
-    "ConvergenceTracker",
 ]

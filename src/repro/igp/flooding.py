@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.igp.lsa import Lsa
 from repro.igp.topology import Topology
+from repro.util.counters import Counters, counter
 from repro.util.errors import TopologyError
 from repro.util.timeline import Timeline
 from repro.util.validation import check_non_negative
@@ -31,24 +32,14 @@ DEFAULT_PROCESSING_DELAY = 0.002
 
 
 @dataclass
-class FloodingStats:
+class FloodingStats(Counters):
     """Counters describing the flooding traffic seen so far."""
 
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    deliveries: int = 0
-    duplicates_suppressed: int = 0
-    messages_dropped: int = 0
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "messages_sent": self.messages_sent,
-            "bytes_sent": self.bytes_sent,
-            "deliveries": self.deliveries,
-            "duplicates_suppressed": self.duplicates_suppressed,
-            "messages_dropped": self.messages_dropped,
-        }
+    messages_sent: int = counter("messages_sent")
+    bytes_sent: int = counter("bytes_sent")
+    deliveries: int = counter("deliveries")
+    duplicates_suppressed: int = counter("duplicates_suppressed")
+    messages_dropped: int = counter("messages_dropped")
 
 
 class FloodingFabric:

@@ -18,7 +18,7 @@ computes the converged FIBs of every router directly from the global view.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.igp.fib import DEFAULT_MAX_ECMP, Fib, resolve_rib_to_fib
 from repro.igp.flooding import FloodingFabric
@@ -31,13 +31,9 @@ from repro.igp.router import RouterProcess, RouterTimers
 from repro.igp.spf import compute_spf
 from repro.igp.spf_cache import SpfCache, SpfCounters
 from repro.igp.topology import Topology
+from repro.util.counters import Counters, merge_snapshots
 from repro.util.errors import TopologyError
 from repro.util.timeline import Timeline
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.chaos import FaultCounters
-    from repro.core.reconciler import CtlCounters
-    from repro.core.shard import ShardCounters
 
 __all__ = ["IgpNetwork", "compute_static_fibs"]
 
@@ -128,7 +124,7 @@ class IgpNetwork:
         per-layer view in :attr:`spf_stats` and the monitoring collector.
         Several controllers may register (e.g. one per tenant); their
         counters are *merged*, never overwritten, by
-        :meth:`controller_counters`.  A
+        :meth:`counter_sets`.  A
         :class:`~repro.core.shard.ShardedFibbingController` registers only
         its facade — its per-shard counters are already aggregated by the
         facade's counter view, so registering the inner shards as well would
@@ -315,123 +311,52 @@ class IgpNetwork:
         """Flooding counters (messages, bytes, duplicates) for overhead accounting."""
         return self.fabric.stats.snapshot()
 
-    def dataplane_counters(self) -> "DataPlaneCounters":
-        """Merged ``dp_*`` counters of every registered data-plane engine."""
-        from repro.dataplane.path_cache import DataPlaneCounters
+    def counter_sets(self) -> Dict[str, Counters]:
+        """Every layer's live counters, merged per family, in export order.
 
-        total = DataPlaneCounters()
-        for engine in self._dataplane_engines:
-            total.merge(engine.counters)
-        return total
-
-    @property
-    def dataplane_stats(self) -> Dict[str, int]:
-        """Snapshot of the merged data-plane counters (``dp_*`` keys)."""
-        return self.dataplane_counters().snapshot()
-
-    def controller_counters(self) -> "CtlCounters":
-        """Merged ``ctl_*`` counters of every registered controller.
-
-        Counters are summed across registrations: with several controllers
-        on one network (tenants, or a sharded facade whose aggregate view
-        already folds its shards in) every controller's reconciliation work
-        is represented exactly once.
-        """
-        from repro.core.reconciler import CtlCounters
-
-        total = CtlCounters()
-        for controller in self._controllers:
-            total.merge(controller.reconciler.counters)
-        return total
-
-    def shard_counters(self) -> "ShardCounters":
-        """Merged ``shard_*`` counters of every registered sharded facade.
-
-        Plain controllers contribute nothing; each
-        :class:`~repro.core.shard.ShardedFibbingController` contributes its
-        wave-dispatch and shard dirty/clean accounting.
-        """
-        from repro.core.shard import ShardCounters
-
-        total = ShardCounters()
-        for controller in self._controllers:
-            counters = getattr(controller, "shard_counters", None)
-            if counters is not None:
-                total.merge(counters)
-        return total
-
-    def fault_counters(self) -> "FaultCounters":
-        """Merged ``fault_*`` counters of every registered fault injector.
-
-        Zero-valued (and cheap) while no :class:`~repro.core.chaos.FaultInjector`
-        is registered, so fault accounting costs nothing on clean runs.
+        ``"spf"`` / ``"rib"`` sum the per-router caches; ``"dataplane"``
+        every registered engine (``dp_*``, see
+        :class:`~repro.dataplane.path_cache.DataPlaneCounters`);
+        ``"controller"`` every registered controller (``ctl_*``, see
+        :class:`~repro.core.reconciler.CtlCounters` — several tenants, or one
+        sharded facade whose aggregate view already folds its shards in,
+        each count exactly once) and ``"shard"`` their ``shard_*`` wave
+        accounting (zero for plain controllers); ``"faults"`` every
+        registered fault injector (``fault_*``, see
+        :class:`~repro.core.chaos.FaultCounters`).  A family nothing
+        registered for reports zeros, so clean runs keep every key.
         """
         from repro.core.chaos import FaultCounters
+        from repro.core.controller import ShardCounters
+        from repro.core.reconciler import CtlCounters
+        from repro.dataplane.path_cache import DataPlaneCounters
 
-        total = FaultCounters()
-        for injector in self._fault_injectors:
-            total.merge(injector.counters)
-        return total
-
-    @property
-    def fault_stats(self) -> Dict[str, int]:
-        """Snapshot of the merged fault-injection counters (``fault_*`` keys)."""
-        return self.fault_counters().snapshot()
-
-    @property
-    def controller_stats(self) -> Dict[str, int]:
-        """Snapshot of the merged controller counters (``ctl_*`` keys)."""
-        return self.controller_counters().snapshot()
-
-    @property
-    def shard_stats(self) -> Dict[str, int]:
-        """Snapshot of the merged sharded-facade counters (``shard_*`` keys)."""
-        return self.shard_counters().snapshot()
+        processes = self.routers.values()
+        controllers = self._controllers
+        return {
+            "spf": SpfCounters.total(p.spf_cache.counters for p in processes),
+            "rib": RibCounters.total(p.rib_cache.counters for p in processes),
+            "dataplane": DataPlaneCounters.total(
+                engine.counters for engine in self._dataplane_engines
+            ),
+            "controller": CtlCounters.total(c.reconciler.counters for c in controllers),
+            "shard": ShardCounters.total(c.shard_counters for c in controllers),
+            "faults": FaultCounters.total(
+                injector.counters for injector in self._fault_injectors
+            ),
+        }
 
     @property
     def spf_stats(self) -> Dict[str, int]:
-        """Aggregated SPF-, RIB- and data-plane-cache counters of the domain.
+        """Every family of :meth:`counter_sets` as one flat snapshot.
 
-        ``spf_cache_hits`` are runs served without recomputation,
-        ``spf_incremental_updates`` replayed only the dirty-edge deltas,
-        ``spf_full_recomputes`` ran Dijkstra from scratch and
-        ``spf_fallbacks`` are incremental attempts that bailed out to a full
-        run because the change touched too much of the graph.  The ``rib_*``
-        keys are the route-layer mirror: ``rib_cache_hits`` served a whole
-        RIB unchanged, ``rib_incremental_updates`` re-resolved only the dirty
-        prefixes, ``rib_full_recomputes`` rescanned every prefix and
-        ``rib_fallbacks`` are repairs that bailed out past the dirty-prefix
-        threshold.  The ``dp_*`` keys extend the pattern to the flow-level
-        data plane of every registered engine: cached paths reused vs.
-        re-walked, and warm-started vs. full fair-share allocations (see
-        :class:`~repro.dataplane.path_cache.DataPlaneCounters`).  The
-        ``ctl_*`` keys complete the stack with the reconciliation counters
-        of every registered controller: requirement plans served from the
-        plan cache vs. recomputed, and the lie churn each reaction actually
-        shipped (see :class:`~repro.core.reconciler.CtlCounters`).  The
-        ``shard_*`` keys report the sharded facade's wave dispatch (waves
-        planned in parallel vs. serially, shard sub-waves dirty vs. clean,
-        cross-shard fallbacks; see :class:`~repro.core.shard.ShardCounters`)
-        and stay zero while only single controllers are registered.  The
-        ``fault_*`` keys report the seeded chaos the network was subjected
-        to (links downed/restored, LSAs dropped in flight, polls timed out
-        or omitted, controller crashes/resyncs; see
-        :class:`~repro.core.chaos.FaultCounters`) and stay zero while no
-        fault injector is registered.
+        ``spf_*`` / ``fib_cache_hits``, ``rib_*``, ``dp_*``, ``ctl_*``,
+        ``shard_*`` and ``fault_*`` keys; the README's Counters table says
+        what each family counts.
         """
-        total = SpfCounters()
-        rib_total = RibCounters()
-        for process in self.routers.values():
-            total.merge(process.spf_cache.counters)
-            rib_total.merge(process.rib_cache.counters)
-        return {
-            **total.snapshot(),
-            **rib_total.snapshot(),
-            **self.dataplane_counters().snapshot(),
-            **self.controller_counters().snapshot(),
-            **self.shard_counters().snapshot(),
-            **self.fault_counters().snapshot(),
-        }
+        return merge_snapshots(
+            counters.snapshot() for counters in self.counter_sets().values()
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

@@ -28,6 +28,7 @@ from repro.igp.graph import ComputationGraph, GraphChange
 from repro.igp.rib import Rib, compute_rib, dirty_prefixes, update_rib
 from repro.igp.spf import ShortestPaths
 from repro.igp.spf_cache import SpfCache
+from repro.util.counters import Counters, counter
 from repro.util.errors import RoutingError
 from repro.util.prefixes import Prefix
 
@@ -35,7 +36,7 @@ __all__ = ["RibCounters", "RibCache"]
 
 
 @dataclass
-class RibCounters:
+class RibCounters(Counters):
     """Hit/repair/fallback accounting of one :class:`RibCache`.
 
     Every RIB lookup increments exactly one of ``hits`` (same graph
@@ -46,37 +47,17 @@ class RibCounters:
     update down into re-resolved vs. carried-over routes.
     """
 
-    hits: int = 0
-    incremental_updates: int = 0
-    full_recomputes: int = 0
-    fallbacks: int = 0
-    prefixes_repaired: int = 0
-    prefixes_reused: int = 0
+    hits: int = counter("rib_cache_hits")
+    incremental_updates: int = counter("rib_incremental_updates")
+    full_recomputes: int = counter("rib_full_recomputes")
+    fallbacks: int = counter("rib_fallbacks")
+    prefixes_repaired: int = counter("rib_prefixes_repaired")
+    prefixes_reused: int = counter("rib_prefixes_reused")
 
     @property
     def rib_lookups(self) -> int:
         """Total per-router RIB lookups served."""
         return self.hits + self.incremental_updates + self.full_recomputes + self.fallbacks
-
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "rib_cache_hits": self.hits,
-            "rib_incremental_updates": self.incremental_updates,
-            "rib_full_recomputes": self.full_recomputes,
-            "rib_fallbacks": self.fallbacks,
-            "rib_prefixes_repaired": self.prefixes_repaired,
-            "rib_prefixes_reused": self.prefixes_reused,
-        }
-
-    def merge(self, other: "RibCounters") -> None:
-        """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.hits += other.hits
-        self.incremental_updates += other.incremental_updates
-        self.full_recomputes += other.full_recomputes
-        self.fallbacks += other.fallbacks
-        self.prefixes_repaired += other.prefixes_repaired
-        self.prefixes_reused += other.prefixes_reused
 
 
 @dataclass

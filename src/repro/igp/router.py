@@ -4,7 +4,7 @@ A :class:`RouterProcess` owns the router's LSDB, schedules SPF runs when the
 database changes (with an OSPF-like hold-down delay so that bursts of LSAs
 trigger a single computation), resolves the resulting RIB into a FIB after an
 installation delay, and notifies listeners when the FIB changes.  The
-data-plane simulation and the convergence tracker subscribe to those
+data-plane simulation and the convergence monitor subscribe to those
 notifications.
 """
 

@@ -27,6 +27,10 @@ __all__ = ["ShortestPaths", "compute_spf", "update_spf", "cost_tolerance", "cost
 #: cost itself — see :func:`cost_tolerance`.
 _COST_EPSILON = 1e-9
 
+#: Fraction of the previously reachable nodes beyond which :func:`update_spf`
+#: abandons the repair for a full Dijkstra (counted as an ``spf_fallback``).
+FULL_THRESHOLD = 0.5
+
 
 def cost_tolerance(scale: float) -> float:
     """The comparison tolerance appropriate for path costs of size ``scale``."""
@@ -174,7 +178,6 @@ def update_spf(
     prev: ShortestPaths,
     graph: ComputationGraph,
     deltas: Iterable[EdgeDelta],
-    full_threshold: float = 0.5,
     counters: Optional[object] = None,
 ) -> ShortestPaths:
     """Incrementally repair ``prev`` after the edge changes in ``deltas``.
@@ -190,7 +193,7 @@ def update_spf(
        whose distance or incident costs changed, and first-hop changes are
        propagated down the (new) shortest-path DAG in distance order.
 
-    When the invalidated region exceeds ``full_threshold`` of the previously
+    When the invalidated region exceeds :data:`FULL_THRESHOLD` of the previously
     reachable nodes the repair would approach the cost of a fresh run, so the
     function falls back to :func:`compute_spf`.  The returned object is
     ``prev`` itself when the deltas turn out not to affect this source at
@@ -247,7 +250,7 @@ def update_spf(
             continue
         invalid.add(node)
         stack.extend(children.get(node, ()))
-    if source in invalid or len(invalid) > full_threshold * max(1, len(prev.distance)):
+    if source in invalid or len(invalid) > FULL_THRESHOLD * max(1, len(prev.distance)):
         return fall_back()
     if counters is not None:
         counters.incremental_updates += 1

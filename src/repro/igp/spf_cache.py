@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.igp.graph import ComputationGraph
 from repro.igp.spf import ShortestPaths, compute_spf, update_spf
+from repro.util.counters import Counters, counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.igp.fib import Fib
@@ -37,7 +38,7 @@ __all__ = ["SpfCounters", "SpfCache"]
 
 
 @dataclass
-class SpfCounters:
+class SpfCounters(Counters):
     """Hit/miss/fallback accounting of one :class:`SpfCache`.
 
     Every SPF lookup increments exactly one of ``hits`` (same version),
@@ -48,41 +49,22 @@ class SpfCounters:
     lookups entirely and are therefore *not* part of ``spf_lookups``.
     """
 
-    hits: int = 0
-    incremental_updates: int = 0
-    full_recomputes: int = 0
-    fallbacks: int = 0
-    fib_cache_hits: int = 0
+    hits: int = counter("spf_cache_hits")
+    incremental_updates: int = counter("spf_incremental_updates")
+    full_recomputes: int = counter("spf_full_recomputes")
+    fallbacks: int = counter("spf_fallbacks")
+    fib_cache_hits: int = counter("fib_cache_hits")
 
     @property
     def spf_lookups(self) -> int:
         """Total per-source SPF lookups served."""
         return self.hits + self.incremental_updates + self.full_recomputes + self.fallbacks
 
-    def snapshot(self) -> Dict[str, int]:
-        """Plain-dict copy for reporting."""
-        return {
-            "spf_cache_hits": self.hits,
-            "spf_incremental_updates": self.incremental_updates,
-            "spf_full_recomputes": self.full_recomputes,
-            "spf_fallbacks": self.fallbacks,
-            "fib_cache_hits": self.fib_cache_hits,
-        }
-
-    def merge(self, other: "SpfCounters") -> None:
-        """Add ``other``'s counts into this instance (for fleet aggregation)."""
-        self.hits += other.hits
-        self.incremental_updates += other.incremental_updates
-        self.full_recomputes += other.full_recomputes
-        self.fallbacks += other.fallbacks
-        self.fib_cache_hits += other.fib_cache_hits
-
 
 class SpfCache:
     """Per-source SPF results keyed by graph version, with delta replay."""
 
-    def __init__(self, full_threshold: float = 0.5) -> None:
-        self.full_threshold = full_threshold
+    def __init__(self) -> None:
         self.counters = SpfCounters()
         self._graph: Optional[ComputationGraph] = None
         self._entries: Dict[str, Tuple[int, ShortestPaths]] = {}
@@ -130,13 +112,7 @@ class SpfCache:
                 return cached
             deltas = graph.deltas_since(cached_version)
             if deltas is not None:
-                result = update_spf(
-                    cached,
-                    graph,
-                    deltas,
-                    full_threshold=self.full_threshold,
-                    counters=self.counters,
-                )
+                result = update_spf(cached, graph, deltas, counters=self.counters)
                 self._entries[source] = (version, result)
                 return result
         self.counters.full_recomputes += 1

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.dataplane.engine import DataPlaneEngine
-from repro.igp.rib_cache import RibCounters
-from repro.igp.spf_cache import SpfCounters
 from repro.igp.topology import Topology
+from repro.util.counters import merge_snapshots
 from repro.util.errors import MonitoringError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -106,29 +105,19 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
     entry merges all five layers and matches
     :attr:`repro.igp.network.IgpNetwork.spf_stats`.
     """
-    per_router: Dict[str, Dict[str, int]] = {}
-    total = SpfCounters()
-    rib_total = RibCounters()
-    for name, process in sorted(network.routers.items()):
-        per_router[name] = {
+    per_router: Dict[str, Dict[str, int]] = {
+        name: {
             **process.spf_cache.counters.snapshot(),
             **process.rib_cache.counters.snapshot(),
         }
-        total.merge(process.spf_cache.counters)
-        rib_total.merge(process.rib_cache.counters)
-    dataplane = network.dataplane_counters()
-    controller = network.controller_counters()
-    shard = network.shard_counters()
-    faults = network.fault_counters()
-    per_router["dataplane"] = dataplane.snapshot()
-    per_router["controller"] = {**controller.snapshot(), **shard.snapshot()}
-    per_router["faults"] = faults.snapshot()
-    per_router["total"] = {
-        **total.snapshot(),
-        **rib_total.snapshot(),
-        **dataplane.snapshot(),
-        **controller.snapshot(),
-        **shard.snapshot(),
-        **faults.snapshot(),
+        for name, process in sorted(network.routers.items())
     }
+    sets = network.counter_sets()
+    per_router["dataplane"] = sets["dataplane"].snapshot()
+    per_router["controller"] = {
+        **sets["controller"].snapshot(),
+        **sets["shard"].snapshot(),
+    }
+    per_router["faults"] = sets["faults"].snapshot()
+    per_router["total"] = merge_snapshots(family.snapshot() for family in sets.values())
     return per_router

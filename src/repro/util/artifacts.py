@@ -1,10 +1,12 @@
 """Machine-readable benchmark artifacts (``BENCH_*.json``) and atomic writes.
 
 Every benchmark and every sweep emits two artifacts: the human-readable
-table under ``benchmarks/results/<name>.txt`` (unchanged since PR 1) and a
-machine-readable ``BENCH_<name>.json`` at the repository root, so the perf
-trajectory can be tracked across PRs by diffing/parsing JSON instead of
-scraping text tables.
+table ``<name>.txt`` and a machine-readable ``BENCH_<name>.json``, so the
+perf trajectory can be tracked across PRs by diffing/parsing JSON instead of
+scraping text tables.  Both land in the untracked :data:`OUT_DIR` unless the
+caller names a directory, so running the suite leaves the tree clean; only
+``make bench-record`` names the tracked locations (``benchmarks/results/``
+and ``BENCH_*.json`` at the repository root).
 
 All writes go through :func:`atomic_write_text`: the content lands in a
 unique temporary file first (keyed by pid, so concurrent workers of the
@@ -58,6 +60,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "DIRTY_TREE_WARNING",
     "REPO_ROOT",
+    "OUT_DIR",
     "RESULTS_DIR",
     "BenchmarkReport",
     "atomic_write_text",
@@ -82,7 +85,10 @@ DIRTY_TREE_WARNING = (
 #: Repository root (``src/repro/util/artifacts.py`` → three levels up).
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 
-#: Where the human-readable benchmark tables live.
+#: Default (git-ignored) destination of every artifact.
+OUT_DIR = REPO_ROOT / "benchmarks" / "out"
+
+#: Where the tracked human-readable benchmark tables live.
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
 
 
@@ -167,10 +173,10 @@ def atomic_write_json(path: pathlib.Path, payload: Dict[str, object]) -> pathlib
 
 
 def bench_json_path(name: str, directory: Optional[pathlib.Path] = None) -> pathlib.Path:
-    """The ``BENCH_<name>.json`` path for an artifact name (repo root default)."""
+    """The ``BENCH_<name>.json`` path for an artifact name (:data:`OUT_DIR` default)."""
     if not name or any(sep in name for sep in ("/", "\\", "\0")):
         raise ValidationError(f"invalid artifact name {name!r}")
-    base = pathlib.Path(directory) if directory else REPO_ROOT
+    base = pathlib.Path(directory) if directory else OUT_DIR
     return base / f"BENCH_{name}.json"
 
 
@@ -247,7 +253,7 @@ class BenchmarkReport:
     Used by the ``report`` fixture of ``benchmarks/conftest.py``: lines and
     tables are echoed to stdout as they are added (pytest's capture would
     otherwise hide them) and :meth:`save` rewrites
-    ``benchmarks/results/<name>.txt`` plus ``BENCH_<name>.json`` atomically
+    ``<results_dir>/<name>.txt`` plus ``<bench_dir>/BENCH_<name>.json`` atomically
     — each save fully replaces the previous run's artifact, so regenerated
     results never accumulate stale rows, and parallel workers never
     interleave partial writes.
@@ -265,8 +271,8 @@ class BenchmarkReport:
         self.tables: List[Dict[str, object]] = []
         #: Scalar measurements (``{name: float}``) for the JSON ``metrics``.
         self.metrics: Dict[str, float] = {}
-        self.results_dir = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
-        self.bench_dir = pathlib.Path(bench_dir) if bench_dir else REPO_ROOT
+        self.results_dir = pathlib.Path(results_dir) if results_dir else OUT_DIR
+        self.bench_dir = pathlib.Path(bench_dir) if bench_dir else OUT_DIR
 
     def add_line(self, text: str = "") -> None:
         """Append one line to the report (also echoed to stdout)."""

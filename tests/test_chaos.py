@@ -197,14 +197,14 @@ class TestFaultInjector:
         injector = FaultInjector(live_network, plan)
         injector.start()
         live_network.converge()
-        assert live_network.fault_stats["fault_link_downs"] == 1
+        assert live_network.counter_sets()["faults"].link_downs == 1
         assert live_network.spf_stats["fault_link_downs"] == 1
         per_router = collect_counters(live_network)
         assert per_router["faults"]["fault_link_downs"] == 1
         assert per_router["total"]["fault_link_downs"] == 1
 
     def test_clean_network_reports_zero_fault_counters(self, live_network):
-        snapshot = live_network.fault_stats
+        snapshot = live_network.counter_sets()["faults"].snapshot()
         assert set(snapshot) == set(FaultCounters().snapshot())
         assert all(value == 0 for value in snapshot.values())
 

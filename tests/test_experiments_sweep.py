@@ -75,8 +75,15 @@ class TestHarnessValidation:
 
 class TestCounterMerge:
     def test_merge_is_keywise_sum(self):
-        merged = merge_counter_snapshots([{"a": 1, "b": 2}, {"b": 3, "c": 4}])
-        assert merged == {"a": 1, "b": 5, "c": 4}
+        merged = merge_counter_snapshots(
+            [{"b": 2, "a": 1, "ctl_converge_seconds": 0.25},
+             {"b": 3, "c": 4, "ctl_converge_seconds": 0.5}]
+        )
+        assert list(merged.items()) == [
+            ("a", 1), ("b", 5), ("c", 4), ("ctl_converge_seconds", 0.75)
+        ]
+        # A float counter is summed, not truncated; integer counters stay int.
+        assert [type(value) for value in merged.values()] == [int, int, int, float]
 
     def test_merged_counters_equal_hand_summed_run_snapshots(self):
         report = harness().run()

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.igp.convergence import ConvergenceTracker
 from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.router import RouterTimers
 from repro.igp.spf_cache import SpfCache
@@ -99,23 +98,17 @@ class TestLieInjection:
         assert "A" in changed and "B" in changed
 
 
-class TestConvergenceTracker:
-    def test_episode_measures_duration_and_routers(self, converged_network):
-        tracker = ConvergenceTracker(converged_network)
-        tracker.start_episode("inject-lies")
+class TestLieWaveConvergence:
+    def test_every_router_installs_a_fib_after_a_lie_wave(self, converged_network):
+        installs = []
+        converged_network.on_fib_change(
+            lambda router, fib: installs.append((converged_network.timeline.now, router))
+        )
+        started_at = converged_network.timeline.now
         converged_network.inject(demo_lies(), at_router="R3")
-        converged_network.converge()
-        episode = tracker.close_episode()
-        assert episode.duration > 0
-        assert set(episode.routers_updated) == set(converged_network.topology.routers)
-        assert tracker.durations()["inject-lies"] == episode.duration
-
-    def test_closing_without_episode_raises(self, converged_network):
-        tracker = ConvergenceTracker(converged_network)
-        from repro.util.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            tracker.close_episode()
+        duration = converged_network.converge()
+        assert {router for _, router in installs} == set(converged_network.topology.routers)
+        assert 0 < max(time for time, _ in installs) - started_at <= duration
 
 
 class TestSpfCacheInvalidation:
@@ -204,13 +197,14 @@ class TestSpfCacheInvalidation:
         aggregate = converged_network.spf_stats
         assert per_router["total"] == aggregate
         # The per-layer aggregates are exactly their slice of spf_stats.
-        assert per_router["dataplane"] == converged_network.dataplane_stats
+        sets = converged_network.counter_sets()
+        assert per_router["dataplane"] == sets["dataplane"].snapshot()
         assert per_router["controller"] == {
-            **converged_network.controller_stats,
-            **converged_network.shard_stats,
+            **sets["controller"].snapshot(),
+            **sets["shard"].snapshot(),
         }
-        assert converged_network.controller_stats.items() <= aggregate.items()
-        assert converged_network.shard_stats.items() <= aggregate.items()
+        assert sets["controller"].snapshot().items() <= aggregate.items()
+        assert sets["shard"].snapshot().items() <= aggregate.items()
         for key, value in aggregate.items():
             # Router entries carry the spf_*/rib_* keys, the "dataplane"
             # entry the dp_* keys; .get() lets one sum span both layers.

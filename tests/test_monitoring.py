@@ -432,12 +432,11 @@ class TestCounterCollection:
         second.bind_to_network(network)
         second.bind_to_network(network)  # double-bind must not double-count
         second.add_flow("A", BLUE_PREFIX, mbps(1))
-        merged = network.dataplane_counters()
-        expected = DataPlaneCounters()
-        expected.merge(engine.counters)
-        expected.merge(second.counters)
-        assert merged.snapshot() == expected.snapshot()
-        assert network.dataplane_stats == merged.snapshot()
+        merged = network.counter_sets()["dataplane"]
+        assert merged == DataPlaneCounters.total([engine.counters, second.counters])
+        assert merged.flows_rerouted == (
+            engine.counters.flows_rerouted + second.counters.flows_rerouted
+        ) > engine.counters.flows_rerouted
 
     def test_controller_stats_mirror_dataplane_counters(self):
         from repro.core.controller import FibbingController
@@ -468,7 +467,7 @@ class TestCounterCollection:
         first.reconciler.counters.plans_recomputed += 5
         first.reconciler.counters.lies_injected += 2
         second.reconciler.counters.plans_recomputed += 7
-        merged = network.controller_counters()
+        merged = network.counter_sets()["controller"]
         assert merged.plans_recomputed == 12
         assert merged.lies_injected == 2
         assert network.spf_stats["ctl_plans_recomputed"] == 12
@@ -490,7 +489,7 @@ class TestCounterCollection:
         facade.shards[0].reconciler.counters.plans_recomputed += 4
         facade.shards[2].reconciler.counters.plans_recomputed += 6
         facade.shard_counters.waves_serial += 2
-        assert network.controller_counters().plans_recomputed == 10
+        assert network.counter_sets()["controller"].plans_recomputed == 10
         assert network.spf_stats["shard_waves_serial"] == 2
         per_router = collect_counters(network)
         assert per_router["controller"]["ctl_plans_recomputed"] == 10
@@ -501,24 +500,4 @@ class TestCounterCollection:
         # counters count twice: the facade's view already folds it in.
         network.register_controller(facade.shards[0])
         network.register_controller(facade)
-        assert network.controller_counters().plans_recomputed == 10
-
-    def test_dataplane_counters_merge_and_snapshot_roundtrip(self):
-        from repro.dataplane.path_cache import DataPlaneCounters
-
-        first = DataPlaneCounters(
-            flows_rerouted=1, flows_reused=2, alloc_warm_starts=3, alloc_full=4, fallbacks=5
-        )
-        second = DataPlaneCounters(flows_rerouted=10, fallbacks=1)
-        first.merge(second)
-        assert first.snapshot() == {
-            "dp_flows_rerouted": 11,
-            "dp_flows_reused": 2,
-            "dp_alloc_warm_starts": 3,
-            "dp_alloc_full": 4,
-            "dp_fallbacks": 6,
-            "dp_classes_rewalked": 0,
-            "dp_classes_reused": 0,
-            "dp_classes_splits": 0,
-        }
-        assert first.alloc_events == 3 + 4 + 6
+        assert network.counter_sets()["controller"].plans_recomputed == 10

@@ -37,9 +37,13 @@ class TestAtomicWrite:
 
 class TestBenchJson:
     def test_path_defaults_to_repo_root(self):
+        """...to the ignored ``benchmarks/out/`` under it: running the suite
+        must leave the tree clean (only ``make bench-record`` names tracked paths)."""
         from repro.util.artifacts import REPO_ROOT
 
-        assert bench_json_path("demo") == REPO_ROOT / "BENCH_demo.json"
+        assert bench_json_path("demo") == REPO_ROOT / "benchmarks" / "out" / "BENCH_demo.json"
+        report = BenchmarkReport("demo")
+        assert report.results_dir == report.bench_dir == REPO_ROOT / "benchmarks" / "out"
 
     def test_rejects_path_separators_in_names(self):
         with pytest.raises(ValidationError):

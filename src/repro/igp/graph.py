@@ -86,6 +86,26 @@ class FakeNodeInfo:
     forwarding_address: str
 
 
+#: One entry of the delta log: version after the step, then its edge deltas,
+#: touched prefixes and touched fake nodes.
+_LogStep = Tuple[int, Tuple[EdgeDelta, ...], Tuple[Prefix, ...], Tuple[str, ...]]
+
+
+class _OneStep:
+    """The context manager behind :meth:`ComputationGraph.one_step`."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: "ComputationGraph") -> None:
+        self._graph = graph
+
+    def __enter__(self) -> None:
+        self._graph._step = []
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._graph._close_step()
+
+
 class ComputationGraph:
     """Directed weighted graph over real and fake nodes, with prefix announcements."""
 
@@ -98,20 +118,25 @@ class ComputationGraph:
         self._prefix_refs: Dict[Prefix, int] = {}
         self._fake_nodes: Dict[str, FakeNodeInfo] = {}
         self._version = 0
-        # Dirty delta log: (version-after-step, GraphChange of the step).
-        # Beyond the edge deltas SPF repair needs, each step carries the
-        # prefixes whose announcer map changed and the fake nodes touched,
-        # which is what per-prefix RIB/FIB dirty tracking consumes.
+        # Dirty delta log: (version-after-step, edge deltas, prefixes, fake
+        # nodes) — the parts of the step's :class:`GraphChange`, assembled
+        # only when a reader asks.  Beyond the edge deltas SPF repair needs,
+        # each step carries the prefixes whose announcer map changed and the
+        # fake nodes touched, which is what per-prefix RIB/FIB dirty tracking
+        # consumes.
         # ``_history_base`` is the oldest version the log can still replay
         # from; ``deltas_since``/``changes_since`` answer ``None`` for
         # anything older.  ``_recording`` is switched off while the builder
-        # classmethods run — a freshly built graph has no usable history, so
-        # logging every construction edge only to discard it would dominate
-        # rebuild time.
-        self._delta_log: List[Tuple[int, GraphChange]] = []
+        # classmethods run — a freshly built graph has no usable history
+        # (``compute_static_fibs``, the one call site that rebuilds per call,
+        # gets its single step from ``continue_from``), so logging every
+        # construction edge only to discard it would dominate build time.
+        # ``_step`` collects the parts of an open :meth:`one_step` block.
+        self._delta_log: List[_LogStep] = []
         self._log_edges = 0
         self._history_base = 0
         self._recording = True
+        self._step: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------ #
     # Versioning / delta log
@@ -121,29 +146,74 @@ class ComputationGraph:
         """Monotonic counter bumped on every effective mutation."""
         return self._version
 
-    def _record(self, change: GraphChange) -> None:
-        """Bump the version and append one delta step to the log."""
+    def _record(
+        self,
+        edges: Tuple[EdgeDelta, ...] = (),
+        prefixes: Tuple[Prefix, ...] = (),
+        fake_nodes: Tuple[str, ...] = (),
+    ) -> None:
+        """Bump the version and log one delta step (or add to the open one)."""
         self._version += 1
         if not self._recording:
             return
-        self._delta_log.append((self._version, change))
-        self._log_edges += len(change.edges)
-        self._trim_log()
+        if self._step is not None:
+            self._step.append((edges, prefixes, fake_nodes))
+        else:
+            self._log(edges, prefixes, fake_nodes)
+
+    def _log(
+        self,
+        edges: Tuple[EdgeDelta, ...],
+        prefixes: Tuple[Prefix, ...],
+        fake_nodes: Tuple[str, ...],
+    ) -> None:
+        self._delta_log.append((self._version, edges, prefixes, fake_nodes))
+        self._log_edges += len(edges)
+        if len(self._delta_log) > _MAX_LOG_STEPS or self._log_edges > _MAX_LOG_EDGES:
+            self._trim_log()
+
+    def one_step(self) -> "_OneStep":
+        """Context manager logging every mutation made inside it as one step.
+
+        The LSDB wraps the application of one LSA in it, so the log bound
+        counts LSAs however many edges, announcements and fake nodes each
+        one moves.  Versions taken inside the block cannot be replayed from.
+        """
+        return _OneStep(self)
+
+    def _close_step(self) -> None:
+        parts, self._step = self._step, None
+        if len(parts) == 1:
+            self._log(*parts[0])
+        elif parts:
+            self._log(
+                tuple(delta for part in parts for delta in part[0]),
+                tuple(prefix for part in parts for prefix in part[1]),
+                tuple(name for part in parts for name in part[2]),
+            )
+
+    def drop_history(self) -> None:
+        """Forget the delta log; only the current version can be continued from.
+
+        For the owner of a live graph whose caches have all caught up with
+        the current version (a router after its SPF run).
+        """
+        self._delta_log = []
+        self._log_edges = 0
+        self._history_base = self._version
 
     def _trim_log(self) -> None:
         while self._delta_log and (
             len(self._delta_log) > _MAX_LOG_STEPS or self._log_edges > _MAX_LOG_EDGES
         ):
-            version, step = self._delta_log.pop(0)
-            self._log_edges -= len(step.edges)
+            version, edges, _, _ = self._delta_log.pop(0)
+            self._log_edges -= len(edges)
             self._history_base = version
 
     def _reset_history(self) -> None:
         """Forget the construction-time log (used by the builder classmethods)."""
         self._version = 0
-        self._delta_log = []
-        self._log_edges = 0
-        self._history_base = 0
+        self.drop_history()
         self._recording = True
 
     def deltas_since(self, version: int) -> Optional[Tuple[EdgeDelta, ...]]:
@@ -160,9 +230,9 @@ class ComputationGraph:
         if version < self._history_base or version > self._version:
             return None
         collected: List[EdgeDelta] = []
-        for step_version, step in self._delta_log:
-            if step_version > version:
-                collected.extend(step.edges)
+        for step in self._delta_log:
+            if step[0] > version:
+                collected.extend(step[1])
         return tuple(collected)
 
     def changes_since(self, version: int) -> Optional[GraphChange]:
@@ -179,11 +249,11 @@ class ComputationGraph:
         edges: List[EdgeDelta] = []
         prefixes: Set[Prefix] = set()
         fake_nodes: Set[str] = set()
-        for step_version, step in self._delta_log:
+        for step_version, step_edges, step_prefixes, step_fake_nodes in self._delta_log:
             if step_version > version:
-                edges.extend(step.edges)
-                prefixes.update(step.prefixes)
-                fake_nodes.update(step.fake_nodes)
+                edges.extend(step_edges)
+                prefixes.update(step_prefixes)
+                fake_nodes.update(step_fake_nodes)
         return GraphChange(
             edges=tuple(edges),
             prefixes=frozenset(prefixes),
@@ -196,9 +266,11 @@ class ComputationGraph:
         When the two states are identical the previous version and delta log
         are adopted unchanged, so caches keyed by version keep hitting.
         Otherwise the edge diff is appended as a single delta step on top of
-        the previous history.  This is how rebuild-from-scratch call sites
-        (``LinkStateDatabase.graph``, ``compute_static_fibs``) get
-        incremental SPF without mutating a live graph in place.
+        the previous history.  This is how the one call site that still
+        rebuilds from scratch — ``compute_static_fibs``, and the controller's
+        baseline built the same way from the topology — gets incremental SPF;
+        a router's LSDB mutates its live graph in place instead and needs no
+        diff.
         """
         if previous is self:
             return
@@ -242,18 +314,7 @@ class ComputationGraph:
             self._version = previous._version
         else:
             self._version = previous._version + 1
-            self._delta_log.append(
-                (
-                    self._version,
-                    GraphChange(
-                        edges=tuple(deltas),
-                        prefixes=frozenset(prefix_deltas),
-                        fake_nodes=frozenset(fake_deltas),
-                    ),
-                )
-            )
-            self._log_edges += len(deltas)
-            self._trim_log()
+            self._log(tuple(deltas), tuple(prefix_deltas), tuple(fake_deltas))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -267,6 +328,12 @@ class ComputationGraph:
 
     def add_edge(self, source: str, target: str, cost: float) -> None:
         """Add (or overwrite) the directed edge ``source -> target`` at ``cost``."""
+        delta = self._set_edge(source, target, cost)
+        if delta is not None:
+            self._record(edges=(delta,))
+
+    def _set_edge(self, source: str, target: str, cost: float) -> Optional[EdgeDelta]:
+        """:meth:`add_edge` without the log entry; ``None`` when nothing changed."""
         if cost <= 0:
             raise TopologyError(f"edge {source}->{target} must have positive cost, got {cost}")
         self.add_node(source)
@@ -274,10 +341,10 @@ class ComputationGraph:
         cost = float(cost)
         old = self._edges[source].get(target)
         if old == cost:
-            return
+            return None
         self._edges[source][target] = cost
         self._redges[target][source] = cost
-        self._record(GraphChange(edges=(EdgeDelta(source, target, old, cost),)))
+        return EdgeDelta(source, target, old, cost)
 
     def remove_edge(self, source: str, target: str) -> None:
         """Remove the directed edge ``source -> target`` (raises if absent)."""
@@ -286,7 +353,7 @@ class ComputationGraph:
         except KeyError:
             raise TopologyError(f"no edge {source}->{target}") from None
         del self._redges[target][source]
-        self._record(GraphChange(edges=(EdgeDelta(source, target, old, None),)))
+        self._record(edges=(EdgeDelta(source, target, old, None),))
 
     def announce(self, node: str, prefix: Prefix, cost: float) -> None:
         """Record that ``node`` announces ``prefix`` at metric ``cost``.
@@ -294,16 +361,56 @@ class ComputationGraph:
         If the node announces the same prefix several times, the cheapest
         announcement wins (matching OSPF behaviour for duplicate externals).
         """
+        if self._set_announcement(node, prefix, cost):
+            self._record(prefixes=(prefix,))
+
+    def _set_announcement(self, node: str, prefix: Prefix, cost: float) -> bool:
+        """:meth:`announce` without the log entry; whether anything changed."""
         if cost < 0:
             raise TopologyError(f"announcement cost must be non-negative, got {cost}")
         self.add_node(node)
         announcements = self._announcements.setdefault(node, {})
         current = announcements.get(prefix)
-        if current is None or cost < current:
-            if current is None:
-                self._prefix_refs[prefix] = self._prefix_refs.get(prefix, 0) + 1
-            announcements[prefix] = float(cost)
-            self._record(GraphChange(prefixes=frozenset((prefix,))))
+        if current is not None and cost >= current:
+            return False
+        if current is None:
+            self._prefix_refs[prefix] = self._prefix_refs.get(prefix, 0) + 1
+        announcements[prefix] = float(cost)
+        return True
+
+    def withdraw_announcement(self, node: str, prefix: Prefix) -> None:
+        """Drop ``node``'s announcement of ``prefix`` (raises if absent)."""
+        try:
+            del self._announcements[node][prefix]
+        except KeyError:
+            raise TopologyError(f"{node!r} does not announce {prefix}") from None
+        if not self._announcements[node]:
+            del self._announcements[node]
+        self._release_prefix(prefix)
+        self._record(prefixes=(prefix,))
+
+    def _release_prefix(self, prefix: Prefix) -> None:
+        remaining = self._prefix_refs[prefix] - 1
+        if remaining:
+            self._prefix_refs[prefix] = remaining
+        else:
+            del self._prefix_refs[prefix]
+
+    def discard_node(self, name: str) -> None:
+        """Drop ``name`` if it is isolated and announces nothing (else a no-op).
+
+        The inverse of :meth:`add_node`: like an isolated node appearing, one
+        vanishing gets its own version but no delta step.
+        """
+        if (
+            name in self._edges
+            and not self._edges[name]
+            and not self._redges[name]
+            and name not in self._announcements
+        ):
+            del self._edges[name]
+            del self._redges[name]
+            self._version += 1
 
     def add_fake_node(
         self,
@@ -319,18 +426,26 @@ class ComputationGraph:
         The fake link is added in both directions so that the anchor reaches
         the fake node; the reverse direction never matters for destination
         prefixes but keeps the graph symmetric, as OSPF's two-way check would.
+        Links, announcement and resolution metadata go into the log as one
+        step.
         """
         if name in self._fake_nodes:
             raise TopologyError(f"fake node {name!r} already present")
         if anchor not in self._edges:
             raise TopologyError(f"fake node {name!r} anchored at unknown router {anchor!r}")
-        self.add_edge(anchor, name, link_cost)
-        self.add_edge(name, anchor, link_cost)
-        self.announce(name, prefix, prefix_cost)
+        links = (
+            self._set_edge(anchor, name, link_cost),
+            self._set_edge(name, anchor, link_cost),
+        )
+        announced = self._set_announcement(name, prefix, prefix_cost)
         self._fake_nodes[name] = FakeNodeInfo(
             name=name, anchor=anchor, forwarding_address=forwarding_address
         )
-        self._record(GraphChange(fake_nodes=frozenset((name,))))
+        self._record(
+            edges=tuple(delta for delta in links if delta is not None),
+            prefixes=(prefix,) if announced else (),
+            fake_nodes=(name,),
+        )
 
     def remove_fake_node(self, name: str) -> None:
         """Remove a fake node, its fake links and its announcements."""
@@ -350,18 +465,8 @@ class ComputationGraph:
         self._redges.pop(name, None)
         withdrawn = self._announcements.pop(name, {})
         for prefix in withdrawn:
-            remaining = self._prefix_refs.get(prefix, 0) - 1
-            if remaining > 0:
-                self._prefix_refs[prefix] = remaining
-            else:
-                self._prefix_refs.pop(prefix, None)
-        self._record(
-            GraphChange(
-                edges=tuple(deltas),
-                prefixes=frozenset(withdrawn),
-                fake_nodes=frozenset((name,)),
-            )
-        )
+            self._release_prefix(prefix)
+        self._record(edges=tuple(deltas), prefixes=tuple(withdrawn), fake_nodes=(name,))
 
     # ------------------------------------------------------------------ #
     # Builders

@@ -24,6 +24,7 @@ higher sequence number replaces an older instance of the same LSA (same
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.util.errors import ValidationError
@@ -66,7 +67,12 @@ class Lsa:
 
     @property
     def key(self) -> LsaKey:
-        """Identity of this LSA in the LSDB (subclasses must override)."""
+        """Identity of this LSA in the LSDB.
+
+        Subclasses override it with a ``cached_property``: the key is built
+        once per instance (``withdraw``/``refresh`` make fresh objects, so it
+        cannot go stale) and takes no part in equality, hashing or ordering.
+        """
         raise NotImplementedError
 
     def newer_than(self, other: "Lsa") -> bool:
@@ -108,7 +114,7 @@ class RouterLsa(Lsa):
                 raise ValidationError("router LSA link has an empty neighbor name")
             check_positive(cost, f"cost of link {self.origin}->{neighbor}")
 
-    @property
+    @cached_property
     def key(self) -> LsaKey:
         return LsaKey(kind="router", origin=self.origin)
 
@@ -129,7 +135,7 @@ class PrefixLsa(Lsa):
         super().__post_init__()
         check_non_negative(self.metric, "metric")
 
-    @property
+    @cached_property
     def key(self) -> LsaKey:
         return LsaKey(kind="prefix", origin=self.origin, discriminator=str(self.prefix))
 
@@ -179,7 +185,7 @@ class FakeNodeLsa(Lsa):
         check_positive(self.link_cost, "link_cost")
         check_non_negative(self.prefix_cost, "prefix_cost")
 
-    @property
+    @cached_property
     def key(self) -> LsaKey:
         return LsaKey(kind="fake", origin=self.origin, discriminator=self.fake_node)
 

@@ -5,14 +5,26 @@ of, keyed by :class:`~repro.igp.lsa.LsaKey`.  Installation follows OSPF
 semantics: a higher sequence number replaces an older instance, a withdrawn
 instance removes the LSA, and stale or duplicate instances are ignored (and
 reported as such so flooding can stop).
+
+The database also owns the router's one live
+:class:`~repro.igp.graph.ComputationGraph`.  The first :meth:`graph` call
+builds it with :meth:`~repro.igp.graph.ComputationGraph.from_lsdb`; from
+then on :meth:`install` applies each accepted LSA to it as one recorded delta
+step, under the rules ``from_lsdb`` builds by (two-way check for edges; a
+fake node is in the graph iff its forwarding address is a two-way neighbour
+of its anchor), so SPF and RIB repair read what changed from the graph's own
+log.  ``from_lsdb(live_lsas())`` stays the oracle the live graph must equal
+(``tests/test_igp_graph_incremental.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Iterator, List, Optional
 
 from repro.igp.graph import ComputationGraph
-from repro.igp.lsa import Lsa, LsaKey
+from repro.igp.lsa import FakeNodeLsa, Lsa, LsaKey, PrefixLsa, RouterLsa
+from repro.util.errors import TopologyError
 
 __all__ = ["LinkStateDatabase"]
 
@@ -24,6 +36,11 @@ class LinkStateDatabase:
         self.owner = owner
         self._lsas: Dict[LsaKey, Lsa] = {}
         self._version = 0
+        self._graph: Optional[ComputationGraph] = None
+        # Live lies by anchor, whether or not they are in the graph right
+        # now: the ones to re-check when an adjacency of the anchor comes or
+        # goes.  Maintained once the live graph exists.
+        self._lies_at: Dict[str, Dict[LsaKey, FakeNodeLsa]] = {}
 
     @property
     def version(self) -> int:
@@ -41,13 +58,13 @@ class LinkStateDatabase:
         current = self._lsas.get(key)
         if current is not None and lsa.sequence <= current.sequence:
             return False
-        if lsa.withdrawn:
-            # Remember the withdrawal itself so that older instances arriving
-            # later (out-of-order flooding) are recognised as stale.
-            self._lsas[key] = lsa
-        else:
-            self._lsas[key] = lsa
+        # A withdrawal is stored like any other instance, so that older
+        # instances arriving later (out-of-order flooding) are recognised as
+        # stale.
+        self._lsas[key] = lsa
         self._version += 1
+        if self._graph is not None:
+            self._apply(current, lsa)
         return True
 
     def get(self, key: LsaKey) -> Optional[Lsa]:
@@ -63,8 +80,137 @@ class LinkStateDatabase:
         return [self._lsas[key] for key in sorted(self._lsas)]
 
     def graph(self) -> ComputationGraph:
-        """Build the computation graph from the live contents of the LSDB."""
-        return ComputationGraph.from_lsdb(self.live_lsas())
+        """The live computation graph of this LSDB (read-only for callers).
+
+        Built from the live LSAs on the first call; the same object, kept in
+        step by :meth:`install`, on every later one.
+        """
+        if self._graph is None:
+            live = self.live_lsas()
+            self._graph = ComputationGraph.from_lsdb(live)
+            for lsa in live:
+                if isinstance(lsa, FakeNodeLsa):
+                    self._lies_at.setdefault(lsa.anchor, {})[lsa.key] = lsa
+        return self._graph
+
+    # ------------------------------------------------------------------ #
+    # Delta application (one installed LSA = one graph log step)
+    # ------------------------------------------------------------------ #
+    def _apply(self, old: Optional[Lsa], new: Lsa) -> None:
+        """Move the live graph from ``old`` (the instance replaced) to ``new``."""
+        if old is not None and old.withdrawn:
+            old = None
+        if new.withdrawn:
+            live = None
+        elif old is not None and replace(old, sequence=new.sequence) == new:
+            return  # a refresh: the graph, and so its version, must not move
+        else:
+            live = new
+        with self._graph.one_step():
+            if isinstance(new, RouterLsa):
+                self._apply_router(new.origin, old, live)
+            elif isinstance(new, PrefixLsa):
+                self._apply_prefix(new.origin, old, live)
+            elif isinstance(new, FakeNodeLsa):
+                self._apply_fake(old, live)
+            else:  # pragma: no cover - future LSA kinds
+                raise TopologyError(f"unsupported LSA type {type(new).__name__}")
+
+    def _apply_router(
+        self, origin: str, old: Optional[RouterLsa], new: Optional[RouterLsa]
+    ) -> None:
+        graph = self._graph
+        # ``dict`` keeps the last of duplicate neighbour entries, as from_lsdb does.
+        before = dict(old.links) if old is not None else {}
+        after = dict(new.links) if new is not None else {}
+        if new is not None:
+            graph.add_node(origin)
+        for neighbor in [*before, *(name for name in after if name not in before)]:
+            was, now = before.get(neighbor), after.get(neighbor)
+            if was == now:
+                continue
+            # The two-way check: the adjacency exists while both ends
+            # advertise it.  A self-advertisement is its own reverse.
+            if neighbor == origin:
+                back_was, back_now = was, now
+            else:
+                back_was = back_now = self._advertised(neighbor, origin)
+            existed = was is not None and back_was is not None
+            exists = now is not None and back_now is not None
+            if exists:
+                graph.add_edge(origin, neighbor, now)  # new, or re-costed
+                if not existed:
+                    graph.add_edge(neighbor, origin, back_now)
+            elif existed:
+                graph.remove_edge(origin, neighbor)
+                if neighbor != origin:
+                    graph.remove_edge(neighbor, origin)
+            if existed != exists:
+                self._recheck_lies(origin, neighbor)
+                self._recheck_lies(neighbor, origin)
+        if new is None:
+            graph.discard_node(origin)
+
+    def _live_router_lsa(self, router: str) -> Optional[RouterLsa]:
+        lsa = self._lsas.get(LsaKey(kind="router", origin=router))
+        return lsa if lsa is not None and not lsa.withdrawn else None
+
+    def _advertised(self, router: str, neighbor: str) -> Optional[float]:
+        """Cost at which ``router``'s live router LSA advertises ``neighbor``."""
+        lsa = self._live_router_lsa(router)
+        cost = None
+        if lsa is not None:
+            for name, link_cost in lsa.links:
+                if name == neighbor:
+                    cost = link_cost
+        return cost
+
+    def _apply_prefix(
+        self, origin: str, old: Optional[PrefixLsa], new: Optional[PrefixLsa]
+    ) -> None:
+        graph = self._graph
+        if old is not None:
+            graph.withdraw_announcement(origin, old.prefix)
+        if new is not None:
+            graph.announce(origin, new.prefix, new.metric)
+        elif self._live_router_lsa(origin) is None:
+            graph.discard_node(origin)
+
+    def _apply_fake(self, old: Optional[FakeNodeLsa], new: Optional[FakeNodeLsa]) -> None:
+        if old is not None:
+            lies = self._lies_at[old.anchor]
+            del lies[old.key]
+            if not lies:
+                del self._lies_at[old.anchor]
+            if self._graph.is_fake(old.fake_node):
+                self._graph.remove_fake_node(old.fake_node)
+        if new is not None:
+            self._lies_at.setdefault(new.anchor, {})[new.key] = new
+            self._sync_lie(new)
+
+    def _recheck_lies(self, anchor: str, forwarding_address: str) -> None:
+        """Re-evaluate the lies at ``anchor`` that forward to ``forwarding_address``."""
+        for lie in self._lies_at.get(anchor, {}).values():
+            if lie.forwarding_address == forwarding_address:
+                self._sync_lie(lie)
+
+    def _sync_lie(self, lie: FakeNodeLsa) -> None:
+        """Put ``lie`` in the graph iff its forwarding adjacency is up."""
+        graph = self._graph
+        wanted = graph.has_node(lie.anchor) and (
+            lie.forwarding_address in graph.successors(lie.anchor)
+        )
+        if wanted and not graph.is_fake(lie.fake_node):
+            graph.add_fake_node(
+                name=lie.fake_node,
+                anchor=lie.anchor,
+                link_cost=lie.link_cost,
+                prefix=lie.prefix,
+                prefix_cost=lie.prefix_cost,
+                forwarding_address=lie.forwarding_address,
+            )
+        elif not wanted and graph.is_fake(lie.fake_node):
+            graph.remove_fake_node(lie.fake_node)
 
     def __len__(self) -> int:
         return len(self._lsas)

@@ -64,10 +64,11 @@ class RouterProcess:
         self.fib_version = 0
         self.spf_runs = 0
         #: Versioned route cache: SPF runs triggered by LSDB changes that
-        #: leave the computation graph identical (refreshes) are free, changed
-        #: graphs are repaired from the dirty-edge deltas instead of rerunning
-        #: Dijkstra from scratch, and the RIB/FIB are repaired per dirty
-        #: prefix instead of rescanning every announced prefix.
+        #: leave the computation graph untouched (refreshes) are free, changed
+        #: graphs are repaired from the deltas the LSDB recorded on its live
+        #: graph instead of rerunning Dijkstra from scratch, and the RIB/FIB
+        #: are repaired per dirty prefix instead of rescanning every
+        #: announced prefix.
         self.rib_cache = RibCache()
         self.spf_cache = self.rib_cache.spf_cache
         self._spf_scheduled = False
@@ -118,7 +119,7 @@ class RouterProcess:
     def _run_spf(self) -> None:
         self._spf_scheduled = False
         self.spf_runs += 1
-        graph = self.rib_cache.observe(self.lsdb.graph())
+        graph = self.lsdb.graph()
         if not graph.has_node(self.name):
             # The router has not yet heard its own router LSA; nothing to compute.
             return
@@ -128,6 +129,9 @@ class RouterProcess:
             self.spf_cache.counters.hits += 1
             return
         rib, fib = self.rib_cache.resolve(graph, self.name, max_ecmp=self.max_ecmp)
+        # This router's caches are the only readers of its graph's delta log
+        # and have just caught up with it.
+        graph.drop_history()
         self.rib = rib
         self._fib_graph_version = graph.version
         self.timeline.schedule_in(

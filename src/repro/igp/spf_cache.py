@@ -9,10 +9,13 @@ re-relaxed; and when the log cannot reach back far enough (or the change
 touches too much of the graph) the cache transparently falls back to a full
 :func:`~repro.igp.spf.compute_spf`.
 
-The cache also understands *rebuilt* graphs: call sites that construct a
-fresh :class:`~repro.igp.graph.ComputationGraph` per event (the per-router
-LSDB, :func:`~repro.igp.network.compute_static_fibs`) hand every new build to
-:meth:`SpfCache.observe`, which chains it to the previously observed build
+A router's LSDB keeps one live graph and records every installed LSA on its
+log, so the router's cache always sees the same object and replays recorded
+deltas.  The cache also understands *rebuilt* graphs, for the one call site
+that still constructs a fresh :class:`~repro.igp.graph.ComputationGraph` per
+call — :func:`~repro.igp.network.compute_static_fibs`, with the controller's
+lie-free baseline built the same way from the topology: every new build goes
+to :meth:`SpfCache.observe`, which chains it to the previously observed build
 via :meth:`~repro.igp.graph.ComputationGraph.continue_from` — identical
 states keep their version (pure hits), changed states get exactly one delta
 step appended.

@@ -23,8 +23,10 @@ approximates with integer ECMP weights and enforces with lies.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -155,6 +157,58 @@ class OptimizationResult:
         return result
 
 
+class _LinkModel:
+    """What the LP assembly needs of one :attr:`Topology.revision`, as arrays.
+
+    Links are in sorted key order (the LP's column order within a prefix
+    block) and routers in sorted name order (its row order); ``src`` /
+    ``dst`` hold each link's endpoint as a router index.  The per-prefix
+    vectors are filled on first use and live as long as the revision does.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        self.topology = topology
+        self.revision = topology.revision
+        links = topology.links
+        self.routers = topology.routers
+        self.router_index = {router: i for i, router in enumerate(self.routers)}
+        self.links: List[LinkKey] = [link.key for link in links]
+        self.src = np.array([self.router_index[link.source] for link in links], dtype=np.intp)
+        self.dst = np.array([self.router_index[link.target] for link in links], dtype=np.intp)
+        self.weights = np.array([link.weight for link in links], dtype=float)
+        self.capacities = np.array([link.capacity for link in links], dtype=float)
+        #: Reversed adjacency, for the backward Dijkstra of the stretch bound.
+        self.reverse: Dict[str, List[Tuple[str, float]]] = {
+            router: [] for router in self.routers
+        }
+        for link in links:
+            self.reverse[link.target].append((link.source, link.weight))
+        self._row_of: Dict[Prefix, np.ndarray] = {}
+        #: Per prefix, each router's distance to it (NaN when unreachable).
+        self.distances: Dict[Prefix, np.ndarray] = {}
+
+    @cached_property
+    def capacity_digest(self) -> str:
+        """:func:`capacity_digest` of the revision, so steady-state plan-cache
+        lookups skip the O(links) hashing pass."""
+        return capacity_digest(self.topology)
+
+    def row_of(self, prefix: Prefix) -> np.ndarray:
+        """Per router, its flow-conservation row within ``prefix``'s block.
+
+        Rows number the non-announcing routers in sorted order; announcing
+        routers are sinks and carry -1.
+        """
+        rows = self._row_of.get(prefix)
+        if rows is None:
+            conserving = np.ones(len(self.routers), dtype=bool)
+            for attachment in self.topology.prefix_attachments(prefix):
+                conserving[self.router_index[attachment.router]] = False
+            rows = np.where(conserving, np.cumsum(conserving) - 1, -1)
+            self._row_of[prefix] = rows
+        return rows
+
+
 class MinMaxLoadOptimizer:
     """Computes min-max link-utilisation routings for a set of destinations."""
 
@@ -199,9 +253,7 @@ class MinMaxLoadOptimizer:
         self.background_quantum = background_quantum
         #: Optional plan cache for whole-LP-solution reuse (see class docs).
         self.plan_cache = plan_cache
-        # Capacity digest memo keyed on the topology revision, so steady-
-        # state cache lookups skip the O(links) hashing pass.
-        self._capacity_memo: Optional[Tuple[int, str]] = None
+        self._model: Optional[_LinkModel] = None
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -239,7 +291,7 @@ class MinMaxLoadOptimizer:
             cache_key = (
                 plan_version,
                 demands.digest(),
-                self._cached_capacity_digest(),
+                self._link_model().capacity_digest,
                 tuple(str(prefix) for prefix in prefixes),
                 repr(self.flow_penalty),
                 repr(self.max_stretch),
@@ -252,108 +304,15 @@ class MinMaxLoadOptimizer:
                 self.plan_cache.counters.opt_cache_hits += 1
                 return cached
 
-        # The link set is (re)read on every run so that the same optimizer
-        # instance stays valid across topology changes (failures, additions).
-        self._links = [link.key for link in self.topology.links]
-        self._link_index = {key: i for i, key in enumerate(self._links)}
-        self._capacities = np.array(
-            [self.topology.link(*key).capacity for key in self._links]
-        )
-
-        num_links = len(self._links)
-        num_vars = len(prefixes) * num_links + 1  # +1 for theta
-        theta_index = num_vars - 1
-        routers = self.topology.routers
-
-        objective = np.full(num_vars, 0.0)
-        objective[theta_index] = 1.0
-        scale = max(demands.total(), 1.0)
-        objective[:theta_index] = self.flow_penalty / scale
-
-        eq_rows: List[int] = []
-        eq_cols: List[int] = []
-        eq_vals: List[float] = []
-        eq_rhs: List[float] = []
-        row = 0
-        for p_index, prefix in enumerate(prefixes):
-            attachments = {
-                attachment.router for attachment in self.topology.prefix_attachments(prefix)
-            }
-            per_ingress = demands.demands_for(prefix)
-            base = p_index * num_links
-            for router in routers:
-                if router in attachments:
-                    continue
-                for link_key, link_idx in self._link_index.items():
-                    source, target = link_key
-                    if source == router:
-                        eq_rows.append(row)
-                        eq_cols.append(base + link_idx)
-                        eq_vals.append(1.0)
-                    elif target == router:
-                        eq_rows.append(row)
-                        eq_cols.append(base + link_idx)
-                        eq_vals.append(-1.0)
-                eq_rhs.append(per_ingress.get(router, 0.0))
-                row += 1
-
-        ub_rows: List[int] = []
-        ub_cols: List[int] = []
-        ub_vals: List[float] = []
-        ub_rhs: List[float] = []
-        for link_idx, link_key in enumerate(self._links):
-            for p_index in range(len(prefixes)):
-                ub_rows.append(link_idx)
-                ub_cols.append(p_index * num_links + link_idx)
-                ub_vals.append(1.0)
-            ub_rows.append(link_idx)
-            ub_cols.append(theta_index)
-            ub_vals.append(-float(self._capacities[link_idx]))
-            background_load = 0.0
-            if self.background is not None:
-                background_load = self.background.load(*link_key)
-            ub_rhs.append(-background_load)
-
-        a_eq = sparse.coo_matrix(
-            (eq_vals, (eq_rows, eq_cols)), shape=(row, num_vars)
-        ).tocsr()
-        a_ub = sparse.coo_matrix(
-            (ub_vals, (ub_rows, ub_cols)), shape=(num_links, num_vars)
-        ).tocsr()
-
-        bounds: List[Tuple[float, Optional[float]]] = [(0.0, None)] * num_vars
-        if self.max_stretch is not None:
-            for p_index, prefix in enumerate(prefixes):
-                base = p_index * num_links
-                distances = self._distance_to_prefix(prefix)
-                for link_key, link_idx in self._link_index.items():
-                    source, target = link_key
-                    source_dist = distances.get(source)
-                    target_dist = distances.get(target)
-                    weight = self.topology.link(source, target).weight
-                    usable = (
-                        source_dist is not None
-                        and target_dist is not None
-                        and weight + target_dist <= source_dist + self.max_stretch + 1e-9
-                    )
-                    if not usable:
-                        bounds[base + link_idx] = (0.0, 0.0)
-
-        solution = linprog(
-            c=objective,
-            A_ub=a_ub,
-            b_ub=np.array(ub_rhs),
-            A_eq=a_eq,
-            b_eq=np.array(eq_rhs),
-            bounds=bounds,
-            method="highs",
-        )
+        solution = linprog(method="highs", **self._linprog_arguments(demands, prefixes))
         if not solution.success:
             raise ControllerError(
                 f"min-max optimisation failed: {solution.message} (status {solution.status})"
             )
 
         values = solution.x
+        links = self._link_model().links
+        num_links = len(links)
         # Solver noise threshold: flows this small (relative to the offered
         # load) are numerical artefacts of the LP vertex, not routing
         # decisions, and would only confuse the flow decomposition and the
@@ -362,18 +321,16 @@ class MinMaxLoadOptimizer:
         flows: Dict[Prefix, Dict[LinkKey, float]] = {}
         total_flow = 0.0
         for p_index, prefix in enumerate(prefixes):
-            base = p_index * num_links
+            block = values[p_index * num_links : (p_index + 1) * num_links]
+            kept = np.nonzero(block > noise)[0]
             per_link: Dict[LinkKey, float] = {}
-            for link_key, link_idx in self._link_index.items():
-                value = float(values[base + link_idx])
-                if value > noise:
-                    per_link[link_key] = value
-                    total_flow += value
-            per_link = _remove_cycles(per_link)
-            flows[prefix] = per_link
+            for link_idx, value in zip(kept.tolist(), block[kept].tolist()):
+                per_link[links[link_idx]] = value
+                total_flow += value
+            flows[prefix] = _remove_cycles(per_link)
 
         result = OptimizationResult(
-            objective=float(values[theta_index]),
+            objective=float(values[-1]),
             flows=flows,
             status="optimal",
             prefixes=prefixes,
@@ -383,15 +340,135 @@ class MinMaxLoadOptimizer:
             self.plan_cache.store_optimization(cache_key, result)
         return result
 
-    def _cached_capacity_digest(self) -> str:
-        """The topology's capacity digest, memoised on its revision."""
-        revision = self.topology.revision
-        memo = self._capacity_memo
-        if memo is not None and memo[0] == revision:
-            return memo[1]
-        digest = capacity_digest(self.topology)
-        self._capacity_memo = (revision, digest)
-        return digest
+    def _linprog_arguments(
+        self, demands: TrafficMatrix, prefixes: Sequence[Prefix]
+    ) -> Dict[str, Any]:
+        """The LP of :meth:`optimize` as ``scipy.optimize.linprog`` keyword arguments.
+
+        Variables are prefix-major, link-minor (links in sorted key order),
+        ``theta`` last; equality rows are one flow-conservation row per
+        (prefix, non-announcing router) in sorted router order, inequality
+        rows one capacity row per link.  Everything that depends on the
+        topology alone comes from the per-revision :class:`_LinkModel`;
+        ``background``, ``max_stretch``, ``flow_penalty`` and the demands
+        are read on every call.
+        """
+        model = self._link_model()
+        num_links = len(model.links)
+        num_prefixes = len(prefixes)
+        num_flow_vars = num_prefixes * num_links
+        num_vars = num_flow_vars + 1  # +1 for theta
+        theta_index = num_flow_vars
+
+        objective = np.full(num_vars, self.flow_penalty / max(demands.total(), 1.0))
+        objective[theta_index] = 1.0
+
+        # Flow conservation: +1 on the row of a link's source router, -1 on
+        # the row of its target router; announcing routers (row -1) are
+        # sinks and have no row.
+        row_of = np.stack([model.row_of(prefix) for prefix in prefixes])
+        row_counts = row_of.max(axis=1) + 1
+        row_base = np.cumsum(row_counts) - row_counts
+        columns = np.arange(num_flow_vars).reshape(num_prefixes, num_links)
+        out_rows = row_of[:, model.src]
+        in_rows = row_of[:, model.dst]
+        leaves = out_rows >= 0
+        enters = in_rows >= 0
+        block_rows = row_base[:, None]
+        eq_rows = np.concatenate(
+            ((out_rows + block_rows)[leaves], (in_rows + block_rows)[enters])
+        )
+        eq_cols = np.concatenate((columns[leaves], columns[enters]))
+        eq_vals = np.ones(len(eq_rows))
+        eq_vals[np.count_nonzero(leaves) :] = -1.0
+        a_eq = sparse.coo_matrix(
+            (eq_vals, (eq_rows, eq_cols)), shape=(int(row_counts.sum()), num_vars)
+        ).tocsr()
+
+        eq_rhs = np.zeros(a_eq.shape[0])
+        offered: Dict[Prefix, List[Tuple[str, float]]] = {}
+        for entry in demands.entries():
+            offered.setdefault(entry.prefix, []).append((entry.ingress, entry.rate))
+        for p_index, prefix in enumerate(prefixes):
+            for ingress, rate in offered.get(prefix, ()):
+                router = model.router_index.get(ingress)
+                if router is None:
+                    raise ControllerError(
+                        f"demand toward {prefix} enters at {ingress!r}, "
+                        "which is not a router of the topology"
+                    )
+                row = row_of[p_index, router]
+                # Demand entering where the prefix is announced is
+                # delivered locally: no row, nothing to route.
+                if row >= 0:
+                    eq_rhs[row_base[p_index] + row] = rate
+
+        # Capacity: the optimised flows on a link, plus its background
+        # load, stay within theta times its capacity.
+        link_ids = np.arange(num_links)
+        ub_rows = np.concatenate((np.tile(link_ids, num_prefixes), link_ids))
+        ub_cols = np.concatenate(
+            (np.arange(num_flow_vars), np.full(num_links, theta_index))
+        )
+        ub_vals = np.concatenate((np.ones(num_flow_vars), -model.capacities))
+        a_ub = sparse.coo_matrix(
+            (ub_vals, (ub_rows, ub_cols)), shape=(num_links, num_vars)
+        ).tocsr()
+        if self.background is None:
+            ub_rhs = -np.zeros(num_links)
+        else:
+            ub_rhs = -np.array(
+                [self.background.load(*key) for key in model.links], dtype=float
+            )
+
+        bounds = np.zeros((num_vars, 2))
+        bounds[:, 1] = np.inf
+        if self.max_stretch is not None:
+            # A router that cannot reach the prefix has distance NaN, which
+            # fails the comparison and so closes its links.
+            distances = np.stack([self._stretch_distances(prefix) for prefix in prefixes])
+            usable = (
+                model.weights + distances[:, model.dst]
+                <= distances[:, model.src] + self.max_stretch + 1e-9
+            )
+            bounds[:num_flow_vars, 1][~usable.ravel()] = 0.0
+
+        return {
+            "c": objective,
+            "A_ub": a_ub,
+            "b_ub": ub_rhs,
+            "A_eq": a_eq,
+            "b_eq": eq_rhs,
+            "bounds": bounds,
+        }
+
+    def _link_model(self) -> _LinkModel:
+        """The array model of the topology, rebuilt when its revision moved.
+
+        Keyed on the topology object too, so the same optimizer instance
+        stays valid across topology changes (failures, additions) and
+        across a reassigned ``topology``.
+        """
+        model = self._model
+        if (
+            model is None
+            or model.topology is not self.topology
+            or model.revision != self.topology.revision
+        ):
+            model = self._model = _LinkModel(self.topology)
+        return model
+
+    def _stretch_distances(self, prefix: Prefix) -> np.ndarray:
+        """:meth:`_distance_to_prefix` per router index, once per revision."""
+        model = self._link_model()
+        distances = model.distances.get(prefix)
+        if distances is None:
+            found = self._distance_to_prefix(prefix)
+            distances = np.array(
+                [found.get(router, np.nan) for router in model.routers], dtype=float
+            )
+            model.distances[prefix] = distances
+        return distances
 
     def _distance_to_prefix(self, prefix: Prefix) -> Dict[str, float]:
         """Shortest IGP cost from every router to ``prefix`` (multi-source Dijkstra).
@@ -399,12 +476,7 @@ class MinMaxLoadOptimizer:
         Run backwards from the announcing routers over reversed links, so one
         run per prefix suffices regardless of the number of ingresses.
         """
-        import heapq
-
-        reverse: Dict[str, List[Tuple[str, float]]] = {router: [] for router in self.topology.routers}
-        for link in self.topology.links:
-            reverse[link.target].append((link.source, link.weight))
-
+        reverse = self._link_model().reverse
         distances: Dict[str, float] = {}
         heap: List[Tuple[float, str]] = []
         for attachment in self.topology.prefix_attachments(prefix):
@@ -429,30 +501,30 @@ def _remove_cycles(per_link: Dict[LinkKey, float]) -> Dict[LinkKey, float]:
         for (source, target), value in flows.items():
             if value > 1e-9:
                 graph.setdefault(source, []).append(target)
-        visiting: Dict[str, int] = {}
-        stack: List[str] = []
-
-        def dfs(node: str) -> Optional[List[str]]:
-            visiting[node] = 1
-            stack.append(node)
-            for successor in graph.get(node, []):
-                state = visiting.get(successor, 0)
-                if state == 1:
-                    cycle_start = stack.index(successor)
-                    return stack[cycle_start:] + [successor]
-                if state == 0:
-                    found = dfs(successor)
-                    if found:
-                        return found
-            stack.pop()
-            visiting[node] = 2
-            return None
-
-        for node in sorted(graph):
-            if visiting.get(node, 0) == 0:
-                found = dfs(node)
-                if found:
-                    return list(zip(found, found[1:]))
+        # Depth-first search with an explicit stack (a flow path can be
+        # longer than the interpreter's recursion limit): 1 = on the
+        # current path, 2 = finished.
+        state: Dict[str, int] = {}
+        for start in sorted(graph):
+            if start in state:
+                continue
+            state[start] = 1
+            path: List[str] = [start]
+            pending: List[Iterator[str]] = [iter(graph[start])]
+            while path:
+                for successor in pending[-1]:
+                    seen = state.get(successor, 0)
+                    if seen == 1:
+                        cycle = path[path.index(successor) :] + [successor]
+                        return list(zip(cycle, cycle[1:]))
+                    if seen == 0:
+                        state[successor] = 1
+                        path.append(successor)
+                        pending.append(iter(graph.get(successor, ())))
+                        break
+                else:
+                    state[path.pop()] = 2
+                    pending.pop()
         return None
 
     for _ in range(len(flows) + 1):

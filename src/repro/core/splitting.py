@@ -6,15 +6,16 @@ an integer number of entries per next hop (1 entry toward B and 2 toward R1
 in the paper's Fig. 1c).  The total number of entries per prefix is bounded
 by the router's ECMP table size, so arbitrary fractions must be approximated.
 
-:func:`approximate_ratios` searches every feasible denominator up to the
-table size and applies the largest-remainder method, returning the weight
-vector with the smallest L1 error (ties broken toward fewer entries, i.e.
-fewer fake nodes to inject).
+:func:`approximate_ratios` searches the feasible denominators up to the
+table size in increasing order with the largest-remainder method, returning
+the weight vector with the smallest L1 error (ties broken toward fewer
+entries, i.e. fewer fake nodes to inject) and stopping at the first
+denominator that realises the split exactly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.util.errors import ControllerError, ValidationError
 from repro.util.validation import check_positive
@@ -59,15 +60,19 @@ def weights_to_fractions(weights: Mapping[str, int]) -> Dict[str, float]:
     return {key: weight / total for key, weight in weights.items() if weight > 0}
 
 
+def _l1_distance(desired: Mapping[str, float], weights: Mapping[str, int]) -> float:
+    """L1 distance between the normalised ``desired`` split and the realised one."""
+    realised = weights_to_fractions(weights) if weights else {}
+    keys = set(desired) | set(realised)
+    return sum(abs(desired.get(key, 0.0) - realised.get(key, 0.0)) for key in keys)
+
+
 def split_error(fractions: Mapping[str, float], weights: Mapping[str, int]) -> float:
     """L1 distance between the desired fractions and the realised split.
 
     The error ranges from 0 (exact) to 2 (completely disjoint supports).
     """
-    desired = _normalize(fractions)
-    realised = weights_to_fractions(weights) if weights else {}
-    keys = set(desired) | set(realised)
-    return sum(abs(desired.get(key, 0.0) - realised.get(key, 0.0)) for key in keys)
+    return _l1_distance(_normalize(fractions), weights)
 
 
 def approximate_ratios(
@@ -76,10 +81,12 @@ def approximate_ratios(
 ) -> Dict[str, int]:
     """Best integer-weight approximation of ``fractions`` with at most ``max_entries`` entries.
 
-    Every denominator from 1 to ``max_entries`` is tried with the
+    Denominators from 1 to ``max_entries`` are tried in order with the
     largest-remainder method; the weights with the lowest L1 error win, and
     among equally good candidates the one using the fewest entries is kept
-    (each extra entry is an extra fake node to inject and maintain).
+    (each extra entry is an extra fake node to inject and maintain).  The
+    search therefore ends at the first denominator whose error is zero: no
+    larger one can do better, and every smaller one did worse.
 
     >>> approximate_ratios({"B": 1 / 3, "R1": 2 / 3}, max_entries=16)
     {'B': 1, 'R1': 2}
@@ -87,14 +94,22 @@ def approximate_ratios(
     if max_entries < 1:
         raise ControllerError(f"max_entries must be >= 1, got {max_entries}")
     desired = _normalize(fractions)
+    # The error of a candidate is ``split_error(desired, candidate)``, which
+    # normalises its first argument again — and dividing an already
+    # normalised split by its sum can still move the last ulp.  Done once
+    # here instead of once per denominator.
+    target = _normalize(desired)
     best_weights: Dict[str, int] | None = None
-    best_key: Tuple[float, int] | None = None
+    best_error: float | None = None
     for denominator in range(1, max_entries + 1):
         weights = _largest_remainder(desired, denominator)
-        error = split_error(desired, weights)
-        key = (round(error, 12), sum(weights.values()))
-        if best_key is None or key < best_key:
-            best_key = key
+        error = round(_l1_distance(target, weights), 12)
+        if error == 0:
+            return weights
+        # Largest-remainder weights sum to the denominator, so an equal
+        # error later on always costs more entries: only a smaller one wins.
+        if best_error is None or error < best_error:
+            best_error = error
             best_weights = weights
     assert best_weights is not None  # max_entries >= 1 guarantees one candidate
     return best_weights

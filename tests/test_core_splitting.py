@@ -1,7 +1,10 @@
 """Tests for splitting-ratio approximation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import splitting
 from repro.core.splitting import approximate_ratios, split_error, weights_to_fractions
 from repro.util.errors import ControllerError, ValidationError
 
@@ -81,3 +84,70 @@ class TestErrorAndFractions:
     def test_split_error_is_symmetric_in_magnitude(self):
         error = split_error({"a": 0.5, "b": 0.5}, {"a": 3, "b": 1})
         assert error == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------- #
+# The early exit against the exhaustive search
+# ---------------------------------------------------------------------- #
+def exhaustive_ratios(fractions, max_entries):
+    """Every denominator tried and scored from scratch; lowest (error, entries) wins."""
+    desired = splitting._normalize(fractions)
+    best_weights = None
+    best_key = None
+    for denominator in range(1, max_entries + 1):
+        weights = splitting._largest_remainder(desired, denominator)
+        key = (round(split_error(desired, weights), 12), sum(weights.values()))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_weights = weights
+    return best_weights
+
+
+NEXT_HOPS = ["B", "R1", "R2", "R3", "Core10", "Pop7a"]
+
+
+@st.composite
+def splits(draw):
+    """1-6 next hops; free floats or exact k/n shares; scaled; in any dict order."""
+    names = draw(st.permutations(NEXT_HOPS))[: draw(st.integers(1, len(NEXT_HOPS)))]
+    if draw(st.booleans()):
+        parts = [draw(st.integers(1, 12)) for _ in names]
+        values = [part / sum(parts) for part in parts]
+    else:
+        values = [
+            draw(st.floats(min_value=1e-3, max_value=1.0, allow_nan=False)) for _ in names
+        ]
+    scale = draw(st.sampled_from([1.0, 1.0, 3.0, 0.125, 31e6, 1 / 7]))
+    return {name: value * scale for name, value in zip(names, values)}
+
+
+class TestEarlyExitEqualsExhaustiveSearch:
+    @settings(max_examples=400, deadline=None)
+    @given(splits(), st.integers(min_value=1, max_value=32))
+    def test_same_weights_in_the_same_order(self, fractions, max_entries):
+        found = approximate_ratios(fractions, max_entries=max_entries)
+        expected = exhaustive_ratios(fractions, max_entries)
+        assert list(found.items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "fractions, stops_at",
+        [
+            ({"X": 1.0}, 1),
+            ({"X": 31e6}, 1),
+            ({"B": 1 / 3, "R1": 2 / 3}, 3),
+            ({"R2": 0.5, "R3": 0.5}, 2),
+            ({"a": 0.55, "b": 0.30, "c": 0.15}, 16),  # exact only at 20: searches to the end
+        ],
+    )
+    def test_search_stops_at_the_first_exact_denominator(self, monkeypatch, fractions, stops_at):
+        tried = []
+        original = splitting._largest_remainder
+
+        def counting(desired, denominator):
+            tried.append(denominator)
+            return original(desired, denominator)
+
+        monkeypatch.setattr(splitting, "_largest_remainder", counting)
+        weights = approximate_ratios(fractions, max_entries=16)
+        assert tried == list(range(1, stops_at + 1))
+        assert weights == exhaustive_ratios(fractions, 16)

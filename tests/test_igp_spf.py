@@ -193,3 +193,24 @@ class TestLongChainPaths:
         assert len(paths) == 1
         assert len(paths[0]) == self.HOPS + 1
         assert paths[0][0] == "n0" and paths[0][-1] == last
+
+    def test_long_chain_lp_cycle_removal(self):
+        """Same depth hazard one layer up: the min-max LP's cycle removal
+        walked the solved flow recursively, so a 1,200-router chain with
+        the prefix at the far end solved fine and then blew the stack."""
+        from repro.core.optimizer import MinMaxLoadOptimizer
+        from repro.dataplane.demand import TrafficMatrix
+        from repro.igp.topology import Topology
+
+        routers = 1200
+        topology = Topology("chain")
+        topology.add_routers([f"n{i:04d}" for i in range(routers)])
+        for i in range(routers - 1):
+            topology.add_link(f"n{i:04d}", f"n{i + 1:04d}")
+        topology.attach_prefix(f"n{routers - 1:04d}", "10.0.0.0/24")
+        demands = TrafficMatrix.from_dict({("n0000", "10.0.0.0/24"): 1e6})
+
+        result = MinMaxLoadOptimizer(topology).optimize(demands)  # RecursionError before
+        flows = result.flows[demands.prefixes[0]]
+        assert list(flows) == [(f"n{i:04d}", f"n{i + 1:04d}") for i in range(routers - 1)]
+        assert all(value == pytest.approx(1e6) for value in flows.values())

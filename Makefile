@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-quick bench-record sweep sweep-quick golden
+.PHONY: test test-fast bench bench-quick bench-record sweep sweep-quick golden perf-ab
 
 ## Tier-1 verification: the full test suite plus benchmarks-as-tests.
 test:
@@ -41,3 +41,11 @@ sweep-quick:
 ## to alter experiment numbers — say so in the commit message).
 golden:
 	$(PYTHON) tests/golden/generate.py
+
+## A/B the working tree against HEAD on one perf/ workload: PAIRS alternating
+## same-session pairs of perf/run.py, seeds SEED0, SEED0+1, ...
+W ?= flashcrowd_1m
+PAIRS ?= 10
+SEED0 ?= 1
+perf-ab:
+	$(PYTHON) scripts/perf_ab.py $(W) --pairs $(PAIRS) --seed0 $(SEED0)

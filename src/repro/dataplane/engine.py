@@ -47,10 +47,13 @@ previous sample; the Fig. 2 benchmark plots exactly those samples.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.dataplane.demand import ClassSpec, ClassSet, DemandClass
 from repro.dataplane.events import EventLog, SimulationEvent
@@ -658,16 +661,26 @@ class _ByteCohort:
 
 
 def _ids_equal(left: Sequence[int], right: Sequence[int]) -> bool:
-    """Exact equality of two ascending id populations (cheap for ranges)."""
+    """Exact equality of two strictly ascending id populations (O(1) with a range)."""
     if left is right:
         return True
     if isinstance(left, range) and isinstance(right, range):
         return left == right
     if len(left) != len(right):
         return False
+    if isinstance(right, range):
+        left, right = right, left
+    if isinstance(left, range) and left.step == 1:
+        # n strictly ascending ints from left[0] to left[-1] fill the range.
+        return not left or (left[0] == right[0] and left[-1] == right[-1])
     if type(left) is type(right):
         return left == right
     return all(a == b for a, b in zip(left, right))
+
+
+# Ids searched per numpy round trip of an array x array intersection: bounds
+# the scratch index and mask arrays whatever the cohort sizes.
+_INTERSECT_CHUNK = 1 << 13
 
 
 def _ids_intersect(left: Sequence[int], right: Sequence[int]) -> Optional[Sequence[int]]:
@@ -689,21 +702,18 @@ def _ids_intersect(left: Sequence[int], right: Sequence[int]) -> Optional[Sequen
             return None
         selected = right[lo:hi]
         return selected if len(selected) else None
-    # Two explicit arrays: linear merge.
-    from array import array
-
+    # Two explicit array('q') cohorts: binary-search each id of the shorter
+    # one in the longer one, in chunks.
+    if len(left) > len(right):
+        left, right = right, left
+    haystack = np.frombuffer(right, dtype=np.int64)
+    last = len(haystack) - 1
+    needles = np.frombuffer(left, dtype=np.int64)
     out = array("q")
-    i = j = 0
-    while i < len(left) and j < len(right):
-        a, b = left[i], right[j]
-        if a == b:
-            out.append(a)
-            i += 1
-            j += 1
-        elif a < b:
-            i += 1
-        else:
-            j += 1
+    for start in range(0, len(needles), _INTERSECT_CHUNK):
+        chunk = needles[start:start + _INTERSECT_CHUNK]
+        found = haystack[np.minimum(np.searchsorted(haystack, chunk), last)] == chunk
+        out.frombytes(chunk[found].tobytes())
     return out if len(out) else None
 
 
@@ -718,7 +728,8 @@ class AggregateDemandEngine(DataPlaneEngineBase):
     would), and :meth:`class_transmitted_bytes` for the aggregate the video
     layer feeds its cohort QoE clients from.  Work per event is
     O(classes × path groups); individual session ids are only ever touched
-    at ECMP branch partitions (``dp_classes_splits``).
+    at ECMP branch partitions (``dp_classes_splits``): one sha256 per
+    session per branch, partitioned in bounded chunks.
     """
 
     def __init__(

@@ -22,7 +22,9 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.dataplane.demand import TrafficMatrix
 from repro.dataplane.flows import Flow
@@ -195,6 +197,91 @@ def _pick_next_hop(split: Mapping[str, float], fraction: float) -> str:
     return last  # numerical slack: the hash fell into the rounding tail
 
 
+# Session ids hashed per numpy round trip of a branch partition: bounds the
+# partition's scratch memory (about 110 bytes a chunk id, under 1 MiB)
+# whatever the population.
+_PARTITION_CHUNK = 1 << 13
+
+
+def _hash_fractions(ids: Sequence[int], router: str, salt: int) -> np.ndarray:
+    """:func:`_hash_fraction` of every id in ``ids``, as a float64 array.
+
+    The digest input ``f"{salt}:{id}:{router}"`` is built as one bytes
+    ``%``-format per id, and the first eight digest bytes of all ids are
+    read as big-endian ``uint64`` at once; numpy's ``uint64 -> float64``
+    cast rounds to nearest-even as ``int / float`` does, and dividing by
+    2^64 is exact, so every value is bitwise the scalar function's.
+    """
+    template = f"{salt}:%d:{router.replace('%', '%%')}".encode("utf-8")
+    sha256 = hashlib.sha256
+    digests = np.fromiter(
+        (sha256(template % session_id).digest() for session_id in ids), "S32", count=len(ids)
+    )
+    return digests.view(">u8")[::4] / float(1 << 64)
+
+
+def _split_thresholds(split: Mapping[str, float]) -> Tuple[List[str], np.ndarray]:
+    """Sorted next hops and their cumulative weights, summed as :func:`_pick_next_hop` sums them.
+
+    ``np.cumsum`` adds left to right, so every threshold is bitwise the
+    running sum of the scalar loop.
+    """
+    next_hops = sorted(split)
+    return next_hops, np.cumsum([split[next_hop] for next_hop in next_hops], dtype=np.float64)
+
+
+def _bucket_indices(thresholds: np.ndarray, fractions: np.ndarray) -> np.ndarray:
+    """:func:`_pick_next_hop` over an array of hash fractions, as next-hop indices.
+
+    The first hop whose cumulative weight exceeds the fraction wins; a
+    fraction in the rounding tail past the last cumulative goes to the last
+    hop.
+    """
+    indices = np.searchsorted(thresholds, fractions, side="right")
+    return np.minimum(indices, len(thresholds) - 1, out=indices)
+
+
+def _id_chunks(ids: Sequence[int]) -> Iterator[np.ndarray]:
+    """The population as ``int64`` arrays of at most ``_PARTITION_CHUNK`` ids.
+
+    A range is materialised chunk by chunk and an ``array('q')`` is viewed
+    without a copy.
+    """
+    if isinstance(ids, range):
+        view = None
+    elif isinstance(ids, array) and ids.typecode == "q":
+        view = np.frombuffer(ids, dtype=np.int64)
+    else:
+        view = np.asarray(ids, dtype=np.int64)
+    for start in range(0, len(ids), _PARTITION_CHUNK):
+        if view is None:
+            part = ids[start:start + _PARTITION_CHUNK]
+            yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        else:
+            yield view[start:start + _PARTITION_CHUNK]
+
+
+def _partition_sessions(
+    ids: Sequence[int], split: Mapping[str, float], router: str, salt: int
+) -> Dict[str, array]:
+    """Hash-partition an ascending session population at one ECMP branch.
+
+    Each session lands in the bucket ``_pick_next_hop(split,
+    _hash_fraction(id, router, salt))`` names — one sha256 per session,
+    with the weights accumulated once per branch and the bucket choice and
+    id selection done in numpy, ``_PARTITION_CHUNK`` ids at a time.
+    Returns ascending ``array('q')`` buckets in sorted next-hop order,
+    empty buckets omitted.
+    """
+    next_hops, thresholds = _split_thresholds(split)
+    buckets = [array("q") for _ in next_hops]
+    for chunk in _id_chunks(ids):
+        choice = _bucket_indices(thresholds, _hash_fractions(chunk.tolist(), router, salt))
+        for index, bucket in enumerate(buckets):
+            bucket.frombytes(chunk[choice == index].tobytes())
+    return {next_hop: bucket for next_hop, bucket in zip(next_hops, buckets) if len(bucket)}
+
+
 @dataclass(frozen=True)
 class ClassPathGroup:
     """One path group of a routed demand class: the sessions sharing a path.
@@ -234,13 +321,14 @@ def route_class_sessions(
 
     The population walks the per-prefix forwarding DAG as a unit: at every
     router with a single effective next hop the entire group moves together
-    (no hashing at all), and only at genuine ECMP branch points is
-    :func:`_hash_fraction` evaluated per session id to partition the
-    population — mirroring :func:`route_flows_hashed` decision for
-    decision (same local-delivery rules, loop detection and ``max_hops``
-    budget), so each session lands on the bit-identical path it would get
-    as an individual flow.  ``splits`` counts the hash partitions performed
-    (the only O(sessions) work).
+    (no hashing at all), and only at genuine ECMP branch points is the
+    population partitioned — one sha256 per session per branch,
+    partitioned in bounded chunks (:func:`_partition_sessions`) —
+    mirroring :func:`route_flows_hashed` decision for decision (same
+    hash, local-delivery rules, loop detection and ``max_hops`` budget),
+    so each session lands on the bit-identical path it would get as an
+    individual flow.  ``splits`` counts the hash partitions performed (the
+    only O(sessions) work).
     """
     groups: List[ClassPathGroup] = []
     splits = 0
@@ -277,18 +365,7 @@ def route_class_sessions(
                 # per-flow walk does and recurse per non-empty bucket in
                 # next-hop order.
                 splits += 1
-                buckets: Dict[str, array] = {}
-                for session_id in ids:
-                    choice = _pick_next_hop(
-                        split, _hash_fraction(session_id, current, salt)
-                    )
-                    bucket = buckets.get(choice)
-                    if bucket is None:
-                        bucket = array("q")
-                        buckets[choice] = bucket
-                    bucket.append(session_id)
-                for next_hop in sorted(buckets):
-                    bucket = buckets[next_hop]
+                for next_hop, bucket in _partition_sessions(ids, split, current, salt).items():
                     branch_hops = hops + [next_hop]
                     if next_hop in visited:
                         finish(bucket, branch_hops, delivered=False, looped=True)

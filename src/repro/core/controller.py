@@ -10,6 +10,12 @@ the demo) or, for static analyses, by exposing the active lies for
 
 It also accounts for every LSA it injects or withdraws, which is the raw
 material of the control-plane overhead comparison against MPLS RSVP-TE.
+
+A plan cache makes enforcement incremental, skipping every requirement
+whose digest and baseline graph version did not move.  The clear-and-replay
+controller that re-plans every requirement lives in ``tests/oracles.py``;
+``tests/test_controller_incremental.py`` holds this one to it, installed
+LSAs (names included) and FIBs bit for bit.
 """
 
 from __future__ import annotations
@@ -115,18 +121,11 @@ class FibbingController:
         network: Optional[IgpNetwork] = None,
         attachment: Optional[str] = None,
         epsilon: float = DEFAULT_EPSILON,
-        incremental: bool = True,
         plan_dirty_threshold: float = 0.5,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
         """Create a controller for ``topology``.
 
-        ``incremental=False`` disables the plan cache and per-requirement
-        skip logic: every ``enforce`` re-plans every requirement through
-        validation, lie synthesis and the registry diff (the pre-PlanCache
-        clear-and-replay engine, kept as the differential oracle).  The
-        installed LSAs and resulting FIBs are bit-identical either way; only
-        the ``ctl_*`` counters and the wall-clock cost differ.
         ``plan_dirty_threshold`` is the fallback knob: when more than that
         fraction of an enforce wave's requirements changed, the wave is
         re-planned in full and counted as a ``ctl_fallback``.
@@ -135,7 +134,6 @@ class FibbingController:
         self.name = name
         self.network = network
         self.epsilon = epsilon
-        self.incremental = incremental
         self.registry = LieRegistry(controller=name)
         self.reconciler = LieReconciler(
             registry=self.registry,
@@ -150,7 +148,7 @@ class FibbingController:
         self.shard_counters = ShardCounters()
         self.updates: List[ControllerUpdate] = []
         # Baseline-FIB memo keyed on the topology revision:
-        # (revision, max_ecmp, fibs).  Incremental mode only.
+        # (revision, max_ecmp, fibs).
         self._baseline_memo: Optional[Tuple[int, int, Dict[str, Fib]]] = None
         # Two route-cache lineages: the lie-free baseline view (used when
         # synthesising lies) and the lied-to view (used to predict/verify the
@@ -204,15 +202,14 @@ class FibbingController:
         network in a single injection so the IGP routers see one burst and
         run one SPF/FIB recomputation wave instead of one per requirement.
 
-        In incremental mode, a requirement whose digest and baseline graph
-        version are both unchanged since its last enforcement is skipped
-        outright (a ``ctl_plan_cache_hit``: no validation, no synthesis, no
-        diff — the installed lies are kept); only the changed requirements
-        are re-planned.  When more than ``plan_dirty_threshold`` of the wave
+        A requirement whose digest and baseline graph version are both
+        unchanged since its last enforcement is skipped outright (a
+        ``ctl_plan_cache_hit``: no validation, no synthesis, no diff — the
+        installed lies are kept); only the changed requirements are
+        re-planned.  When more than ``plan_dirty_threshold`` of the wave
         changed, the whole wave is re-planned clear-and-replay style and
         counted as a ``ctl_fallback``.  Both paths install bit-identical
-        LSAs — the differential suite holds the incremental engine to the
-        ``incremental=False`` oracle.
+        LSAs to the clear-and-replay oracle of ``tests/oracles.py``.
         """
         self._check_attached()
         reqs = list(requirements)
@@ -222,13 +219,6 @@ class FibbingController:
         # them); only the network sends are deferred into the single wave.
         plans: List[LieUpdate] = []
         now = self._now()
-        if not self.incremental:
-            for requirement in reqs:
-                plan = self._plan_requirement(requirement, baseline_fibs)
-                self.registry.commit(plan, now=now)
-                plans.append(plan)
-            return self._apply_batch(plans, already_committed=True)
-
         version = self.baseline_route_cache.version
         counters = self.reconciler.counters
         dirty = sum(
@@ -284,25 +274,23 @@ class FibbingController:
     def baseline_fibs(self, max_ecmp: int = DEFAULT_MAX_ECMP) -> Dict[str, Fib]:
         """Lie-free FIBs of the current topology, served from the route cache.
 
-        In incremental mode the result is additionally memoised on the
-        topology's :attr:`~repro.igp.topology.Topology.revision`: while the
-        topology does not change, repeated calls return the same mapping
-        without even rebuilding and re-diffing the computation graph.
-        Callers must treat the mapping as read-only.
+        The result is additionally memoised on the topology's
+        :attr:`~repro.igp.topology.Topology.revision`: while the topology
+        does not change, repeated calls return the same mapping without even
+        rebuilding and re-diffing the computation graph.  Callers must treat
+        the mapping as read-only.
         """
-        if self.incremental:
-            revision = self.topology.revision
-            memo = self._baseline_memo
-            if memo is not None and memo[0] == revision and memo[1] == max_ecmp:
-                return memo[2]
+        revision = self.topology.revision
+        memo = self._baseline_memo
+        if memo is not None and memo[0] == revision and memo[1] == max_ecmp:
+            return memo[2]
         fibs = compute_static_fibs(
             self.topology, max_ecmp=max_ecmp, rib_cache=self.baseline_route_cache
         )
-        if self.incremental:
-            self._baseline_memo = (self.topology.revision, max_ecmp, fibs)
+        self._baseline_memo = (revision, max_ecmp, fibs)
         return fibs
 
-    def baseline_version(self) -> Optional[int]:
+    def baseline_version(self) -> int:
         """Version of the current lie-free graph in the baseline lineage.
 
         This is the version the plan cache keys on; observing the rebuilt

@@ -108,11 +108,10 @@ class OnDemandLoadBalancer:
         #: counters so reaction cost can be attributed end to end.
         self.dataplane = dataplane
         self.managed_prefixes = tuple(managed_prefixes) if managed_prefixes else None
-        # An incremental controller shares its plan cache with the optimizer
-        # and the merger, so a reaction whose inputs did not move reuses the
-        # LP solution and the merged weight maps wholesale; with an oracle
-        # controller every stage recomputes from scratch.
-        plan_cache = controller.plan_cache if controller.incremental else None
+        # The controller shares its plan cache with the optimizer and the
+        # merger, so a reaction whose inputs did not move reuses the LP
+        # solution and the merged weight maps wholesale.
+        plan_cache = controller.plan_cache
         self.optimizer = MinMaxLoadOptimizer(
             controller.topology,
             max_stretch=policy.path_stretch,
@@ -156,9 +155,8 @@ class OnDemandLoadBalancer:
         capacities)`` reuses the whole LP solution, unchanged requirement
         digests reuse their merged weight maps and skip re-planning, and
         only prefixes whose requirement actually changed see any lie churn.
-        With an ``incremental=False`` controller every stage recomputes from
-        scratch (the differential oracle); the installed lies and FIBs are
-        bit-identical either way.  With a
+        The installed lies and FIBs are bit-identical to a from-scratch
+        reaction (the differential suite's oracle).  With a
         :class:`~repro.core.shard.ShardedFibbingController` the enforcement
         stage additionally partitions the requirement wave by prefix and
         plans the per-shard sub-waves concurrently before merging them into
@@ -196,10 +194,9 @@ class OnDemandLoadBalancer:
             )
             self.actions.append(action)
             return action
-        plan_version = (
-            self.controller.baseline_version() if self.controller.incremental else None
+        result = self.optimizer.optimize(
+            demands, prefixes, plan_version=self.controller.baseline_version()
         )
-        result = self.optimizer.optimize(demands, prefixes, plan_version=plan_version)
         requirements = self.build_requirements(result)
         optimized, merge_report = self.merger.optimize(requirements)
         updates = list(self.controller.enforce(optimized))

@@ -29,7 +29,6 @@ from repro.core.splitting import approximate_ratios, split_error, weights_to_fra
 from repro.igp.fib import Fib
 from repro.igp.network import compute_static_fibs
 from repro.igp.rib_cache import RibCache
-from repro.igp.spf_cache import SpfCache
 from repro.igp.topology import Topology
 from repro.util.errors import ControllerError
 from repro.util.validation import check_non_negative
@@ -76,7 +75,6 @@ class LieMerger:
         topology: Topology,
         tolerance: float = 0.0,
         max_entries: int = 16,
-        spf_cache: Optional[SpfCache] = None,
         rib_cache: Optional[RibCache] = None,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
@@ -87,12 +85,8 @@ class LieMerger:
         self.max_entries = max_entries
         # Baseline (lie-free) FIBs are recomputed on every optimisation pass;
         # sharing a versioned route cache (e.g. the controller's) makes the
-        # repeated passes of a reactive control loop nearly free.  A bare
-        # ``spf_cache`` is accepted for compatibility and wrapped.
-        if rib_cache is None:
-            rib_cache = RibCache(spf_cache=spf_cache)
-        self.rib_cache = rib_cache
-        self.spf_cache = rib_cache.spf_cache
+        # repeated passes of a reactive control loop nearly free.
+        self.rib_cache = rib_cache if rib_cache is not None else RibCache()
         # Optional: the controller's plan cache.  When present, the merged
         # weight map of a requirement is reused wholesale as long as neither
         # the requirement (digest) nor the baseline graph (version of the

@@ -316,25 +316,16 @@ class LieReconciler:
             wave_size, dirty, self.has_state, self.plan_dirty_threshold
         )
 
-    def is_clean(
-        self, version: Optional[int], requirement: DestinationRequirement
-    ) -> bool:
+    def is_clean(self, version: int, requirement: DestinationRequirement) -> bool:
         """Whether ``requirement`` is already in force at graph ``version``."""
-        if version is None:
-            return False
         return self._enforced.get(requirement.prefix) == (
             version,
             requirement.digest(),
         )
 
-    def mark_enforced(
-        self, version: Optional[int], requirement: DestinationRequirement
-    ) -> None:
+    def mark_enforced(self, version: int, requirement: DestinationRequirement) -> None:
         """Record that ``requirement`` was planned and applied at ``version``."""
-        if version is None:
-            self._enforced.pop(requirement.prefix, None)
-        else:
-            self._enforced[requirement.prefix] = (version, requirement.digest())
+        self._enforced[requirement.prefix] = (version, requirement.digest())
 
     def forget(self, prefix: Prefix) -> None:
         """Drop the bookkeeping for ``prefix`` (after a clear or manual edit)."""

@@ -36,8 +36,9 @@ independently:
 The non-negotiable invariant, in the style of PRs 1–4:
 ``ShardedFibbingController(shards=N)`` installs bit-identical lie sets
 (fake-node names included), FIBs and data-plane rates to the
-single-controller ``incremental=False`` oracle, for any N — the
-differential suite ``tests/test_controller_sharded.py`` holds it to that.
+single-controller clear-and-replay oracle of ``tests/oracles.py``, for any
+N — the differential suite ``tests/test_controller_sharded.py`` holds it to
+that.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _plan_shard_wave(
     reqs: List[DestinationRequirement],
     topology: Topology,
     baseline_fibs: Mapping[str, Fib],
-    version: Optional[int],
+    version: int,
     epsilon: float,
 ) -> Tuple[List[LieUpdate], int]:
     """Plan one shard's sub-wave; returns ``(plans, dirty_count)``.
@@ -103,24 +104,6 @@ def _plan_shard_wave(
     counters = reconciler.counters
     plans: List[LieUpdate] = []
 
-    def desired_for(req: DestinationRequirement) -> List[FakeNodeLsa]:
-        return reconciler.desired_lies(
-            topology=topology,
-            requirement=req,
-            baseline_fibs=baseline_fibs,
-            version=version,
-            epsilon=epsilon,
-        )
-
-    if version is None:
-        # Oracle mode: every requirement is re-planned, clear-and-replay
-        # style, exactly like FibbingController(incremental=False).
-        for req in reqs:
-            plans.append(
-                reconciler.reconcile(req.prefix, desired_for(req), allocate_names=False)
-            )
-        return plans, len(reqs)
-
     dirty = sum(1 for req in reqs if not reconciler.is_clean(version, req))
     fallback = reconciler.wave_fallback(len(reqs), dirty)
     if fallback:
@@ -136,8 +119,15 @@ def _plan_shard_wave(
             )
         else:
             counters.plans_recomputed += 1
+            desired = reconciler.desired_lies(
+                topology=topology,
+                requirement=req,
+                baseline_fibs=baseline_fibs,
+                version=version,
+                epsilon=epsilon,
+            )
             plans.append(
-                reconciler.reconcile(req.prefix, desired_for(req), allocate_names=False)
+                reconciler.reconcile(req.prefix, desired, allocate_names=False)
             )
     return plans, dirty
 
@@ -241,7 +231,6 @@ class ShardedFibbingController(FibbingController):
         network: Optional[IgpNetwork] = None,
         attachment: Optional[str] = None,
         epsilon: float = DEFAULT_EPSILON,
-        incremental: bool = True,
         plan_dirty_threshold: float = 0.5,
         assignment: Optional[Callable[[Prefix, int], int]] = None,
     ) -> None:
@@ -249,9 +238,9 @@ class ShardedFibbingController(FibbingController):
 
         ``assignment(prefix, shards)`` pins prefixes to shard indices
         (default: :func:`default_shard_assignment`, a stable content hash).
-        ``incremental`` and ``plan_dirty_threshold`` are forwarded to every
-        shard; the threshold is evaluated per shard sub-wave, which localises
-        the clear-and-replay fallback to the shard that actually churned.
+        ``plan_dirty_threshold`` is forwarded to every shard; it is evaluated
+        per shard sub-wave, which localises the clear-and-replay fallback to
+        the shard that actually churned.
         """
         if shards < 1:
             raise ControllerError(f"need at least 1 shard, got {shards}")
@@ -261,7 +250,6 @@ class ShardedFibbingController(FibbingController):
             network=network,
             attachment=attachment,
             epsilon=epsilon,
-            incremental=incremental,
             plan_dirty_threshold=plan_dirty_threshold,
         )
         self.shard_count = shards
@@ -281,7 +269,6 @@ class ShardedFibbingController(FibbingController):
                 topology,
                 name=name,
                 epsilon=epsilon,
-                incremental=incremental,
                 plan_dirty_threshold=plan_dirty_threshold,
             )
             for _ in range(shards)
@@ -352,7 +339,7 @@ class ShardedFibbingController(FibbingController):
             return self._enforce_serial(reqs)
 
         baseline_fibs = self.baseline_fibs()
-        version = self.baseline_route_cache.version if self.incremental else None
+        version = self.baseline_route_cache.version
         groups: Dict[int, List[DestinationRequirement]] = {}
         for req in reqs:
             groups.setdefault(self.shard_of(req.prefix), []).append(req)
@@ -396,34 +383,28 @@ class ShardedFibbingController(FibbingController):
         lies — just with each prefix's state living in its shard.
         """
         baseline_fibs = self.baseline_fibs()
-        version = self.baseline_route_cache.version if self.incremental else None
+        version = self.baseline_route_cache.version
         now = self._now()
-        fallback = False
-        if version is not None:
-            dirty = sum(
-                1
-                for req in reqs
-                if not self._shard_for(req.prefix).reconciler.is_clean(version, req)
-            )
-            fallback = wave_past_threshold(
-                len(reqs),
-                dirty,
-                any(shard.reconciler.has_state for shard in self.shards),
-                self.plan_dirty_threshold,
-            )
-            if fallback:
-                self.plan_cache.counters.fallbacks += 1
+        dirty = sum(
+            1
+            for req in reqs
+            if not self._shard_for(req.prefix).reconciler.is_clean(version, req)
+        )
+        fallback = wave_past_threshold(
+            len(reqs),
+            dirty,
+            any(shard.reconciler.has_state for shard in self.shards),
+            self.plan_dirty_threshold,
+        )
+        if fallback:
+            self.plan_cache.counters.fallbacks += 1
         active_counts = self.registry.active_counts()
         planned_prefixes = set()
         committed: List[Tuple[FibbingController, LieUpdate]] = []
         for req in reqs:
             shard = self._shard_for(req.prefix)
             reconciler = shard.reconciler
-            if (
-                not fallback
-                and version is not None
-                and reconciler.is_clean(version, req)
-            ):
+            if not fallback and reconciler.is_clean(version, req):
                 reconciler.counters.plan_cache_hits += 1
                 plan = reconciler.noop_plan(
                     req.prefix,
@@ -434,11 +415,7 @@ class ShardedFibbingController(FibbingController):
                     ),
                 )
             else:
-                if version is not None:
-                    # The clear-and-replay oracle never touches the ctl_*
-                    # counters; count planning work in incremental mode only,
-                    # like FibbingController.enforce.
-                    reconciler.counters.plans_recomputed += 1
+                reconciler.counters.plans_recomputed += 1
                 desired = reconciler.desired_lies(
                     topology=self.topology,
                     requirement=req,

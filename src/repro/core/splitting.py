@@ -63,7 +63,9 @@ def weights_to_fractions(weights: Mapping[str, int]) -> Dict[str, float]:
 def _l1_distance(desired: Mapping[str, float], weights: Mapping[str, int]) -> float:
     """L1 distance between the normalised ``desired`` split and the realised one."""
     realised = weights_to_fractions(weights) if weights else {}
-    keys = set(desired) | set(realised)
+    # Summed in sorted key order: a float sum over a set would follow
+    # PYTHONHASHSEED in its last ulp.
+    keys = sorted(set(desired) | set(realised))
     return sum(abs(desired.get(key, 0.0) - realised.get(key, 0.0)) for key in keys)
 
 

@@ -22,17 +22,18 @@ Between state changes rates are constant, so byte counters (the quantities
 SNMP exposes and Fig. 2 plots) are advanced analytically — no per-packet or
 per-session work is ever done.
 
-By default the refresh is **incremental**, mirroring the control plane's
-SPF/RIB caches one layer down the stack: a
+The refresh is **incremental**, mirroring the control plane's SPF/RIB
+caches one layer down the stack: a
 :class:`~repro.dataplane.path_cache.FlowPathCache` stamps the FIB entries
 with versions and re-routes only the flows (or classes) whose cached walk
 crosses a changed *(router, prefix)* entry, and a
 :class:`~repro.dataplane.path_cache.WarmStartAllocator` re-runs progressive
 filling only on the connected components of the entity-link hypergraph that
-the event dirtied.  Both repairs are bit-identical to the from-scratch
-computation (``incremental=False``), which the differential suites
+the event dirtied.  Both repairs are bit-identical to a from-scratch
+re-route and re-allocation; the from-scratch engines live in
+``tests/oracles.py``, and the differential suites
 ``tests/test_dataplane_incremental.py`` / ``tests/test_dataplane_classes.py``
-enforce.
+hold the product to them.
 
 Per-link totals are computed *canonically*: member contributions are
 grouped by exact rate value and summed in ascending rate order, multiplied
@@ -57,7 +58,6 @@ import numpy as np
 
 from repro.dataplane.demand import ClassSpec, ClassSet, DemandClass
 from repro.dataplane.events import EventLog, SimulationEvent
-from repro.dataplane.fairness import max_min_fair_allocation
 from repro.dataplane.flows import Flow, FlowSet, FlowSpec
 from repro.dataplane.forwarding import (
     ClassPathGroup,
@@ -138,14 +138,12 @@ class DataPlaneEngineBase:
         timeline: Timeline,
         sample_interval: float = 1.0,
         hash_salt: int = 0,
-        incremental: bool = True,
     ) -> None:
         self.topology = topology
         self.fib_provider = fib_provider
         self.timeline = timeline
         self.sample_interval = check_positive(sample_interval, "sample_interval")
         self.hash_salt = hash_salt
-        self.incremental = incremental
 
         self.events = EventLog()
         self.samples: List[LinkSample] = []
@@ -191,9 +189,9 @@ class DataPlaneEngineBase:
         """Tell the engine the FIBs changed; paths and rates are recomputed.
 
         The control plane calls this (directly or through
-        :meth:`bind_to_network`) after a router installs a new FIB.  With
-        the incremental engine only the entities whose cached walk crosses
-        a changed FIB entry are re-walked.
+        :meth:`bind_to_network`) after a router installs a new FIB.  Only
+        the entities whose cached walk crosses a changed FIB entry are
+        re-walked.
         """
         self._advance_counters()
         self.events.record(
@@ -326,13 +324,10 @@ class DataPlaneEngineBase:
 class DataPlaneEngine(DataPlaneEngineBase):
     """Flow-level data plane driven by the shared simulation timeline.
 
-    ``incremental=False`` disables the path cache and the warm-start
-    allocator: every event re-routes every flow and re-allocates from
-    scratch (the pre-cache behaviour, kept as the differential oracle and
-    the benchmark baseline).  ``alloc_dirty_threshold`` is the warm-start
-    fallback knob: when an event dirties more than that fraction of the
-    active flows, the allocation is recomputed in full and counted as a
-    ``dp_fallback`` (same style as ``RibCache.dirty_threshold``).
+    ``alloc_dirty_threshold`` is the warm-start fallback knob: when an event
+    dirties more than that fraction of the active flows, the allocation is
+    recomputed in full and counted as a ``dp_fallback`` (same style as
+    ``RibCache.dirty_threshold``).
     """
 
     def __init__(
@@ -342,7 +337,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
         timeline: Timeline,
         sample_interval: float = 1.0,
         hash_salt: int = 0,
-        incremental: bool = True,
         alloc_dirty_threshold: float = 0.5,
     ) -> None:
         super().__init__(
@@ -351,7 +345,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
             timeline,
             sample_interval=sample_interval,
             hash_salt=hash_salt,
-            incremental=incremental,
         )
         self.flows = FlowSet()
         self._path_cache = FlowPathCache()
@@ -489,19 +482,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
                     self._flow_bytes.get(flow_id, 0.0) + rate * elapsed / 8.0
                 )
 
-    def _recompute(
-        self,
-        arrivals: Sequence[Flow] = (),
-        departures: Sequence[int] = (),
-        dirty_links: Sequence[LinkKey] = (),
-    ) -> None:
-        """Refresh paths and rates after one event (incremental when enabled)."""
-        if self.incremental:
-            self._recompute_incremental(arrivals, departures, dirty_links)
-        else:
-            self._recompute_full()
-        self._notify_rates_changed()
-
     def _effective_input(self, flow: Flow, path: FlowPath) -> FlowInput:
         """The (links, demand, count) the allocator sees for one routed flow.
 
@@ -513,40 +493,11 @@ class DataPlaneEngine(DataPlaneEngineBase):
             return path.links, flow.demand, 1
         return (), 0.0, 1
 
-    def _recompute_full(self) -> None:
-        """Re-route every flow over the current FIBs and re-allocate from scratch."""
-        fibs = dict(self.fib_provider())
-        outcome = route_flows_hashed(fibs, self.flows, salt=self.hash_salt)
-        self._flow_paths = dict(outcome.flow_paths)
-        self.counters.flows_rerouted += len(self.flows)
-        self.counters.alloc_full += 1
-
-        flow_links: Dict[int, Tuple[LinkKey, ...]] = {}
-        demands: Dict[int, float] = {}
-        for flow in self.flows:
-            path = self._flow_paths[flow.flow_id]
-            flow_links[flow.flow_id], demands[flow.flow_id], _ = self._effective_input(flow, path)
-
-        rates = max_min_fair_allocation(flow_links, demands, self._capacities)
-        self._flow_rates = rates
-
-        contributions: Dict[LinkKey, List[Tuple[float, int]]] = {}
-        for flow_id, links in flow_links.items():
-            rate = rates.get(flow_id, 0.0)
-            if rate <= 0:
-                continue
-            for link in links:
-                contributions.setdefault(link, []).append((rate, 1))
-        self._link_rates = {
-            link: _canonical_link_total(members)
-            for link, members in contributions.items()
-        }
-
-    def _recompute_incremental(
+    def _recompute(
         self,
-        arrivals: Sequence[Flow],
-        departures: Sequence[int],
-        dirty_links: Sequence[LinkKey],
+        arrivals: Sequence[Flow] = (),
+        departures: Sequence[int] = (),
+        dirty_links: Sequence[LinkKey] = (),
     ) -> None:
         """Re-route only the dirty flows and warm-start the fair allocation."""
         fibs = dict(self.fib_provider())
@@ -613,6 +564,7 @@ class DataPlaneEngine(DataPlaneEngineBase):
                 affected_links.update(self._flow_links.get(flow_id, ()))
         for link in affected_links:
             self._retotal_link(link)
+        self._notify_rates_changed()
 
     def _discard_member(self, link: LinkKey, flow_id: int) -> None:
         members = self._link_members.get(link)
@@ -635,7 +587,7 @@ class DataPlaneEngine(DataPlaneEngineBase):
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"DataPlaneEngine(flows={len(self.flows)}, t={self.timeline.now:.3f}, "
-            f"samples={len(self.samples)}, incremental={self.incremental})"
+            f"samples={len(self.samples)})"
         )
 
 
@@ -739,7 +691,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         timeline: Timeline,
         sample_interval: float = 1.0,
         hash_salt: int = 0,
-        incremental: bool = True,
         alloc_dirty_threshold: float = 0.5,
     ) -> None:
         super().__init__(
@@ -748,7 +699,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             timeline,
             sample_interval=sample_interval,
             hash_salt=hash_salt,
-            incremental=incremental,
         )
         self.classes = ClassSet()
         self._path_cache = FlowPathCache()  # entity ids are class ids here
@@ -937,19 +887,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 if rate > 0:
                     cohort.bytes_per_session += rate * elapsed / 8.0
 
-    def _recompute(
-        self,
-        arrivals: Sequence[DemandClass] = (),
-        departures: Sequence[DemandClass] = (),
-        dirty_links: Sequence[LinkKey] = (),
-    ) -> None:
-        """Refresh class routing and rates after one event."""
-        if self.incremental:
-            self._recompute_incremental(arrivals, departures, dirty_links)
-        else:
-            self._recompute_full(departures)
-        self._notify_rates_changed()
-
     def _walk_class(
         self, demand_class: DemandClass, fibs: Mapping[str, Fib]
     ) -> List[ClassPathGroup]:
@@ -1048,54 +985,11 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             if not members:
                 del self._link_members[link]
 
-    def _recompute_full(self, departures: Sequence[DemandClass] = ()) -> None:
-        """Re-walk every class over the current FIBs and re-allocate from scratch."""
-        fibs = dict(self.fib_provider())
-        for demand_class in departures:
-            self._drop_class_state(demand_class.class_id)
-        for demand_class in self.classes:
-            groups = self._walk_class(demand_class, fibs)
-            self._install_class_groups(demand_class, groups)
-        self.counters.classes_rewalked += len(self.classes)
-        self.counters.alloc_full += 1
-
-        entity_links: Dict[int, Tuple[LinkKey, ...]] = {}
-        demands: Dict[int, float] = {}
-        counts: Dict[int, int] = {}
-        for class_id, entity_ids in self._class_entities.items():
-            demand_class = self.classes.get(class_id)
-            for group, entity_id in zip(self._class_groups[class_id], entity_ids):
-                if group.delivered:
-                    entity_links[entity_id] = group.links
-                    demands[entity_id] = demand_class.rate
-                else:
-                    entity_links[entity_id] = ()
-                    demands[entity_id] = 0.0
-                counts[entity_id] = group.count
-
-        rates = max_min_fair_allocation(
-            entity_links, demands, self._capacities, counts=counts
-        )
-        self._entity_rates = rates
-
-        contributions: Dict[LinkKey, List[Tuple[float, int]]] = {}
-        for entity_id, links in entity_links.items():
-            rate = rates.get(entity_id, 0.0)
-            if rate <= 0:
-                continue
-            count = counts[entity_id]
-            for link in links:
-                contributions.setdefault(link, []).append((rate, count))
-        self._link_rates = {
-            link: _canonical_link_total(members)
-            for link, members in contributions.items()
-        }
-
-    def _recompute_incremental(
+    def _recompute(
         self,
-        arrivals: Sequence[DemandClass],
-        departures: Sequence[DemandClass],
-        dirty_links: Sequence[LinkKey],
+        arrivals: Sequence[DemandClass] = (),
+        departures: Sequence[DemandClass] = (),
+        dirty_links: Sequence[LinkKey] = (),
     ) -> None:
         """Re-walk only the dirty classes and warm-start the fair allocation."""
         fibs = dict(self.fib_provider())
@@ -1158,6 +1052,7 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 affected_links.update(self._entity_links.get(entity_id, ()))
         for link in affected_links:
             self._retotal_link(link)
+        self._notify_rates_changed()
 
     @staticmethod
     def _groups_equal(
@@ -1190,5 +1085,5 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         return (
             f"AggregateDemandEngine(classes={len(self.classes)}, "
             f"sessions={self.classes.total_sessions()}, t={self.timeline.now:.3f}, "
-            f"samples={len(self.samples)}, incremental={self.incremental})"
+            f"samples={len(self.samples)})"
         )

@@ -56,10 +56,6 @@ LinkKey = Tuple[str, str]
 #: its demand when the headroom is below ``rate_tolerance(demand)``.
 RATE_EPSILON = 1e-9
 
-#: Backwards-compatible alias (pre-PR-8 name; the value used to be an
-#: *absolute* 1e-6 bit/s threshold).
-_RATE_EPSILON = RATE_EPSILON
-
 
 def rate_tolerance(scale: float) -> float:
     """Absolute tolerance for rates at magnitude ``scale`` (bit/s).

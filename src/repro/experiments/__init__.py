@@ -40,14 +40,10 @@ from repro.experiments.flashcrowd_classes import (
 from repro.experiments.overhead import OverheadRow, run_overhead_comparison
 from repro.experiments.optimality import OptimalityRow, run_optimality_study
 from repro.experiments.scaling import (
-    FlashCrowdScalingRow,
     LieScalingRow,
-    ReconcileScalingRow,
     ShardScalingRow,
     SplitApproximationRow,
-    run_flashcrowd_scaling,
     run_lie_scaling,
-    run_reconcile_scaling,
     run_shard_scaling,
     run_split_approximation,
 )
@@ -75,14 +71,10 @@ __all__ = [
     "run_overhead_comparison",
     "OptimalityRow",
     "run_optimality_study",
-    "FlashCrowdScalingRow",
     "LieScalingRow",
-    "ReconcileScalingRow",
     "ShardScalingRow",
     "SplitApproximationRow",
-    "run_flashcrowd_scaling",
     "run_lie_scaling",
-    "run_reconcile_scaling",
     "run_shard_scaling",
     "run_split_approximation",
     "EXPERIMENTS",

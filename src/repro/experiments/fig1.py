@@ -109,7 +109,6 @@ def run_fig1(
 
 def fig1_lie_digests(
     scenario: DemoScenario | None = None,
-    incremental: bool = True,
     shards: int = 0,
 ) -> Dict[str, str]:
     """Per-prefix digests of the lies the controller pipeline installs.
@@ -117,9 +116,9 @@ def fig1_lie_digests(
     Runs the full LP → approximation → merger → enforcement pipeline on the
     Fig. 1 scenario and digests the installed :class:`FakeNodeLsa` set per
     prefix (names included, so the controller's deterministic naming is
-    pinned too).  The golden snapshot requires the ``incremental=True``
-    reconciler, the ``incremental=False`` clear-and-replay oracle *and* the
-    sharded facade (``shards > 0`` builds a
+    pinned too).  The golden snapshot requires the plan-cache controller,
+    the clear-and-replay oracle of ``tests/oracles.py`` *and* the sharded
+    facade (``shards > 0`` builds a
     :class:`~repro.core.shard.ShardedFibbingController`) to land on the
     exact same digests.
     """
@@ -138,11 +137,9 @@ def fig1_lie_digests(
     if shards > 0:
         from repro.core.shard import ShardedFibbingController
 
-        controller = ShardedFibbingController(
-            topology, shards=shards, incremental=incremental
-        )
+        controller = ShardedFibbingController(topology, shards=shards)
     else:
-        controller = FibbingController(topology, incremental=incremental)
+        controller = FibbingController(topology)
     result = MinMaxLoadOptimizer(topology).optimize(demands, [prefix])
     requirement = DestinationRequirement.from_fractions(
         prefix, result.to_fractions()[prefix]

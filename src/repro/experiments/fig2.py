@@ -120,9 +120,7 @@ def run_demo_timeseries(
     scenario: Optional[DemoScenario] = None,
     router_timers: RouterTimers = RouterTimers(),
     hash_salt: int = 0,
-    dataplane_incremental: bool = True,
     dataplane_aggregate: bool = False,
-    controller_incremental: bool = True,
     controller_shards: int = 0,
     seed: Optional[int] = None,
     poll_jitter: float = 0.0,
@@ -136,19 +134,14 @@ def run_demo_timeseries(
 
     ``with_controller=False`` reproduces the "controller disabled" variant
     used for the stutter comparison; everything else is identical.
-    ``dataplane_incremental=False`` disables the data plane's path cache and
-    warm-start allocator (from-scratch recomputation per event) — the
-    results are bit-identical either way; only the ``dp_*`` counters and the
-    wall-clock cost differ.  ``dataplane_aggregate=True`` swaps the per-flow
+    ``dataplane_aggregate=True`` swaps the per-flow
     engine for the :class:`~repro.dataplane.engine.AggregateDemandEngine`:
     each arrival batch becomes one demand class and one cohort QoE client,
     so the run's cost is O(arrival batches), not O(sessions) — link series,
     byte counters and samples stay bit-identical to the per-flow run (the
     dual-engine differential suite pins this), while the QoE report
-    aggregates count-weighted cohorts.  ``controller_incremental=False``
-    likewise runs the controller's clear-and-replay oracle instead of the
-    plan-cache reconciler, with bit-identical installed lies and traffic.
-    ``controller_shards > 0`` swaps the single controller for a
+    aggregates count-weighted cohorts.  ``controller_shards > 0`` swaps the
+    single controller for a
     :class:`~repro.core.shard.ShardedFibbingController` with that many
     shards — again bit-identical, per the shard differential suite; the run's
     ``controller_stats`` then carry the ``shard_*`` wave counters.
@@ -218,7 +211,6 @@ def run_demo_timeseries(
         timeline,
         sample_interval=sample_interval,
         hash_salt=hash_salt,
-        incremental=dataplane_incremental,
     )
     engine.bind_to_network(network)
     engine.start()
@@ -265,7 +257,6 @@ def run_demo_timeseries(
                 network=network,
                 attachment=scenario.controller_attachment,
                 epsilon=policy.epsilon,
-                incremental=controller_incremental,
             )
         else:
             controller = FibbingController(
@@ -273,7 +264,6 @@ def run_demo_timeseries(
                 network=network,
                 attachment=scenario.controller_attachment,
                 epsilon=policy.epsilon,
-                incremental=controller_incremental,
             )
         registry = ClientRegistry()
         registry.attach(service.bus)

@@ -101,7 +101,6 @@ def run_flashcrowd_classes(
     video_duration: float = 90.0,
     policy: LoadBalancerPolicy = LoadBalancerPolicy(),
     hash_salt: int = 0,
-    dataplane_incremental: bool = True,
     seed: Optional[int] = None,
     keep_demo_result: bool = True,
 ) -> FlashCrowdClassesResult:
@@ -123,7 +122,6 @@ def run_flashcrowd_classes(
         policy=policy,
         scenario=scenario,
         hash_salt=hash_salt,
-        dataplane_incremental=dataplane_incremental,
         dataplane_aggregate=True,
         seed=seed,
     )

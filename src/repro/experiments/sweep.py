@@ -1,7 +1,7 @@
 """Fleet-scale parallel sweep harness with ``BENCH_*.json`` artifacts.
 
 The paper's evaluation is a *grid* of runs — seeds × topologies × wave
-sizes for Fig. 1/Fig. 2, the A4/A5/A6 scaling rows — and every run is
+sizes for Fig. 1/Fig. 2, the A2/A3/A6 scaling rows — and every run is
 embarrassingly parallel with respect to the others.  This module turns the
 ``experiments/`` harnesses into a declarative grid executor:
 
@@ -127,43 +127,6 @@ class Experiment:
     name: str
     fn: Callable[[int, Dict[str, object]], Tuple[List[Mapping[str, object]], Dict[str, int]]]
     description: str = ""
-
-
-def _flashcrowd_experiment(seed, params):
-    """A4 — data-plane flash-crowd scaling (seed jitters per-flow rates)."""
-    from repro.experiments.scaling import run_flashcrowd_scaling
-
-    rows = run_flashcrowd_scaling(seed=seed, **params)
-    counters = merge_counter_snapshots(
-        {
-            "dp_flows_rerouted": row.flows_rerouted,
-            "dp_flows_reused": row.flows_reused,
-            "dp_alloc_warm_starts": row.alloc_warm_starts,
-            "dp_alloc_full": row.alloc_full,
-            "dp_fallbacks": row.fallbacks,
-        }
-        for row in rows
-    )
-    return [asdict(row) for row in rows], counters
-
-
-def _reconcile_experiment(seed, params):
-    """A5 — controller reconciliation scaling (seed draws the churn order)."""
-    from repro.experiments.scaling import run_reconcile_scaling
-
-    rows = run_reconcile_scaling(seed=seed, **params)
-    counters = merge_counter_snapshots(
-        {
-            "ctl_plan_cache_hits": row.plan_cache_hits,
-            "ctl_plans_recomputed": row.plans_recomputed,
-            "ctl_lies_injected": row.lies_injected,
-            "ctl_lies_retracted": row.lies_retracted,
-            "ctl_lies_kept": row.lies_kept,
-            "ctl_fallbacks": row.fallbacks,
-        }
-        for row in rows
-    )
-    return [asdict(row) for row in rows], counters
 
 
 def _shard_experiment(seed, params):
@@ -329,12 +292,6 @@ def register_experiment(name: str, fn, description: str = "") -> Experiment:
     return experiment
 
 
-register_experiment(
-    "flashcrowd", _flashcrowd_experiment, "A4 data-plane flash-crowd scaling"
-)
-register_experiment(
-    "reconcile", _reconcile_experiment, "A5 controller reconciliation scaling"
-)
 register_experiment("shard", _shard_experiment, "A6 sharded controller scaling")
 register_experiment("lie-scaling", _lie_scaling_experiment, "A2 lie-count scaling")
 register_experiment(
@@ -465,7 +422,7 @@ class RunSpec:
         return dict(self.params)
 
     def label(self) -> str:
-        """Human-readable run id, e.g. ``reconcile[seed=1, waves=12]``."""
+        """Human-readable run id, e.g. ``shard[seed=1, waves=12]``."""
         parts = [f"seed={self.seed}"]
         parts.extend(f"{name}={value}" for name, value in self.params)
         return f"{self.experiment}[{', '.join(parts)}]"
@@ -717,12 +674,6 @@ _DEFAULT_SWEEP = SweepGrid(
     name="default",
     specs=(
         GridSpec.build(
-            "flashcrowd", seeds=(0, 1, 2), flow_counts=[(20, 40)], pods=[4, 8]
-        ),
-        GridSpec.build(
-            "reconcile", seeds=(0, 1, 2), requirement_counts=[(4, 8)], waves=[12], ring=[8]
-        ),
-        GridSpec.build(
             "shard",
             seeds=(0, 1),
             shard_counts=[(1, 2)],
@@ -758,9 +709,16 @@ _DEFAULT_SWEEP = SweepGrid(
 _QUICK_SWEEP = SweepGrid(
     name="quick",
     specs=(
-        GridSpec.build("flashcrowd", seeds=(0, 1), flow_counts=[(10,)], pods=[2, 4]),
         GridSpec.build(
-            "reconcile", seeds=(0, 1), requirement_counts=[(4,)], waves=[4, 6], ring=[8]
+            "shard",
+            seeds=(0, 1),
+            shard_counts=[(1, 2)],
+            requirements=[4],
+            waves=[4, 6],
+            ring=[8],
+        ),
+        GridSpec.build(
+            "lie-scaling", seeds=(0, 1), core_sizes=[(4,)], pops=[2], destinations=[2, 3]
         ),
         GridSpec.build(
             "flashcrowd-classes", seeds=(0,), sessions=[6_200], duration=[25.0]

@@ -64,14 +64,6 @@ class GraphChange:
     prefixes: FrozenSet[Prefix] = frozenset()
     fake_nodes: FrozenSet[str] = frozenset()
 
-    def merge(self, other: "GraphChange") -> "GraphChange":
-        """Concatenation of two consecutive change steps."""
-        return GraphChange(
-            edges=self.edges + other.edges,
-            prefixes=self.prefixes | other.prefixes,
-            fake_nodes=self.fake_nodes | other.fake_nodes,
-        )
-
     @property
     def is_empty(self) -> bool:
         return not (self.edges or self.prefixes or self.fake_nodes)

@@ -91,7 +91,7 @@ def lie_set_snapshot() -> dict:
     The digests cover the fake-node names, so both a behavioural drift of
     the synthesised lies *and* a change of the controller's deterministic
     naming fail loudly; the regression test additionally requires the
-    ``incremental=False`` clear-and-replay oracle to reproduce them and the
+    clear-and-replay oracle of ``tests/oracles.py`` to reproduce them and the
     sharded digests to be byte-equal to the single-controller ones (the
     shard-equivalence guarantee, pinned).
     """

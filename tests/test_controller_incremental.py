@@ -3,9 +3,9 @@
 Mirror of the PR 1–3 suites at the top of the stack: after an arbitrary
 sequence of requirement additions/updates/removals, link-weight and capacity
 events, and alarm-driven ``react()`` calls through the on-demand load
-balancer, the plan-cache reconciler (``FibbingController(incremental=True)``)
-must be indistinguishable from the clear-and-replay oracle
-(``incremental=False``): the installed lie sets (exact
+balancer, the plan-cache reconciler (:class:`FibbingController`) must be
+indistinguishable from the clear-and-replay oracle of ``tests/oracles.py``:
+the installed lie sets (exact
 :class:`~repro.igp.lsa.FakeNodeLsa` objects, fake-node names included), the
 ``current_fibs()`` of every router, and the data-plane rates/paths of a flow
 population routed over those FIBs all bit-identical.
@@ -28,6 +28,8 @@ from repro.monitoring.alarms import AlarmEvent
 from repro.topologies.random import random_topology
 from repro.util.errors import ControllerError
 from repro.util.timeline import Timeline
+
+from oracles import ClearAndReplayBalancer, ClearAndReplayController
 
 
 class StubClients:
@@ -67,16 +69,16 @@ class DualControllerDriver:
         )
         if incremental_factory is None:
             self.incremental = FibbingController(
-                self.topology, incremental=True, plan_dirty_threshold=plan_dirty_threshold
+                self.topology, plan_dirty_threshold=plan_dirty_threshold
             )
         else:
             self.incremental = incremental_factory(self.topology, plan_dirty_threshold)
-        self.oracle = FibbingController(self.topology, incremental=False)
+        self.oracle = ClearAndReplayController(self.topology)
         self.clients = StubClients()
         policy = LoadBalancerPolicy()
         self.balancers = {
             "incremental": OnDemandLoadBalancer(self.incremental, self.clients, policy=policy),
-            "oracle": OnDemandLoadBalancer(self.oracle, self.clients, policy=policy),
+            "oracle": ClearAndReplayBalancer(self.oracle, self.clients, policy=policy),
         }
         self.requirements = {}  # prefix -> DestinationRequirement
         self.steps_applied = 0
@@ -243,6 +245,12 @@ class DualControllerDriver:
             assert inc_engine.link_rate(*link.key) == ref_engine.link_rate(*link.key), (
                 f"{context} link={link.key}"
             )
+
+        # The oracle re-plans everything: any reuse would make it a second
+        # incremental controller.
+        ref = oracle.reconciler.counters
+        assert ref.plan_cache_hits == ref.opt_cache_hits == 0, context
+        assert ref.merge_cache_hits == ref.fallbacks == 0, context
 
 
 ACTIONS = (

@@ -5,10 +5,10 @@ additions/updates/removals, link-weight and capacity events, and
 alarm-driven ``react()`` calls through the on-demand load balancer, the
 sharded facade (``ShardedFibbingController(shards=N)``, any N) must be
 indistinguishable from the single-controller clear-and-replay oracle
-(``FibbingController(incremental=False)``): the installed lie sets (exact :class:`~repro.igp.lsa.FakeNodeLsa` objects,
-fake-node names included), the ``current_fibs()`` of every router, and the
-data-plane rates/paths of a flow population routed over those FIBs all
-bit-identical.
+(``ClearAndReplayController`` of ``tests/oracles.py``): the installed lie
+sets (exact :class:`~repro.igp.lsa.FakeNodeLsa` objects, fake-node names
+included), the ``current_fibs()`` of every router, and the data-plane
+rates/paths of a flow population routed over those FIBs all bit-identical.
 
 Also covered here: the fake-node namespace partition (no name collision
 across shards under add/remove/re-add churn), the ``shard_*`` counter
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.controller import FibbingController
 from repro.core.shard import (
     ShardedFibbingController,
     default_shard_assignment,
@@ -245,28 +244,6 @@ class TestShardCountersAndFallbacks:
         ctl_after = facade.reconciler.counters.snapshot()
         assert ctl_after["ctl_plans_recomputed"] == ctl_before["ctl_plans_recomputed"]
         assert ctl_after["ctl_plan_cache_hits"] == ctl_before["ctl_plan_cache_hits"]
-
-    def test_oracle_mode_facade_keeps_ctl_counters_untouched(self):
-        """ShardedFibbingController(incremental=False) mirrors the single
-        clear-and-replay oracle's counter silence on every path, duplicate-
-        prefix serial waves included."""
-        driver = ShardedDualDriver(9, shards=3)
-        while not driver.apply("add"):
-            pass
-        (prefix,) = list(driver.requirements)
-        requirement = driver.requirements[prefix]
-        facade = ShardedFibbingController(
-            driver.topology, shards=3, incremental=False
-        )
-        facade.enforce([requirement])
-        facade.enforce([requirement, requirement])  # serial duplicate wave
-        counters = facade.reconciler.counters.snapshot()
-        assert counters["ctl_plans_recomputed"] == 0
-        assert counters["ctl_plan_cache_hits"] == 0
-        assert counters["ctl_fallbacks"] == 0
-        # The churn accounting still moves, like the single oracle's.
-        assert counters["ctl_lies_kept"] > 0 or counters["ctl_lies_injected"] > 0
-        assert facade.active_lies() == driver.oracle.active_lies()
 
     def test_single_shard_facade_matches_and_dispatches_serially(self):
         driver = ShardedDualDriver(4, shards=1)

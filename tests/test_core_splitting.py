@@ -1,5 +1,10 @@
 """Tests for splitting-ratio approximation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +12,8 @@ from hypothesis import strategies as st
 from repro.core import splitting
 from repro.core.splitting import approximate_ratios, split_error, weights_to_fractions
 from repro.util.errors import ControllerError, ValidationError
+
+SRC_DIR = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 class TestApproximateRatios:
@@ -84,6 +91,28 @@ class TestErrorAndFractions:
     def test_split_error_is_symmetric_in_magnitude(self):
         error = split_error({"a": 0.5, "b": 0.5}, {"a": 3, "b": 1})
         assert error == pytest.approx(0.5)
+
+    def test_split_error_bits_do_not_follow_the_hash_seed(self):
+        # Five terms whose float sum depends on the order they are added in;
+        # summing them in set order made the last ulp differ between hash
+        # seeds 0 and 3.
+        code = (
+            "from repro.core.splitting import split_error\n"
+            "print(split_error("
+            "{'R1': 0.23796462709189137, 'R2': 0.5442292252959519, "
+            "'R3': 0.36995516654807925, 'R4': 0.6039200385961945, "
+            "'R5': 0.625720304108054}, "
+            "{'R1': 1, 'R2': 1, 'R3': 4, 'R4': 3, 'R5': 2}).hex())"
+        )
+        bits = set()
+        for seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC_DIR)
+            result = subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True,
+                capture_output=True, text=True,
+            )
+            bits.add(result.stdout.strip())
+        assert len(bits) == 1, bits
 
 
 # ---------------------------------------------------------------------- #

@@ -11,7 +11,7 @@ flow per session: per-session rates, per-session byte counters, link rates,
 cumulative link byte counters and periodic link samples all identical.
 
 Three engines run in lockstep: the incremental aggregate engine, the
-from-scratch aggregate engine (``incremental=False``) and the per-flow
+from-scratch aggregate engine of ``tests/oracles.py`` and the per-flow
 oracle.  Session ids align by construction — :class:`ClassSet` hands out
 contiguous id blocks from the same monotonic counter the per-flow
 :class:`FlowSet` uses — so the deterministic ECMP hash walks identical
@@ -36,6 +36,8 @@ from repro.topologies.random import random_topology
 from repro.util.errors import SimulationError, ValidationError
 from repro.util.timeline import Timeline
 from repro.util.units import mbps
+
+from oracles import FromScratchAggregateEngine
 
 
 class TriEngineDriver:
@@ -64,8 +66,8 @@ class TriEngineDriver:
         self.aggregate = AggregateDemandEngine(
             self.topology, lambda: self.fibs, self.timelines[0]
         )
-        self.full = AggregateDemandEngine(
-            self.topology, lambda: self.fibs, self.timelines[1], incremental=False
+        self.full = FromScratchAggregateEngine(
+            self.topology, lambda: self.fibs, self.timelines[1]
         )
         self.oracle = DataPlaneEngine(
             self.topology, lambda: self.fibs, self.timelines[2]
@@ -254,6 +256,9 @@ class TriEngineDriver:
             assert mine.interval == twin.interval == want.interval, context
             assert mine.rates == twin.rates, f"{context} sample@{mine.time} agg-vs-full"
             assert mine.rates == want.rates, f"{context} sample@{mine.time} agg-vs-oracle"
+        # The from-scratch engine re-walks everything: any reuse would make
+        # it a second incremental engine.
+        assert full.counters.flows_reused == full.counters.classes_reused == 0, context
 
 
 ACTIONS = (

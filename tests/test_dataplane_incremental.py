@@ -5,9 +5,9 @@ after an arbitrary sequence of flow arrivals (single and batched),
 departures, mid-stream FIB swaps (weight changes, lie injections and
 withdrawals) and link capacity changes, the incremental engine — versioned
 flow-path caching plus warm-start max-min repair — must be indistinguishable
-from a from-scratch :class:`~repro.dataplane.engine.DataPlaneEngine`
-(``incremental=False``): flow paths, allocated rates, instantaneous link
-rates, cumulative byte counters and periodic link samples all bit-identical.
+from the from-scratch engine of ``tests/oracles.py``: flow paths, allocated
+rates, instantaneous link rates, cumulative byte counters and periodic link
+samples all bit-identical.
 """
 
 import random
@@ -18,15 +18,40 @@ from hypothesis import strategies as st
 
 from repro.dataplane.engine import DataPlaneEngine
 from repro.dataplane.flows import FlowSpec
-from repro.experiments.scaling import build_pod_topology, pod_prefix
 from repro.igp.lsa import FakeNodeLsa
 from repro.igp.network import compute_static_fibs
 from repro.igp.rib_cache import RibCache
+from repro.igp.topology import Topology
 from repro.topologies.demo import BLUE_PREFIX, build_demo_topology, demo_lies
 from repro.topologies.random import random_topology
 from repro.util.errors import SimulationError
+from repro.util.prefixes import Prefix
 from repro.util.timeline import Timeline
 from repro.util.units import mbps
+
+from oracles import FromScratchDataPlaneEngine
+
+
+def build_pod_topology(pods, capacity=16e6):
+    """``pods`` disjoint server->middle->client chains, one prefix per pod.
+
+    The pods are disjoint connected components of the flow-link
+    hypergraph, so the warm-start allocator can repair one region's
+    arrivals without touching the rest.
+    """
+    topology = Topology(name=f"pods-{pods}")
+    for pod in range(pods):
+        names = [f"S{pod}", f"M{pod}", f"C{pod}"]
+        topology.add_routers(names)
+        topology.add_link(names[0], names[1], weight=1, capacity=capacity)
+        topology.add_link(names[1], names[2], weight=1, capacity=capacity)
+        topology.attach_prefix(names[2], Prefix.parse(f"10.{pod % 250}.{pod // 250}.0/24"))
+    return topology
+
+
+def pod_prefix(topology, pod):
+    """The viewer prefix of one pod of :func:`build_pod_topology`."""
+    return topology.attachments_of(f"C{pod}")[0].prefix
 
 
 class DualEngineDriver:
@@ -57,8 +82,8 @@ class DualEngineDriver:
             self.timeline_inc,
             alloc_dirty_threshold=alloc_dirty_threshold,
         )
-        self.reference = DataPlaneEngine(
-            self.topology, lambda: self.fibs, self.timeline_ref, incremental=False
+        self.reference = FromScratchDataPlaneEngine(
+            self.topology, lambda: self.fibs, self.timeline_ref
         )
         self.incremental.start()
         self.reference.start()
@@ -189,6 +214,9 @@ class DualEngineDriver:
             assert mine.time == want.time, context
             assert mine.interval == want.interval, context
             assert mine.rates == want.rates, f"{context} sample@{mine.time}"
+        # The oracle re-routes everything: any reuse would make it a second
+        # incremental engine.
+        assert ref.counters.flows_reused == ref.counters.classes_reused == 0, context
 
 
 ACTIONS = (
@@ -434,10 +462,29 @@ class TestCacheBehaviour:
         engine.remove_flow(0)
         assert engine.path_cache_version == version
 
+    def test_flash_crowd_wave_rewalks_only_the_arrivals(self):
+        """An arrival wave round-robin over the pods, then departures of the
+        earliest viewers: each arrival re-routes itself only and every event
+        warm-starts one component."""
+        pods, flows, churn = 8, 120, 30
+        topology, engine = self.build(pods=pods)
+        for index in range(flows):
+            pod = index % pods
+            engine.add_flow(f"S{pod}", pod_prefix(topology, pod), 1e6 + 1000.0 * index)
+        for flow_id in range(churn):
+            engine.remove_flow(flow_id)
+        engine.notify_routing_change()
+        counters = engine.counters
+        assert counters.flows_rerouted == flows
+        assert counters.flows_reused > 10 * counters.flows_rerouted
+        assert counters.alloc_full == 1  # the cold start only
+        assert counters.fallbacks == 0
+        assert counters.alloc_warm_starts == flows + churn - 1
+
     def test_disabled_cache_counts_only_full_allocations(self):
         topology = build_pod_topology(pods=2)
         fibs = compute_static_fibs(topology)
-        engine = DataPlaneEngine(topology, lambda: fibs, Timeline(), incremental=False)
+        engine = FromScratchDataPlaneEngine(topology, lambda: fibs, Timeline())
         for _ in range(3):
             engine.add_flow("S0", pod_prefix(topology, 0), mbps(2))
         engine.notify_routing_change()

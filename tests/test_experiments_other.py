@@ -4,12 +4,7 @@ import pytest
 
 from repro.experiments.optimality import run_optimality_study
 from repro.experiments.overhead import build_flash_crowd_demands, run_overhead_comparison
-from repro.experiments.scaling import (
-    build_pod_topology,
-    run_flashcrowd_scaling,
-    run_lie_scaling,
-    run_split_approximation,
-)
+from repro.experiments.scaling import run_lie_scaling, run_split_approximation
 from repro.topologies.random import random_topology
 from repro.util.errors import ValidationError
 
@@ -113,23 +108,3 @@ class TestScalingAblations:
     def test_split_approximation_validation(self):
         with pytest.raises(ValidationError):
             run_split_approximation(samples=0)
-
-    def test_flashcrowd_scaling_counters_show_cache_effectiveness(self):
-        rows = run_flashcrowd_scaling(flow_counts=(24, 48), pods=4)
-        assert [row.flows for row in rows] == [24, 48]
-        for row in rows:
-            churn = row.flows // 4
-            # Every arrival re-routes exactly the new flow; every other
-            # active flow is served from the path cache.
-            assert row.flows_rerouted == row.flows
-            assert row.flows_reused > 0
-            assert row.fallbacks == 0
-            assert row.alloc_full == 1  # the cold start only
-            assert row.alloc_warm_starts == row.flows + churn - 1
-            assert row.speedup > 0
-
-    def test_flashcrowd_scaling_validation(self):
-        with pytest.raises(ValidationError):
-            run_flashcrowd_scaling(flow_counts=(0,))
-        with pytest.raises(ValidationError):
-            build_pod_topology(0)

@@ -33,25 +33,25 @@ class TestGridExpansion:
         assert [run.index for run in runs] == list(range(11))
 
     def test_expansion_order_is_deterministic(self):
-        spec = GridSpec.build("flashcrowd", seeds=(7, 3), pods=[2, 4], flow_counts=[(10,)])
+        spec = GridSpec.build("shard", seeds=(7, 3), waves=[2, 4], shard_counts=[(1,)])
         combos = spec.expand()
         # Seeds vary slowest (declaration order), parameters fastest
         # (cartesian product in sorted-name order).
         assert [seed for seed, _ in combos] == [7, 7, 3, 3]
-        assert [dict(params)["pods"] for _, params in combos] == [2, 4, 2, 4]
+        assert [dict(params)["waves"] for _, params in combos] == [2, 4, 2, 4]
 
     def test_lists_are_frozen_to_tuples(self):
-        spec = GridSpec.build("flashcrowd", seeds=[0], flow_counts=[[10, 20]])
+        spec = GridSpec.build("shard", seeds=[0], shard_counts=[[1, 2]])
         ((_, params),) = spec.expand()
-        assert dict(params)["flow_counts"] == (10, 20)
+        assert dict(params)["shard_counts"] == (1, 2)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(SweepError):
-            GridSpec.build("flashcrowd", seeds=())
+            GridSpec.build("shard", seeds=())
 
     def test_empty_choice_list_rejected(self):
         with pytest.raises(SweepError):
-            GridSpec.build("flashcrowd", seeds=(0,), pods=[])
+            GridSpec.build("shard", seeds=(0,), waves=[])
 
     def test_unknown_experiment_rejected_at_expansion(self):
         grid = SweepGrid(name="bad", specs=(GridSpec.build("no-such", seeds=(0,)),))
@@ -59,8 +59,8 @@ class TestGridExpansion:
             grid.expand()
 
     def test_run_labels_are_readable(self):
-        run = RunSpec(index=0, experiment="reconcile", seed=3, params=(("waves", 6),))
-        assert run.label() == "reconcile[seed=3, waves=6]"
+        run = RunSpec(index=0, experiment="shard", seed=3, params=(("waves", 6),))
+        assert run.label() == "shard[seed=3, waves=6]"
 
 
 class TestHarnessValidation:
@@ -191,6 +191,6 @@ class TestPredefinedSweeps:
             assert grid.expand()  # expansion itself must not raise
 
     def test_registry_covers_the_scaling_ablations(self):
-        assert {"flashcrowd", "reconcile", "shard", "lie-scaling", "fig2"} <= set(
+        assert {"shard", "lie-scaling", "split-approx", "fig2"} <= set(
             EXPERIMENTS
         )

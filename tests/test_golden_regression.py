@@ -14,12 +14,27 @@ import pathlib
 
 import pytest
 
+from repro.experiments import fig1, fig2
 from repro.experiments.fig1 import fig1_lie_digests, fig1_rib_digests, run_fig1
 from repro.experiments.optimality import run_optimality_study
 from repro.igp.graph import ComputationGraph
 from repro.igp.rib import rib_digest
 from repro.igp.rib_cache import RibCache
 from repro.topologies.demo import build_demo_scenario, demo_lies
+
+from oracles import (
+    ClearAndReplayBalancer,
+    ClearAndReplayController,
+    FromScratchDataPlaneEngine,
+)
+
+
+def use_clear_and_replay_controller(monkeypatch):
+    """Make the Fig. 1/Fig. 2 harnesses build the clear-and-replay oracle."""
+    for module in (fig1, fig2):
+        monkeypatch.setattr(module, "FibbingController", ClearAndReplayController)
+    monkeypatch.setattr(fig2, "OnDemandLoadBalancer", ClearAndReplayBalancer)
+
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -128,18 +143,21 @@ class TestFig2Golden:
             list(point) for point in expected["max_utilization_series"]
         ]
         # The incremental engine must actually have been exercised: the demo
-        # run reuses cached paths across its FIB/arrival churn.
-        assert result.dataplane_stats["dp_flows_reused"] > 0
+        # run reuses cached paths across its FIB/arrival churn, and with the
+        # controller's lie waves most of that churn is served from the cache.
+        stats = result.dataplane_stats
+        assert stats["dp_flows_reused"] > 0
+        if with_controller:
+            assert stats["dp_flows_reused"] > stats["dp_flows_rerouted"]
 
-    def test_cache_disabled_run_matches_the_same_golden(self, golden):
-        """``dataplane_incremental=False`` is the from-scratch oracle: the
-        same run without any caching must land on the same numbers."""
+    def test_cache_disabled_run_matches_the_same_golden(self, golden, monkeypatch):
+        """The from-scratch data plane of ``tests/oracles.py``: the same run
+        without any caching must land on the same numbers."""
         from repro.experiments.fig2 import run_demo_timeseries
 
+        monkeypatch.setattr(fig2, "DataPlaneEngine", FromScratchDataPlaneEngine)
         expected = golden["with_controller"]
-        result = run_demo_timeseries(
-            with_controller=True, duration=60.0, dataplane_incremental=False
-        )
+        result = run_demo_timeseries(with_controller=True, duration=60.0)
         actual_counters = {
             f"{source}->{target}": value
             for (source, target), value in result.link_counters.items()
@@ -197,7 +215,7 @@ class TestLieSetGolden:
     the controller pipeline programs (fake-node names included), for both
     the static Fig. 1 enforcement and the dynamic Fig. 2 run.  Three
     engines must land on each digest: the plan-cache reconciler, the
-    ``incremental=False`` clear-and-replay oracle, and the sharded facade
+    clear-and-replay oracle of ``tests/oracles.py``, and the sharded facade
     (any shard count) — the controller-layer mirror of the RIB/data-plane
     dual-engine guard rails."""
 
@@ -205,33 +223,33 @@ class TestLieSetGolden:
     def golden(self):
         return load_golden("fig1_lies.json")
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_fig1_pipeline_digests_are_bit_identical(self, golden, incremental):
-        assert (
-            fig1_lie_digests(incremental=incremental)
-            == golden["fig1_controller_pipeline"]
-        )
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plan_cache", "clear_and_replay"])
+    def test_fig1_pipeline_digests_are_bit_identical(self, golden, oracle, monkeypatch):
+        if oracle:
+            use_clear_and_replay_controller(monkeypatch)
+        assert fig1_lie_digests() == golden["fig1_controller_pipeline"]
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_fig2_final_lie_digests_are_bit_identical(self, golden, incremental):
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plan_cache", "clear_and_replay"])
+    def test_fig2_final_lie_digests_are_bit_identical(self, golden, oracle, monkeypatch):
         from repro.experiments.fig2 import run_demo_timeseries
 
-        result = run_demo_timeseries(
-            with_controller=True, duration=60.0, controller_incremental=incremental
-        )
+        if oracle:
+            use_clear_and_replay_controller(monkeypatch)
+        result = run_demo_timeseries(with_controller=True, duration=60.0)
         assert result.lie_digests == golden["fig2_final"]
         # The run must actually have exercised the reconciler's accounting:
         # every installed lie was injected (and counted) by it.
-        assert result.controller_stats["ctl_lies_injected"] >= result.lies_active
-        if incremental:
+        stats = result.controller_stats
+        assert stats["ctl_lies_injected"] >= result.lies_active
+        if oracle:
+            # The oracle never reuses a plan.
+            assert stats["ctl_plan_cache_hits"] == stats["ctl_opt_cache_hits"] == 0
+            assert stats["ctl_merge_cache_hits"] == stats["ctl_fallbacks"] == 0
+        else:
             # The demo manages a single prefix, so a reaction that changes
             # its requirement dirties 100% of the wave — at most one
             # fallback per reaction, never more.
-            assert result.controller_stats["ctl_fallbacks"] <= len(result.actions)
-        else:
-            # The oracle never consults the plan cache.
-            assert result.controller_stats["ctl_plan_cache_hits"] == 0
-            assert result.controller_stats["ctl_fallbacks"] == 0
+            assert stats["ctl_fallbacks"] <= len(result.actions)
 
     @pytest.mark.parametrize("shards", [2, 3])
     def test_fig1_sharded_digests_are_bit_identical(self, golden, shards):

@@ -3,8 +3,7 @@
 The synchronous demo loop reacts the instant an alarm fires; the
 asynchronous scheduler (PR 9) adds the timing the paper's deployment
 discussion cares about: jittered SNMP polls, non-zero controller reaction
-latency, staggered shard completion, and SPF/FIB hold-downs walked by the
-data plane.  This benchmark sweeps poll interval x reaction latency x SPF
+latency, and SPF/FIB hold-downs walked by the data plane.  This benchmark sweeps poll interval x reaction latency x SPF
 hold-down through :func:`repro.experiments.reaction.run_reaction_curves`
 and publishes the curves — the acceptance gate is that the reaction-time
 curve genuinely moves with both the poll interval *and* the convergence

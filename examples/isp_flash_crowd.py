@@ -5,19 +5,15 @@ The paper's demo runs on a small network; this example wires the exact same
 building blocks (event-driven IGP, flow-level data plane, video service,
 SNMP monitoring, on-demand load balancer) on a synthetic two-level ISP
 topology and hits it with a Poisson flash crowd toward one customer prefix.
-The control plane runs as a **sharded multi-controller**
-(``ShardedFibbingController(shards=4)``): the managed prefixes are
-partitioned across four controller shards whose reaction sub-waves plan
-independently behind one reconciliation facade — same installed lies as a
-single controller, bit for bit.  The example prints the QoE with and
-without Fibbing, the per-shard reconciliation deltas of the run, and the
-steady-state planning speedup the sharded facade delivers on a
-disjoint-prefix churn replay.
+One :class:`FibbingController` programs the network.  The example prints the
+QoE with and without Fibbing and the controller's reconciliation deltas of
+the run (lies injected, retracted and kept; requirements re-planned versus
+served from the plan cache).
 
 Run with:  python examples/isp_flash_crowd.py
 """
 
-from repro.core.shard import ShardedFibbingController
+from repro.core.controller import FibbingController
 from repro.core.loadbalancer import OnDemandLoadBalancer
 from repro.core.policies import LoadBalancerPolicy
 from repro.dataplane.engine import DataPlaneEngine
@@ -77,8 +73,7 @@ def run(with_controller: bool, seed: int = 7):
     balancer = None
     controller = None
     if with_controller:
-        controller = ShardedFibbingController(topology, shards=4, network=network,
-                                              attachment="Core0")
+        controller = FibbingController(topology, network=network, attachment="Core0")
         registry = ClientRegistry()
         registry.attach(service.bus)
         balancer = OnDemandLoadBalancer(controller, registry, policy=policy,
@@ -96,15 +91,6 @@ def run(with_controller: bool, seed: int = 7):
     timeline.run_until(epoch + RUN_DURATION)
 
     qoe = aggregate_qoe(service.clients())
-    shard_deltas = []
-    if controller is not None:
-        for index, shard in enumerate(controller.shards):
-            counters = shard.reconciler.counters
-            shard_deltas.append(
-                (index, len(shard.registry.prefixes()), counters.lies_injected,
-                 counters.lies_retracted, counters.lies_kept,
-                 counters.plans_recomputed, counters.plan_cache_hits)
-            )
     return {
         "sessions": sessions,
         "qoe": qoe,
@@ -112,30 +98,12 @@ def run(with_controller: bool, seed: int = 7):
         "reactions": len(balancer.actions) if balancer else 0,
         "lies": controller.active_lie_count() if controller else 0,
         "messages": controller.stats.messages_sent if controller else 0,
-        "shard_deltas": shard_deltas,
-        "shard_counters": controller.shard_counters.snapshot() if controller else {},
+        "ctl": controller.reconciler.counters if controller else None,
     }
 
 
-def planning_speedup() -> tuple[float, float, float]:
-    """Steady-state planning replay: single controller vs. 4-shard facade.
-
-    Replays the A6 disjoint-prefix churn (every wave re-plans exactly one
-    shard's requirements) through both engines on a ring topology and
-    returns (single seconds, sharded seconds, speedup).  The lie sets are
-    verified identical inside :func:`run_shard_scaling`.
-    """
-    from repro.experiments.scaling import run_shard_scaling
-
-    (row,) = run_shard_scaling(
-        shard_counts=(4,), requirements=48, waves=30, ring=32
-    )
-    return row.single_seconds, row.sharded_seconds, row.speedup
-
-
 def main() -> None:
-    print("ISP-scale flash crowd (20 routers, Poisson arrivals, 2 Mbit/s videos,")
-    print("sharded controller: 4 shards behind one reconciliation facade)\n")
+    print("ISP-scale flash crowd (20 routers, Poisson arrivals, 2 Mbit/s videos)\n")
     enabled = run(with_controller=True)
     disabled = run(with_controller=False)
 
@@ -151,22 +119,12 @@ def main() -> None:
     print(f"{'fake LSAs injected':28} {enabled['messages']:>14} {disabled['messages']:>10}")
     print(f"{'fake nodes active at end':28} {enabled['lies']:>14} {disabled['lies']:>10}")
 
-    print("\nPer-shard reconciliation deltas (with-Fibbing run):")
-    print(f"{'shard':>5} {'prefixes':>9} {'injected':>9} {'retracted':>10} "
-          f"{'kept':>6} {'replans':>8} {'plan hits':>10}")
-    for index, prefixes, injected, retracted, kept, replans, hits in enabled["shard_deltas"]:
-        print(f"{index:>5} {prefixes:>9} {injected:>9} {retracted:>10} "
-              f"{kept:>6} {replans:>8} {hits:>10}")
-    counters = enabled["shard_counters"]
-    print(f"waves: {counters['shard_waves_serial']}, "
-          f"{counters['shard_dirty']} shard sub-waves dirty, "
-          f"{counters['shard_clean']} clean, "
-          f"{counters['shard_cross_fallbacks']} cross-shard fallbacks")
-
-    single_s, sharded_s, speedup = planning_speedup()
-    print(f"\nSteady-state planning replay (48 requirements, disjoint-prefix churn):")
-    print(f"  single incremental controller: {single_s:.3f} s")
-    print(f"  sharded facade (4 shards):     {sharded_s:.3f} s   -> {speedup:.1f}x speedup")
+    ctl = enabled["ctl"]
+    print("\nReconciliation deltas (with-Fibbing run):")
+    print(f"  lies injected {ctl.lies_injected}, retracted {ctl.lies_retracted}, "
+          f"kept {ctl.lies_kept}")
+    print(f"  requirements re-planned {ctl.plans_recomputed}, "
+          f"served from the plan cache {ctl.plan_cache_hits}")
 
 
 if __name__ == "__main__":

@@ -39,27 +39,7 @@ from repro.util.counters import Counters, Number, counter, merge_snapshots
 from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
-__all__ = ["ControllerStats", "ControllerUpdate", "FibbingController", "ShardCounters"]
-
-
-@dataclass
-class ShardCounters(Counters):
-    """Facade-level accounting of the sharded planner (``shard_*`` keys).
-
-    ``waves_serial`` counts enforce waves.  ``shards_dirty`` /
-    ``shards_clean`` count shard sub-waves that re-planned at least one
-    requirement versus sub-waves served entirely from the shard's plan
-    cache.  ``cross_shard_fallbacks`` are waves the facade could not
-    partition (a prefix appearing twice in one wave, or a caller-supplied
-    baseline) and planned serially in wave order instead.  Every controller
-    owns a set; only a :class:`~repro.core.shard.ShardedFibbingController`
-    ever increments it.
-    """
-
-    waves_serial: int = counter("shard_waves_serial")
-    shards_dirty: int = counter("shard_dirty")
-    shards_clean: int = counter("shard_clean")
-    cross_shard_fallbacks: int = counter("shard_cross_fallbacks")
+__all__ = ["ControllerStats", "ControllerUpdate", "FibbingController"]
 
 
 @dataclass
@@ -67,8 +47,8 @@ class ControllerStats(Counters):
     """Control-plane overhead counters of one controller.
 
     The five fields are the controller's own.  :meth:`snapshot` appends the
-    controller's live SPF/RIB-cache, data-plane, ``ctl_*`` and ``shard_*``
-    counter sets, read at call time: other components share the
+    controller's live SPF/RIB-cache, data-plane and ``ctl_*`` counter sets,
+    read at call time: other components share the
     controller's caches (the load balancer hands ``baseline_route_cache``
     to its merger) and advance those counters without going through a
     controller method.
@@ -121,31 +101,20 @@ class FibbingController:
         network: Optional[IgpNetwork] = None,
         attachment: Optional[str] = None,
         epsilon: float = DEFAULT_EPSILON,
-        plan_dirty_threshold: float = 0.5,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
-        """Create a controller for ``topology``.
-
-        ``plan_dirty_threshold`` is the fallback knob: when more than that
-        fraction of an enforce wave's requirements changed, the wave is
-        re-planned in full and counted as a ``ctl_fallback``.
-        """
+        """Create a controller for ``topology``."""
         self.topology = topology
         self.name = name
         self.network = network
         self.epsilon = epsilon
         self.registry = LieRegistry(controller=name)
         self.reconciler = LieReconciler(
-            registry=self.registry,
-            controller=name,
-            plan_cache=plan_cache,
-            plan_dirty_threshold=plan_dirty_threshold,
+            registry=self.registry, controller=name, plan_cache=plan_cache
         )
         #: Overhead counters; ``stats.snapshot()`` also reads the live sets.
         self.stats = ControllerStats()
         self.stats.live_sets = self._live_counter_sets
-        #: ``shard_*`` counters (all zero unless a sharded facade drives them).
-        self.shard_counters = ShardCounters()
         self.updates: List[ControllerUpdate] = []
         # Baseline-FIB memo keyed on the topology revision:
         # (revision, max_ecmp, fibs).
@@ -206,10 +175,8 @@ class FibbingController:
         unchanged since its last enforcement is skipped outright (a
         ``ctl_plan_cache_hit``: no validation, no synthesis, no diff — the
         installed lies are kept); only the changed requirements are
-        re-planned.  When more than ``plan_dirty_threshold`` of the wave
-        changed, the whole wave is re-planned clear-and-replay style and
-        counted as a ``ctl_fallback``.  Both paths install bit-identical
-        LSAs to the clear-and-replay oracle of ``tests/oracles.py``.
+        re-planned, however many of them there are.  The installed LSAs are
+        bit-identical to the clear-and-replay oracle of ``tests/oracles.py``.
         """
         self._check_attached()
         reqs = list(requirements)
@@ -221,29 +188,10 @@ class FibbingController:
         now = self._now()
         version = self.baseline_route_cache.version
         counters = self.reconciler.counters
-        dirty = sum(
-            1 for requirement in reqs
-            if not self.reconciler.is_clean(version, requirement)
-        )
-        fallback = self.reconciler.wave_fallback(len(reqs), dirty)
-        if fallback:
-            counters.fallbacks += 1
-        # One registry snapshot serves every skipped prefix of the wave; an
-        # earlier plan of the same wave can only have changed the counts of
-        # prefixes it planned, which are tracked and re-read exactly.
-        active_counts = self.registry.active_counts()
-        planned_prefixes = set()
         for requirement in reqs:
-            if not fallback and self.reconciler.is_clean(version, requirement):
+            if self.reconciler.is_clean(version, requirement):
                 counters.plan_cache_hits += 1
-                plan = self.reconciler.noop_plan(
-                    requirement.prefix,
-                    active_count=(
-                        None
-                        if requirement.prefix in planned_prefixes
-                        else active_counts.get(requirement.prefix, 0)
-                    ),
-                )
+                plan = self.reconciler.noop_plan(requirement.prefix)
             else:
                 counters.plans_recomputed += 1
                 plan = self._plan_requirement(
@@ -251,7 +199,6 @@ class FibbingController:
                 )
             self.registry.commit(plan, now=now)
             self.reconciler.mark_enforced(version, requirement)
-            planned_prefixes.add(requirement.prefix)
             plans.append(plan)
         return self._apply_batch(plans, already_committed=True)
 
@@ -529,7 +476,6 @@ class FibbingController:
             if self.network is not None
             else DataPlaneCounters(),
             self.reconciler.counters,
-            self.shard_counters,
         ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.igp.lsa import FakeNodeLsa
 from repro.util.errors import ControllerError
@@ -131,11 +131,17 @@ class LieUpdate:
 
 
 class LieRegistry:
-    """All lies the controller currently maintains, keyed by fake node name."""
+    """The lies the controller currently maintains, indexed by prefix.
+
+    Only active lies are indexed (by fake-node name and by prefix), so a
+    per-prefix read costs what that prefix holds, whatever the controller's
+    age.  Withdrawn lies stay reachable through :meth:`history` only.
+    """
 
     def __init__(self, controller: str = "fibbing-controller") -> None:
         self.controller = controller
-        self._lies: Dict[str, Lie] = {}
+        self._by_name: Dict[str, Lie] = {}
+        self._by_prefix: Dict[Prefix, Dict[str, Lie]] = {}
         self._history: List[Lie] = []
 
     # ------------------------------------------------------------------ #
@@ -143,12 +149,8 @@ class LieRegistry:
     # ------------------------------------------------------------------ #
     def active_lies(self, prefix: Optional[Prefix] = None) -> List[Lie]:
         """Active lies, optionally restricted to one prefix, sorted by fake node name."""
-        lies = [
-            lie
-            for name, lie in sorted(self._lies.items())
-            if lie.state is LieState.ACTIVE and (prefix is None or lie.prefix == prefix)
-        ]
-        return lies
+        lies = self._by_name if prefix is None else self._by_prefix.get(prefix, {})
+        return [lies[name] for name in sorted(lies)]
 
     def active_lsas(self, prefix: Optional[Prefix] = None) -> List[FakeNodeLsa]:
         """The LSAs of the active lies (what a static FIB computation needs)."""
@@ -156,24 +158,13 @@ class LieRegistry:
 
     def active_count(self, prefix: Optional[Prefix] = None) -> int:
         """Number of active lies (optionally for one prefix)."""
-        return len(self.active_lies(prefix))
-
-    def active_counts(self) -> Dict[Prefix, int]:
-        """Active-lie count per prefix in one unsorted pass.
-
-        The reconciler snapshots this once per enforce wave instead of
-        scanning the registry per skipped prefix (which would be quadratic
-        in the number of programmed prefixes).
-        """
-        counts: Dict[Prefix, int] = {}
-        for lie in self._lies.values():
-            if lie.state is LieState.ACTIVE:
-                counts[lie.prefix] = counts.get(lie.prefix, 0) + 1
-        return counts
+        if prefix is None:
+            return len(self._by_name)
+        return len(self._by_prefix.get(prefix, ()))
 
     def prefixes(self) -> List[Prefix]:
         """Prefixes that currently have at least one active lie."""
-        return sorted({lie.prefix for lie in self.active_lies()})
+        return sorted(self._by_prefix)
 
     def history(self) -> List[Lie]:
         """Every lie ever registered (active and withdrawn)."""
@@ -226,15 +217,15 @@ class LieRegistry:
     def commit(self, update: LieUpdate, now: float = 0.0) -> None:
         """Record the effects of an update that has been sent to the network."""
         for lsa in update.to_inject:
-            if lsa.fake_node in self._lies and self._lies[lsa.fake_node].state is LieState.ACTIVE:
-                raise ControllerError(f"fake node {lsa.fake_node!r} is already active")
-            lie = Lie(lsa=lsa, state=LieState.ACTIVE, injected_at=now)
-            self._lies[lsa.fake_node] = lie
-            self._history.append(lie)
+            self._activate(Lie(lsa=lsa, state=LieState.ACTIVE, injected_at=now))
         for lsa in update.to_withdraw:
-            lie = self._lies.get(lsa.fake_node)
-            if lie is None or lie.state is not LieState.ACTIVE:
+            lie = self._by_name.pop(lsa.fake_node, None)
+            if lie is None:
                 raise ControllerError(f"cannot withdraw unknown lie {lsa.fake_node!r}")
+            same_prefix = self._by_prefix[lie.prefix]
+            del same_prefix[lsa.fake_node]
+            if not same_prefix:
+                del self._by_prefix[lie.prefix]
             lie.state = LieState.WITHDRAWN
             lie.withdrawn_at = now
 
@@ -244,7 +235,8 @@ class LieRegistry:
         The lies themselves survive in the network (fake LSAs live in the
         routers' LSDBs); :meth:`restore` re-learns them after a restart.
         """
-        self._lies.clear()
+        self._by_name.clear()
+        self._by_prefix.clear()
         self._history.clear()
 
     def restore(self, lsas: Iterable[FakeNodeLsa], now: float = 0.0) -> int:
@@ -257,15 +249,17 @@ class LieRegistry:
         """
         count = 0
         for lsa in sorted(lsas, key=lambda item: item.fake_node):
-            if lsa.fake_node in self._lies and self._lies[lsa.fake_node].state is LieState.ACTIVE:
-                raise ControllerError(
-                    f"cannot restore {lsa.fake_node!r}: fake node is already active"
-                )
-            lie = Lie(lsa=lsa, state=LieState.ACTIVE, injected_at=now)
-            self._lies[lsa.fake_node] = lie
-            self._history.append(lie)
+            self._activate(Lie(lsa=lsa, state=LieState.ACTIVE, injected_at=now))
             count += 1
         return count
+
+    def _activate(self, lie: Lie) -> None:
+        name = lie.lsa.fake_node
+        if name in self._by_name:
+            raise ControllerError(f"fake node {name!r} is already active")
+        self._by_name[name] = lie
+        self._by_prefix.setdefault(lie.prefix, {})[name] = lie
+        self._history.append(lie)
 
     def clear(self, prefix: Optional[Prefix] = None) -> LieUpdate:
         """Plan the withdrawal of every active lie (optionally for one prefix)."""

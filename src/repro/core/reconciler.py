@@ -19,10 +19,8 @@ layer, closing the last from-scratch stage of the reaction pipeline
   cost), allocates fake-node names only for lies that are actually
   injected, and keeps the per-prefix ``(version, digest)`` bookkeeping that
   lets :meth:`~repro.core.controller.FibbingController.enforce` skip clean
-  requirements outright.  Past ``plan_dirty_threshold`` (fraction of the
-  requirement set that moved) the reconciler falls back to the full
-  clear-and-replay plan, counted as a ``ctl_fallback`` — the same knob
-  pattern as ``RibCache.dirty_threshold`` and ``alloc_dirty_threshold``.
+  requirements outright.  However many requirements of a wave moved, only
+  those are re-planned: a clean one re-planned would diff to a no-op.
 
 Name allocation is deliberately a function of the *committed* lie history
 only (a counter that advances once per injected lie), never of how many
@@ -43,7 +41,6 @@ from repro.core.requirements import DestinationRequirement
 from repro.igp.fib import Fib
 from repro.igp.lsa import FakeNodeLsa
 from repro.util.counters import Counters, counter
-from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,35 +54,7 @@ __all__ = [
     "MergedPlan",
     "PlanCache",
     "LieReconciler",
-    "wave_past_threshold",
-    "fake_node_name",
 ]
-
-
-def fake_node_name(controller: str, anchor: str, sequence: int) -> str:
-    """The canonical fake-node name for the ``sequence``-th injected lie.
-
-    Shared by :meth:`LieReconciler._allocate_name` and the sharded facade's
-    central allocator: the bit-identical-lies invariant requires both to
-    produce the exact same byte sequence for the same committed history, so
-    the format lives in one place.
-    """
-    return f"{controller}-fake-{anchor}-{sequence}"
-
-
-def wave_past_threshold(
-    wave_size: int, dirty: int, has_state: bool, threshold: float
-) -> bool:
-    """The dirty-threshold fallback predicate, in one place.
-
-    True when an enforce wave of ``wave_size`` requirements with ``dirty``
-    changed ones must be re-planned in full, clear-and-replay style.  Every
-    enforce path — the controller's wave loop, the sharded facade's
-    per-shard planner, its process-mode pre-selection and its serial
-    duplicate-prefix path — routes through this function, so the sites can
-    never drift apart.
-    """
-    return bool(wave_size and has_state and dirty > threshold * wave_size)
 
 
 @dataclass
@@ -94,9 +63,7 @@ class CtlCounters(Counters):
 
     ``plan_cache_hits`` are requirements served without any planning work
     (version and digest unchanged, installed lies kept as-is);
-    ``plans_recomputed`` went through synthesis + diff; ``fallbacks`` are
-    enforce waves whose dirty fraction exceeded ``plan_dirty_threshold`` and
-    were re-planned in full, clear-and-replay style.  ``lies_injected`` /
+    ``plans_recomputed`` went through synthesis + diff.  ``lies_injected`` /
     ``lies_retracted`` / ``lies_kept`` break every applied plan down into
     actual network churn versus state carried over.  ``opt_cache_hits`` and
     ``merge_cache_hits`` count whole optimisation results and merged weight
@@ -108,7 +75,6 @@ class CtlCounters(Counters):
     lies_injected: int = counter("ctl_lies_injected")
     lies_retracted: int = counter("ctl_lies_retracted")
     lies_kept: int = counter("ctl_lies_kept")
-    fallbacks: int = counter("ctl_fallbacks")
     opt_cache_hits: int = counter("ctl_opt_cache_hits")
     merge_cache_hits: int = counter("ctl_merge_cache_hits")
     # Asynchronous control-loop accounting (see core.scheduler): reactions
@@ -124,14 +90,12 @@ class CtlCounters(Counters):
     converge_seconds: float = counter("ctl_converge_seconds", 0.0)
     # Crash/recovery accounting (see FibbingController.detach/resync and
     # core.chaos): controller restarts that re-learned state from the LSDB,
-    # surviving lies recovered that way, in-flight reactions abandoned
+    # surviving lies recovered that way, and in-flight reactions abandoned
     # because their baseline topology revision moved (or the controller
-    # detached) before they fired, and staggered sub-wave LSAs dropped
-    # because their anchor adjacency died while the wave was pending.
+    # detached) before they fired.
     resyncs: int = counter("ctl_resyncs")
     resync_lies_recovered: int = counter("ctl_resync_lies_recovered")
     reactions_abandoned: int = counter("ctl_reactions_abandoned")
-    stagger_lsas_dropped: int = counter("ctl_stagger_lsas_dropped")
 
     @property
     def plans_served(self) -> int:
@@ -276,18 +240,10 @@ class LieReconciler:
         registry: LieRegistry,
         controller: str = "fibbing-controller",
         plan_cache: Optional[PlanCache] = None,
-        plan_dirty_threshold: float = 0.5,
     ) -> None:
-        if not 0.0 <= plan_dirty_threshold <= 1.0:
-            raise ControllerError(
-                f"plan_dirty_threshold must be in [0, 1], got {plan_dirty_threshold}"
-            )
         self.registry = registry
         self.controller = controller
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        #: Fraction of the requirement set beyond which an enforce wave is
-        #: re-planned in full, clear-and-replay style (the fallback knob).
-        self.plan_dirty_threshold = plan_dirty_threshold
         # Last enforced (baseline version, requirement digest) per prefix;
         # a matching pair means the installed lies already realise the
         # requirement and the whole planning pass can be skipped.
@@ -305,17 +261,6 @@ class LieReconciler:
     # ------------------------------------------------------------------ #
     # Cleanliness bookkeeping
     # ------------------------------------------------------------------ #
-    @property
-    def has_state(self) -> bool:
-        """Whether any requirement has been enforced since the last clear."""
-        return bool(self._enforced)
-
-    def wave_fallback(self, wave_size: int, dirty: int) -> bool:
-        """:func:`wave_past_threshold` against this reconciler's own state."""
-        return wave_past_threshold(
-            wave_size, dirty, self.has_state, self.plan_dirty_threshold
-        )
-
     def is_clean(self, version: int, requirement: DestinationRequirement) -> bool:
         """Whether ``requirement`` is already in force at graph ``version``."""
         return self._enforced.get(requirement.prefix) == (
@@ -382,24 +327,15 @@ class LieReconciler:
             for index, shape in enumerate(shapes)
         ]
 
-    def reconcile(
-        self, prefix: Prefix, desired: List[FakeNodeLsa], allocate_names: bool = True
-    ) -> LieUpdate:
+    def reconcile(self, prefix: Prefix, desired: List[FakeNodeLsa]) -> LieUpdate:
         """Diff ``desired`` against the installed lies; name the injections.
 
         Matching is by behavioural signature, so unchanged lies keep their
         installed LSA (and name) untouched; only genuinely new lies receive
         a fresh name from the committed-history counter.
-
-        ``allocate_names=False`` defers the naming: the returned plan keeps
-        the placeholder names of ``desired``.  The sharded facade plans
-        shard waves concurrently this way and allocates final names
-        centrally, in wave order, so the name sequence stays a function of
-        the committed lie history only — independent of shard count and of
-        which worker finished first.
         """
         plan = self.registry.plan_update(prefix, desired)
-        if not plan.to_inject or not allocate_names:
+        if not plan.to_inject:
             return plan
         named = tuple(
             replace(lsa, fake_node=self._allocate_name(lsa.anchor))
@@ -412,19 +348,13 @@ class LieReconciler:
             unchanged=plan.unchanged,
         )
 
-    def noop_plan(self, prefix: Prefix, active_count: Optional[int] = None) -> LieUpdate:
-        """The plan of a clean requirement: everything installed is kept.
-
-        ``active_count`` lets the caller supply a pre-snapshotted count (one
-        registry pass per wave instead of one per skipped prefix).
-        """
-        if active_count is None:
-            active_count = self.registry.active_count(prefix)
+    def noop_plan(self, prefix: Prefix) -> LieUpdate:
+        """The plan of a clean requirement: everything installed is kept."""
         return LieUpdate(
             prefix=prefix,
             to_inject=(),
             to_withdraw=(),
-            unchanged=active_count,
+            unchanged=self.registry.active_count(prefix),
         )
 
     def record_applied(self, plan: LieUpdate) -> None:
@@ -435,7 +365,7 @@ class LieReconciler:
 
     def _allocate_name(self, anchor: str) -> str:
         self._name_counter += 1
-        return fake_node_name(self.controller, anchor, self._name_counter)
+        return f"{self.controller}-fake-{anchor}-{self._name_counter}"
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

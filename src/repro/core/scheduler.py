@@ -1,34 +1,30 @@
-"""Asynchronous control-loop timing: deferred reactions, staggered shard
-waves and convergence observability.
+"""Asynchronous control-loop timing: deferred reactions, in-flight
+supersession and convergence observability.
 
 The synchronous wiring used by the Fig. 2 demo so far
 (``balancer.attach(alarm)``) reacts *inside* the alarm callback: the LP, the
 merge and the whole injection wave execute at the alarm instant, and only the
 IGP flooding/SPF machinery takes simulated time afterwards.  Real Fibbing
-deployments (§5 of the paper) interleave three asynchronous delays the
-synchronous loop hides:
+deployments (§5 of the paper) interleave asynchronous delays the synchronous
+loop hides:
 
 * **controller reaction latency** — the controller needs wall-clock time to
   rebuild the demand matrix, solve the LP and synthesise the lie delta, so
   the wave starts *after* the alarm, against whatever the network looks like
   by then;
-* **staggered shard completion** — with a
-  :class:`~repro.core.shard.ShardedFibbingController` the per-shard
-  sub-waves finish planning at different instants, so their LSAs enter the
-  flooding fabric staggered rather than as one atomic wave;
 * **in-flight supersession** — an alarm that fires while a reaction is still
   pending makes the pending reaction stale: it would re-plan against the
   very state the new alarm invalidated.  The scheduler cancels the pending
   :class:`~repro.util.timeline.ScheduledEvent` and re-plans from the new
   alarm, counting the supersession.
 
-:class:`ControlLoopScheduler` layers exactly those three behaviours between
+:class:`ControlLoopScheduler` layers exactly those two behaviours between
 the alarm and the load balancer, on the shared
-:class:`~repro.util.timeline.Timeline`.  With every knob at its default
-(``reaction_latency == 0`` and ``shard_stagger == 0``) it degenerates to a
-*synchronous call inside the alarm callback* — not a ``schedule_in(0, ...)``
-deferral, which would reorder same-instant events — so every existing golden
-and differential suite stays byte-identical.
+:class:`~repro.util.timeline.Timeline`.  At ``reaction_latency == 0`` (the
+default) it degenerates to a *synchronous call inside the alarm callback* —
+not a ``schedule_in(0, ...)`` deferral, which would reorder same-instant
+events — so every existing golden and differential suite stays
+byte-identical.
 
 :class:`ConvergenceMonitor` is the read-only observability companion: it
 subscribes to :meth:`~repro.igp.network.IgpNetwork.on_inject` and
@@ -47,9 +43,7 @@ from typing import Optional, Set
 
 from repro.core.loadbalancer import OnDemandLoadBalancer, RebalanceAction
 from repro.core.reconciler import CtlCounters
-from repro.igp.lsa import FakeNodeLsa
 from repro.monitoring.alarms import AlarmEvent, UtilizationAlarm
-from repro.util.errors import ControllerError
 from repro.util.timeline import ScheduledEvent, Timeline
 from repro.util.validation import check_non_negative
 
@@ -66,9 +60,6 @@ class ControlLoopScheduler:
     * ``reaction_latency`` — seconds between the alarm firing and the
       reaction executing; the reaction re-reads demand/monitoring state at
       the *completion* instant, not the alarm instant.
-    * ``shard_stagger`` — with a sharded controller, the gap between
-      consecutive per-shard injection sub-waves (installed via the facade's
-      ``wave_injector`` hook for the duration of each reaction).
     * ``supersede`` — whether an alarm arriving while a reaction is pending
       cancels that reaction and re-plans from the fresh alarm (the default)
       or is dropped in favour of the already-pending reaction (which will
@@ -86,29 +77,19 @@ class ControlLoopScheduler:
         balancer: OnDemandLoadBalancer,
         timeline: Timeline,
         reaction_latency: float = 0.0,
-        shard_stagger: float = 0.0,
         supersede: bool = True,
     ) -> None:
         self.balancer = balancer
         self.timeline = timeline
         self.reaction_latency = check_non_negative(reaction_latency, "reaction_latency")
-        self.shard_stagger = check_non_negative(shard_stagger, "shard_stagger")
         self.supersede = supersede
-        if self.shard_stagger > 0.0 and not hasattr(balancer.controller, "wave_injector"):
-            raise ControllerError(
-                "shard_stagger requires a ShardedFibbingController "
-                f"(got {type(balancer.controller).__name__})"
-            )
         #: Handle of the deferred reaction currently in flight (``None`` when
         #: the loop is idle or running synchronously).
         self._pending: Optional[ScheduledEvent] = None
 
     @property
     def _counters(self) -> CtlCounters:
-        # The facade-level plan cache is persistent for both controller
-        # flavours (the sharded reconciler's `.counters` property builds a
-        # fresh merged snapshot per read, so increments must land here).
-        return self.balancer.controller.plan_cache.counters
+        return self.balancer.controller.reconciler.counters
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -127,7 +108,7 @@ class ControlLoopScheduler:
         ``None`` (the deferred reaction's action lands in
         ``balancer.actions`` when it executes).
         """
-        if self.reaction_latency == 0.0 and self.shard_stagger == 0.0:
+        if self.reaction_latency == 0.0:
             if getattr(self.balancer.controller, "detached", False):
                 # A crashed controller cannot react; the lies already in the
                 # LSDB keep forwarding (the paper's robustness claim), so the
@@ -181,62 +162,7 @@ class ControlLoopScheduler:
         ):
             self._counters.reactions_abandoned += 1
             return None
-        if self.shard_stagger > 0.0:
-            controller.wave_injector = self._staggered_inject
-            try:
-                return self.balancer.react(event, now=self.timeline.now)
-            finally:
-                controller.wave_injector = None
         return self.balancer.react(event, now=self.timeline.now)
-
-    def _staggered_inject(self, attachment: str, groups) -> None:
-        """Inject per-shard sub-waves ``shard_stagger`` seconds apart.
-
-        The first group goes out immediately (inside the reaction); group
-        ``k`` follows ``k * shard_stagger`` seconds later.  Flooding, SPF
-        hold-downs and FIB installs then run per sub-wave, so the data plane
-        walks the interleaved interim states.
-        """
-        network = self.balancer.controller.network
-        for position, (_index, messages) in enumerate(groups):
-            if position == 0:
-                network.inject(messages, at_router=attachment)
-            else:
-                self.timeline.schedule_in(
-                    position * self.shard_stagger,
-                    lambda msgs=tuple(messages): self._send_subwave(attachment, msgs),
-                    label="ctl-shard-wave",
-                )
-
-    def _send_subwave(self, attachment: str, messages) -> None:
-        """Ship one deferred sub-wave, guarding against dead adjacencies.
-
-        A link can fail during the stagger window (after the facade
-        committed the wave but before this sub-wave fires).  Fresh fake-node
-        LSAs whose anchor adjacency no longer exists are dropped here —
-        counted as ``ctl_stagger_lsas_dropped`` — instead of being injected
-        unchecked: their forwarding address is unreachable from the anchor,
-        so the lie would blackhole traffic at the very router it is meant to
-        steer.  Withdrawals always ship (retracting state is always safe;
-        withdrawing a lie this guard dropped merely installs a withdrawn
-        instance nobody routes on).  The registry keeps the dropped lie as
-        committed — the next enforce wave re-plans against the post-failure
-        topology and retracts or replaces it.
-        """
-        network = self.balancer.controller.network
-        topology = self.balancer.controller.topology
-        survivors = []
-        for lsa in messages:
-            if (
-                isinstance(lsa, FakeNodeLsa)
-                and not lsa.withdrawn
-                and not topology.has_link(lsa.anchor, lsa.forwarding_address)
-            ):
-                self._counters.stagger_lsas_dropped += 1
-                continue
-            survivors.append(lsa)
-        if survivors:
-            network.inject(survivors, at_router=attachment)
 
 
 class ConvergenceMonitor:

@@ -41,10 +41,8 @@ from repro.experiments.overhead import OverheadRow, run_overhead_comparison
 from repro.experiments.optimality import OptimalityRow, run_optimality_study
 from repro.experiments.scaling import (
     LieScalingRow,
-    ShardScalingRow,
     SplitApproximationRow,
     run_lie_scaling,
-    run_shard_scaling,
     run_split_approximation,
 )
 from repro.experiments.sweep import (
@@ -72,10 +70,8 @@ __all__ = [
     "OptimalityRow",
     "run_optimality_study",
     "LieScalingRow",
-    "ShardScalingRow",
     "SplitApproximationRow",
     "run_lie_scaling",
-    "run_shard_scaling",
     "run_split_approximation",
     "EXPERIMENTS",
     "SWEEPS",

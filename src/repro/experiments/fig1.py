@@ -107,20 +107,15 @@ def run_fig1(
     )
 
 
-def fig1_lie_digests(
-    scenario: DemoScenario | None = None,
-    shards: int = 0,
-) -> Dict[str, str]:
+def fig1_lie_digests(scenario: DemoScenario | None = None) -> Dict[str, str]:
     """Per-prefix digests of the lies the controller pipeline installs.
 
     Runs the full LP → approximation → merger → enforcement pipeline on the
     Fig. 1 scenario and digests the installed :class:`FakeNodeLsa` set per
     prefix (names included, so the controller's deterministic naming is
-    pinned too).  The golden snapshot requires the plan-cache controller,
-    the clear-and-replay oracle of ``tests/oracles.py`` *and* the sharded
-    facade (``shards > 0`` builds a
-    :class:`~repro.core.shard.ShardedFibbingController`) to land on the
-    exact same digests.
+    pinned too).  The golden snapshot requires the plan-cache controller and
+    the clear-and-replay oracle of ``tests/oracles.py`` to land on the exact
+    same digests.
     """
     from repro.core.lies import per_prefix_lie_digests
 
@@ -134,12 +129,7 @@ def fig1_lie_digests(
             for server, rate in scenario.static_demands.items()
         }
     )
-    if shards > 0:
-        from repro.core.shard import ShardedFibbingController
-
-        controller = ShardedFibbingController(topology, shards=shards)
-    else:
-        controller = FibbingController(topology)
+    controller = FibbingController(topology)
     result = MinMaxLoadOptimizer(topology).optimize(demands, [prefix])
     requirement = DestinationRequirement.from_fractions(
         prefix, result.to_fractions()[prefix]

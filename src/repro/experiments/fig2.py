@@ -121,11 +121,9 @@ def run_demo_timeseries(
     router_timers: RouterTimers = RouterTimers(),
     hash_salt: int = 0,
     dataplane_aggregate: bool = False,
-    controller_shards: int = 0,
     seed: Optional[int] = None,
     poll_jitter: float = 0.0,
     reaction_latency: float = 0.0,
-    shard_stagger: float = 0.0,
     supersede: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     staleness_horizon: Optional[float] = None,
@@ -140,11 +138,7 @@ def run_demo_timeseries(
     so the run's cost is O(arrival batches), not O(sessions) — link series,
     byte counters and samples stay bit-identical to the per-flow run (the
     dual-engine differential suite pins this), while the QoE report
-    aggregates count-weighted cohorts.  ``controller_shards > 0`` swaps the
-    single controller for a
-    :class:`~repro.core.shard.ShardedFibbingController` with that many
-    shards — again bit-identical, per the shard differential suite; the run's
-    ``controller_stats`` then carry the ``shard_*`` wave counters.
+    aggregates count-weighted cohorts.
     ``seed`` (the sweep harness entry point) derives the flow ``hash_salt``
     from an explicit ``random.Random(seed)`` when no salt is given — the
     run is a pure function of its arguments, with no module-level RNG state
@@ -161,8 +155,6 @@ def run_demo_timeseries(
       reaction executing (via
       :class:`~repro.core.scheduler.ControlLoopScheduler`); the reaction
       observes demand/monitoring state at the completion instant;
-    * ``shard_stagger`` — with ``controller_shards > 0``, the gap between
-      consecutive per-shard injection sub-waves;
     * ``supersede`` — whether an alarm firing mid-reaction cancels the
       pending reaction and re-plans from fresh state (counted in
       ``ctl_supersessions``).
@@ -248,23 +240,12 @@ def run_demo_timeseries(
     balancer: Optional[OnDemandLoadBalancer] = None
     controller: Optional[FibbingController] = None
     if with_controller:
-        if controller_shards > 0:
-            from repro.core.shard import ShardedFibbingController
-
-            controller = ShardedFibbingController(
-                topology,
-                shards=controller_shards,
-                network=network,
-                attachment=scenario.controller_attachment,
-                epsilon=policy.epsilon,
-            )
-        else:
-            controller = FibbingController(
-                topology,
-                network=network,
-                attachment=scenario.controller_attachment,
-                epsilon=policy.epsilon,
-            )
+        controller = FibbingController(
+            topology,
+            network=network,
+            attachment=scenario.controller_attachment,
+            epsilon=policy.epsilon,
+        )
         registry = ClientRegistry()
         registry.attach(service.bus)
         balancer = OnDemandLoadBalancer(
@@ -281,7 +262,6 @@ def run_demo_timeseries(
             balancer,
             timeline,
             reaction_latency=reaction_latency,
-            shard_stagger=shard_stagger,
             supersede=supersede,
         )
         scheduler.attach(alarm)

@@ -1,7 +1,7 @@
 """Fleet-scale parallel sweep harness with ``BENCH_*.json`` artifacts.
 
 The paper's evaluation is a *grid* of runs — seeds × topologies × wave
-sizes for Fig. 1/Fig. 2, the A2/A3/A6 scaling rows — and every run is
+sizes for Fig. 1/Fig. 2, the A2/A3 scaling rows — and every run is
 embarrassingly parallel with respect to the others.  This module turns the
 ``experiments/`` harnesses into a declarative grid executor:
 
@@ -18,7 +18,7 @@ embarrassingly parallel with respect to the others.  This module turns the
   experiment entry points, never from module-level RNG state — so results
   are independent of which worker executes a run and in what order.
 * :class:`SweepReport` merges the per-run counter snapshots (the same
-  ``spf_*``/``rib_*``/``dp_*``/``ctl_*``/``shard_*`` key space that
+  ``spf_*``/``rib_*``/``dp_*``/``ctl_*`` key space that
   :func:`repro.monitoring.counters.collect_counters` aggregates within one
   run) plus per-run wall-clock timings into one report, and saves it as a
   machine-readable ``BENCH_<name>.json`` (schema:
@@ -127,24 +127,6 @@ class Experiment:
     name: str
     fn: Callable[[int, Dict[str, object]], Tuple[List[Mapping[str, object]], Dict[str, int]]]
     description: str = ""
-
-
-def _shard_experiment(seed, params):
-    """A6 — sharded-controller scaling (seed draws the churned shard)."""
-    from repro.experiments.scaling import run_shard_scaling
-
-    rows = run_shard_scaling(seed=seed, **params)
-    counters = merge_counter_snapshots(
-        {
-            "ctl_plans_recomputed": row.sharded_plans_recomputed,
-            "ctl_plan_cache_hits": row.sharded_plan_cache_hits,
-            "shard_dirty": row.shard_dirty,
-            "shard_clean": row.shard_clean,
-            "shard_waves_serial": row.waves_serial,
-        }
-        for row in rows
-    )
-    return [asdict(row) for row in rows], counters
 
 
 def _lie_scaling_experiment(seed, params):
@@ -292,7 +274,6 @@ def register_experiment(name: str, fn, description: str = "") -> Experiment:
     return experiment
 
 
-register_experiment("shard", _shard_experiment, "A6 sharded controller scaling")
 register_experiment("lie-scaling", _lie_scaling_experiment, "A2 lie-count scaling")
 register_experiment(
     "split-approx", _split_approx_experiment, "A3 split-approximation error"
@@ -422,7 +403,7 @@ class RunSpec:
         return dict(self.params)
 
     def label(self) -> str:
-        """Human-readable run id, e.g. ``shard[seed=1, waves=12]``."""
+        """Human-readable run id, e.g. ``lie-scaling[seed=1, pops=2]``."""
         parts = [f"seed={self.seed}"]
         parts.extend(f"{name}={value}" for name, value in self.params)
         return f"{self.experiment}[{', '.join(parts)}]"
@@ -673,14 +654,6 @@ class SweepHarness:
 _DEFAULT_SWEEP = SweepGrid(
     name="default",
     specs=(
-        GridSpec.build(
-            "shard",
-            seeds=(0, 1),
-            shard_counts=[(1, 2)],
-            requirements=[8],
-            waves=[8],
-            ring=[8],
-        ),
         GridSpec.build("lie-scaling", seeds=(0, 1), core_sizes=[(4,)], pops=[2]),
         GridSpec.build("fig2", seeds=(0, 1), duration=[25.0]),
         GridSpec.build(
@@ -709,14 +682,6 @@ _DEFAULT_SWEEP = SweepGrid(
 _QUICK_SWEEP = SweepGrid(
     name="quick",
     specs=(
-        GridSpec.build(
-            "shard",
-            seeds=(0, 1),
-            shard_counts=[(1, 2)],
-            requirements=[4],
-            waves=[4, 6],
-            ring=[8],
-        ),
         GridSpec.build(
             "lie-scaling", seeds=(0, 1), core_sizes=[(4,)], pops=[2], destinations=[2, 3]
         ),

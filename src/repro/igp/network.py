@@ -120,31 +120,11 @@ class IgpNetwork:
 
         :class:`~repro.core.controller.FibbingController` calls this when it
         attaches to a live network; the reconciliation counters (plan-cache
-        hits, lies injected/retracted/kept, fallbacks) then complete the
-        per-layer view in :attr:`spf_stats` and the monitoring collector.
-        Several controllers may register (e.g. one per tenant); their
-        counters are *merged*, never overwritten, by
-        :meth:`counter_sets`.  A
-        :class:`~repro.core.shard.ShardedFibbingController` registers only
-        its facade — its per-shard counters are already aggregated by the
-        facade's counter view, so registering the inner shards as well would
-        double-count them.
+        hits, lies injected/retracted/kept) then complete the per-layer view
+        in :attr:`spf_stats` and the monitoring collector.  Several
+        controllers may register (e.g. one per tenant); their counters are
+        *merged*, never overwritten, by :meth:`counter_sets`.
         """
-        shards = getattr(controller, "shards", None)
-        if shards:
-            # A facade's aggregate view covers its shards; drop any shard
-            # that was registered directly so it is not counted twice.
-            self._controllers = [
-                existing for existing in self._controllers
-                if all(existing is not shard for shard in shards)
-            ]
-        else:
-            for existing in self._controllers:
-                existing_shards = getattr(existing, "shards", None)
-                if existing_shards and any(
-                    controller is shard for shard in existing_shards
-                ):
-                    return  # already covered by its facade's view
         if controller not in self._controllers:
             self._controllers.append(controller)
 
@@ -318,16 +298,13 @@ class IgpNetwork:
         every registered engine (``dp_*``, see
         :class:`~repro.dataplane.path_cache.DataPlaneCounters`);
         ``"controller"`` every registered controller (``ctl_*``, see
-        :class:`~repro.core.reconciler.CtlCounters` — several tenants, or one
-        sharded facade whose aggregate view already folds its shards in,
-        each count exactly once) and ``"shard"`` their ``shard_*`` wave
-        accounting (zero for plain controllers); ``"faults"`` every
+        :class:`~repro.core.reconciler.CtlCounters`, each tenant counted
+        exactly once); ``"faults"`` every
         registered fault injector (``fault_*``, see
         :class:`~repro.core.chaos.FaultCounters`).  A family nothing
         registered for reports zeros, so clean runs keep every key.
         """
         from repro.core.chaos import FaultCounters
-        from repro.core.controller import ShardCounters
         from repro.core.reconciler import CtlCounters
         from repro.dataplane.path_cache import DataPlaneCounters
 
@@ -340,7 +317,6 @@ class IgpNetwork:
                 engine.counters for engine in self._dataplane_engines
             ),
             "controller": CtlCounters.total(c.reconciler.counters for c in controllers),
-            "shard": ShardCounters.total(c.shard_counters for c in controllers),
             "faults": FaultCounters.total(
                 injector.counters for injector in self._fault_injectors
             ),
@@ -350,8 +326,8 @@ class IgpNetwork:
     def spf_stats(self) -> Dict[str, int]:
         """Every family of :meth:`counter_sets` as one flat snapshot.
 
-        ``spf_*`` / ``fib_cache_hits``, ``rib_*``, ``dp_*``, ``ctl_*``,
-        ``shard_*`` and ``fault_*`` keys; the README's Counters table says
+        ``spf_*`` / ``fib_cache_hits``, ``rib_*``, ``dp_*``, ``ctl_*`` and
+        ``fault_*`` keys; the README's Counters table says
         what each family counts.
         """
         return merge_snapshots(

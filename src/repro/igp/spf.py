@@ -137,7 +137,10 @@ def compute_spf(graph: ComputationGraph, source: str) -> ShortestPaths:
     The implementation keeps, for every settled node, the *set* of
     predecessors whose relaxation achieved the minimal distance (within
     ``_COST_EPSILON``); the ECMP next-hop sets are then derived by walking
-    those predecessor sets back to the source's own neighbors.
+    those predecessor sets back to the source's own neighbors.  Tied paths
+    can differ in the last ulp of their float sums; the distance kept is the
+    smallest sum, whichever path relaxed the node first, and
+    :func:`update_spf` keeps the same one.
     """
     if not graph.has_node(source):
         raise RoutingError(f"SPF source {source!r} is not in the computation graph")
@@ -164,6 +167,9 @@ def compute_spf(graph: ComputationGraph, source: str) -> ShortestPaths:
                 heapq.heappush(heap, (candidate, neighbor))
             elif costs_equal(candidate, current):
                 predecessors[neighbor].add(node)
+                if candidate < current and neighbor not in settled:
+                    distance[neighbor] = candidate
+                    heapq.heappush(heap, (candidate, neighbor))
 
     next_hops = _derive_next_hops(source, distance, predecessors)
     return ShortestPaths(
@@ -287,7 +293,9 @@ def update_spf(
         if node in settled:
             continue
         current = tentative.get(node)
-        if current is not None and dist >= current - cost_tolerance(current):
+        # Exact comparisons, not tolerant ones: a tied path with a smaller
+        # float sum must win here as it does in compute_spf.
+        if current is not None and dist >= current:
             settled.add(node)
             continue
         tentative[node] = dist
@@ -298,7 +306,7 @@ def update_spf(
             known = tentative.get(neighbor)
             if neighbor in invalid and neighbor not in settled:
                 heapq.heappush(heap, (candidate, neighbor))
-            elif known is None or candidate < known - cost_tolerance(known):
+            elif known is None or candidate < known:
                 heapq.heappush(heap, (candidate, neighbor))
 
     # Invalidated nodes that were never re-settled are now unreachable.

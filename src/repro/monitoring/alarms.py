@@ -10,10 +10,7 @@ Two pieces of hysteresis keep it from flapping:
   silent even if the condition persists (the controller needs time for its
   lies to propagate and take effect before being asked again).
 
-Each firing feeds the on-demand load balancer's ``react()`` — the single
-entry point whether the balancer drives one controller or a
-:class:`~repro.core.shard.ShardedFibbingController` fleet, in which case the
-resulting requirement wave is partitioned and planned per shard.
+Each firing feeds the on-demand load balancer's ``react()``.
 """
 
 from __future__ import annotations
@@ -50,12 +47,10 @@ class AlarmEvent:
         comparing them across consecutive events tells the reconciler
         whether an alarm re-fired for the *same* congestion (in which case
         an unchanged demand matrix makes the whole reaction a plan-cache
-        hit) or for a new hot spot.  With a sharded controller
-        (:class:`~repro.core.shard.ShardedFibbingController`) behind the
-        balancer, an alarm whose surge touches only some prefixes dirties
-        only the shards owning them: the other shard sub-waves stay clean
-        (``shard_clean`` in the action's counter snapshot) and are served
-        entirely from their plan caches.
+        hit) or for a new hot spot.  An alarm whose surge touches only some
+        prefixes re-plans only their requirements; the others are served
+        from the plan cache (``ctl_plan_cache_hits`` in the action's counter
+        snapshot).
         """
         return tuple(view.link for view in self.hot_links)
 

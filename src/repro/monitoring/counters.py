@@ -93,12 +93,9 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
     the flow pair); the
     ``"controller"`` entry carries the ``ctl_*`` reconciliation counters of
     every registered controller (requirement plans served from the plan
-    cache vs. recomputed, lies injected/retracted/kept, threshold
-    fallbacks), *merged across controllers* — several controllers (or one
-    sharded facade whose view folds its shards in) on one network each
-    contribute exactly once — plus the ``shard_*`` wave-dispatch counters
-    of any registered :class:`~repro.core.shard.ShardedFibbingController`;
-    the ``"faults"`` entry carries the ``fault_*`` chaos accounting of every
+    cache vs. recomputed, lies injected/retracted/kept), *merged across
+    controllers* — several controllers on one network each contribute
+    exactly once; the ``"faults"`` entry carries the ``fault_*`` chaos accounting of every
     registered :class:`~repro.core.chaos.FaultInjector` (links
     downed/restored, LSAs dropped in flight, polls timed out/omitted,
     controller crashes/restarts — all zero on clean runs); the ``"total"``
@@ -114,10 +111,7 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
     }
     sets = network.counter_sets()
     per_router["dataplane"] = sets["dataplane"].snapshot()
-    per_router["controller"] = {
-        **sets["controller"].snapshot(),
-        **sets["shard"].snapshot(),
-    }
+    per_router["controller"] = sets["controller"].snapshot()
     per_router["faults"] = sets["faults"].snapshot()
     per_router["total"] = merge_snapshots(family.snapshot() for family in sets.values())
     return per_router

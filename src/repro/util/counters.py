@@ -1,7 +1,7 @@
 """The counter spine: every counter is declared once, on its dataclass field.
 
-A counter family (``spf_*``, ``rib_*``, ``dp_*``, ``ctl_*``, ``shard_*``,
-``fault_*``, flooding) is a ``@dataclass`` deriving from :class:`Counters`
+A counter family (``spf_*``, ``rib_*``, ``dp_*``, ``ctl_*``, ``fault_*``,
+flooding) is a ``@dataclass`` deriving from :class:`Counters`
 whose fields are declared with :func:`counter`, naming the key the value is
 exported under.  ``snapshot()``, ``merge()`` and ``total()`` are derived from
 those declarations, so adding a counter is one line plus its increment site.

@@ -161,9 +161,11 @@ class Prefix:
             yield Prefix(self.network + index * step, new_length)
 
     def __reduce__(self) -> Tuple:
-        # Route unpickling through __new__(network, length) so prefixes
-        # crossing a process boundary (the sharded controller's process
-        # mode) re-intern in the receiving interpreter.
+        # Route pickling and copying through __new__(network, length): the
+        # default slot-state protocol would call __new__ without arguments
+        # and trip the immutability guard.  A prefix that is pickled across
+        # a process pool or deep-copied (copy.deepcopy, dataclasses.asdict)
+        # comes back as the interned instance.
         return (Prefix, (self.network, self.length))
 
     def __eq__(self, other: object) -> bool:

@@ -85,28 +85,20 @@ def fig2_snapshot() -> dict:
 def lie_set_snapshot() -> dict:
     """Per-prefix digests of the controller-installed lies (names included).
 
-    Four states are pinned: the Fig. 1 controller-pipeline enforcement and
-    the final lie set of the dynamic Fig. 2 demo run, each also replayed
-    through the sharded facade (``ShardedFibbingController(shards=3)``).
-    The digests cover the fake-node names, so both a behavioural drift of
-    the synthesised lies *and* a change of the controller's deterministic
-    naming fail loudly; the regression test additionally requires the
-    clear-and-replay oracle of ``tests/oracles.py`` to reproduce them and the
-    sharded digests to be byte-equal to the single-controller ones (the
-    shard-equivalence guarantee, pinned).
+    Two states are pinned: the Fig. 1 controller-pipeline enforcement and
+    the final lie set of the dynamic Fig. 2 demo run.  The digests cover
+    the fake-node names, so both a behavioural drift of the synthesised lies
+    *and* a change of the controller's deterministic naming fail loudly; the
+    regression test additionally requires the clear-and-replay oracle of
+    ``tests/oracles.py`` to reproduce them.
     """
     from repro.experiments.fig1 import fig1_lie_digests
     from repro.experiments.fig2 import run_demo_timeseries
 
     fig2 = run_demo_timeseries(with_controller=True, duration=60.0)
-    fig2_sharded = run_demo_timeseries(
-        with_controller=True, duration=60.0, controller_shards=3
-    )
     return {
         "fig1_controller_pipeline": fig1_lie_digests(),
-        "fig1_sharded_pipeline": fig1_lie_digests(shards=3),
         "fig2_final": fig2.lie_digests,
-        "fig2_sharded_final": fig2_sharded.lie_digests,
     }
 
 

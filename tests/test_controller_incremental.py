@@ -19,11 +19,13 @@ from hypothesis import strategies as st
 
 from repro.core.augmentation import synthesize_lie_shapes
 from repro.core.controller import FibbingController
+from repro.core.lies import lie_set_digest
 from repro.core.loadbalancer import OnDemandLoadBalancer
 from repro.core.policies import LoadBalancerPolicy
 from repro.core.requirements import DestinationRequirement, RequirementSet
 from repro.dataplane.demand import TrafficMatrix
 from repro.dataplane.engine import DataPlaneEngine
+from repro.experiments.scaling import build_ring_topology, churn_requirement
 from repro.monitoring.alarms import AlarmEvent
 from repro.topologies.random import random_topology
 from repro.util.errors import ControllerError
@@ -52,27 +54,12 @@ class DualControllerDriver:
     rate — is a plan-cache bug.
     """
 
-    def __init__(
-        self,
-        seed,
-        num_routers=10,
-        edge_probability=0.3,
-        plan_dirty_threshold=0.5,
-        incremental_factory=None,
-    ):
-        """``incremental_factory(topology, plan_dirty_threshold)`` builds the
-        non-oracle side; the shard differential suite injects the sharded
-        facade through it (default: a plain plan-cache reconciler)."""
+    def __init__(self, seed, num_routers=10, edge_probability=0.3):
         self.rng = random.Random(seed)
         self.topology = random_topology(
             num_routers, edge_probability=edge_probability, seed=seed
         )
-        if incremental_factory is None:
-            self.incremental = FibbingController(
-                self.topology, plan_dirty_threshold=plan_dirty_threshold
-            )
-        else:
-            self.incremental = incremental_factory(self.topology, plan_dirty_threshold)
+        self.incremental = FibbingController(self.topology)
         self.oracle = ClearAndReplayController(self.topology)
         self.clients = StubClients()
         policy = LoadBalancerPolicy()
@@ -250,7 +237,7 @@ class DualControllerDriver:
         # incremental controller.
         ref = oracle.reconciler.counters
         assert ref.plan_cache_hits == ref.opt_cache_hits == 0, context
-        assert ref.merge_cache_hits == ref.fallbacks == 0, context
+        assert ref.merge_cache_hits == 0, context
 
 
 ACTIONS = (
@@ -300,7 +287,6 @@ class TestDifferentialRandomized:
         # The oracle never touches the plan-cache counters.
         ref = driver.oracle.reconciler.counters
         assert ref.plan_cache_hits == 0
-        assert ref.fallbacks == 0
         # Churn accounting is mode-independent: both engines moved the same
         # lies over the same history.
         assert ref.lies_injected == counters.lies_injected
@@ -323,7 +309,7 @@ class TestDifferentialHypothesis:
 
 
 class TestThresholdAndCounters:
-    """The fallback knob and the no-op fast path, down to exact counts."""
+    """The no-op fast path and the re-plan accounting, down to exact counts."""
 
     def build_requirement(self, driver):
         prefix = driver.topology.prefixes[0]
@@ -352,27 +338,25 @@ class TestThresholdAndCounters:
         # Every skipped plan keeps its installed lies.
         assert counters.lies_kept >= controller.active_lie_count()
 
-    def test_zero_threshold_falls_back_and_stays_identical(self):
-        driver = DualControllerDriver(seed=11, plan_dirty_threshold=0.0)
-        applied = 0
-        while applied < 6:
-            if driver.apply(driver.rng.choice(("add", "update", "reenforce", "weight"))):
-                applied += 1
-                driver.check(context=f"threshold-0 step={applied}")
-        counters = driver.incremental.reconciler.counters
-        # Any dirty wave against prior state trips the threshold…
-        assert counters.fallbacks > 0
-        # …and a fallback wave re-plans everything, clean entries included.
-        assert counters.plans_recomputed > 0
-
-    def test_full_threshold_never_falls_back(self):
-        driver = DualControllerDriver(seed=11, plan_dirty_threshold=1.0)
-        applied = 0
-        while applied < 6:
-            if driver.apply(driver.rng.choice(("add", "update", "reenforce", "weight"))):
-                applied += 1
-                driver.check()
-        assert driver.incremental.reconciler.counters.fallbacks == 0
+    def test_a_mostly_dirty_wave_replans_only_its_dirty_requirements(self):
+        """However much of a wave moved, clean requirements are never
+        re-planned, and the lies still match the oracle's name for name."""
+        topology = build_ring_topology(8, 8)
+        controller = FibbingController(topology)
+        oracle = ClearAndReplayController(topology)
+        for generations in ([0] * 8, [1] * 7 + [0]):
+            wave = [
+                churn_requirement(topology, index, generation)
+                for index, generation in enumerate(generations)
+            ]
+            controller.enforce(wave)
+            oracle.enforce(wave)
+        counters = controller.reconciler.counters
+        assert counters.plans_recomputed == 8 + 7
+        assert counters.plan_cache_hits == 1
+        assert lie_set_digest(controller.active_lies()) == lie_set_digest(
+            oracle.active_lies()
+        )
 
     def test_topology_change_invalidates_clean_requirements(self):
         """A weight change moves the graph version: nothing may be skipped."""
@@ -483,3 +467,206 @@ class TestReactCaching:
             balancer.react(AlarmEvent(time=2.0, hot_links=()))
         driver.check(context="react after demand change")
         assert counters.opt_cache_hits == hits_before
+
+
+class TestNamespaceUnderChurn:
+    """Fake-node names are never reused, whatever the churn."""
+
+    @pytest.mark.parametrize("seed", (0, 3, 8))
+    def test_no_name_collision_under_churn(self, seed):
+        driver = DualControllerDriver(seed)
+        removed = []
+        for step in range(20):
+            action = driver.rng.choice(("add", "add", "update", "remove", "reenforce"))
+            before = set(driver.requirements)
+            if not driver.apply(action):
+                continue
+            driver.check(context=f"seed={seed} step={step} action={action}")
+            removed.extend(sorted(before - set(driver.requirements)))
+            # Every name ever committed, withdrawn lies included, is unique…
+            names = [lie.lsa.fake_node for lie in driver.incremental.registry.history()]
+            assert len(names) == len(set(names)), f"seed={seed} step={step}"
+            # …and no placeholder ever reached the registry.
+            assert not any(name.startswith("pending-") for name in names)
+        # Re-add previously removed prefixes: names keep advancing.
+        for prefix in removed:
+            requirement = driver._random_requirement(prefix)
+            if requirement is None:
+                continue
+            driver.requirements[prefix] = requirement
+            driver._enforce_wave()
+            driver.check(context=f"seed={seed} re-add {prefix}")
+            names = [lie.lsa.fake_node for lie in driver.incremental.registry.history()]
+            assert len(names) == len(set(names))
+
+
+class TestWaveShapes:
+    """Waves the plan cache must not mistake for clean ones."""
+
+    def one_requirement(self, seed):
+        driver = DualControllerDriver(seed)
+        while not driver.apply("add"):
+            pass
+        driver.check()
+        (prefix,) = list(driver.requirements)
+        update = driver._random_requirement(prefix)
+        assert update is not None and update != driver.requirements[prefix]
+        return driver, prefix, update
+
+    def test_duplicate_prefix_wave_matches_the_oracle(self):
+        """The same prefix twice in one wave: the later requirement must see
+        the earlier one's committed lies and withdraw them."""
+        driver, prefix, update = self.one_requirement(9)
+        requirement = driver.requirements[prefix]
+        counters = driver.incremental.reconciler.counters
+        hits_before = counters.plan_cache_hits
+        recomputed_before = counters.plans_recomputed
+        for controller in (driver.incremental, driver.oracle):
+            controller.enforce([requirement, update])
+        driver.requirements[prefix] = update
+        driver.check(context="duplicate-prefix wave")
+        assert counters.plan_cache_hits == hits_before + 1
+        assert counters.plans_recomputed == recomputed_before + 1
+
+    def test_dirty_then_clean_duplicate_prefix_waves(self):
+        driver, prefix, update = self.one_requirement(9)
+        counters = driver.incremental.reconciler.counters
+        hits_before = counters.plan_cache_hits
+        recomputed_before = counters.plans_recomputed
+        for controller in (driver.incremental, driver.oracle):
+            controller.enforce([update, update])
+        driver.requirements[prefix] = update
+        driver.check(context="dirty duplicate-prefix wave")
+        # The first copy re-plans; the second is clean by then.
+        assert counters.plans_recomputed == recomputed_before + 1
+        assert counters.plan_cache_hits == hits_before + 1
+        messages_before = driver.incremental.stats.messages_sent
+        for controller in (driver.incremental, driver.oracle):
+            controller.enforce([update, update])
+        driver.check(context="clean duplicate-prefix wave")
+        assert counters.plan_cache_hits == hits_before + 3
+        assert driver.incremental.stats.messages_sent == messages_before
+
+    def test_baseline_supplied_requirement_plans_inline(self):
+        """``enforce_requirement(req, baseline_fibs=...)`` plans from scratch,
+        moves no plan counter, and drops the prefix's skip bookkeeping so the
+        next wave re-plans it."""
+        driver, prefix, _update = self.one_requirement(3)
+        requirement = driver.requirements[prefix]
+        counters = driver.incremental.reconciler.counters
+        before = counters.snapshot()
+        baseline = driver.oracle.baseline_fibs()
+        for controller in (driver.incremental, driver.oracle):
+            controller.enforce_requirement(requirement, baseline_fibs=dict(baseline))
+        driver.check(context="baseline-supplied requirement")
+        after = counters.snapshot()
+        assert after["ctl_plans_recomputed"] == before["ctl_plans_recomputed"]
+        assert after["ctl_plan_cache_hits"] == before["ctl_plan_cache_hits"]
+        driver.apply("reenforce")
+        driver.check(context="wave after the inline plan")
+        assert counters.plans_recomputed == before["ctl_plans_recomputed"] + 1
+
+
+class TestRingChurn:
+    """The controller-churn workload: a ring whose every requirement needs
+    lies.  However large the dirty share of a wave, exactly the dirty
+    requirements are re-planned, and the lies match the oracle's."""
+
+    RING = 8
+    COUNT = 16
+    WAVES = 6
+
+    @pytest.mark.parametrize("dirty", [1, 4, 8, 12, 16])
+    def test_any_dirty_share_replans_exactly_the_dirty_requirements(self, dirty):
+        topology = build_ring_topology(self.RING, self.COUNT)
+        controller = FibbingController(topology)
+        oracle = ClearAndReplayController(topology)
+        rng = random.Random(dirty)
+        generations = [0] * self.COUNT
+        for wave in range(self.WAVES):
+            if wave:
+                for index in rng.sample(range(self.COUNT), dirty):
+                    generations[index] += 1
+            requirements = [
+                churn_requirement(topology, index, generation)
+                for index, generation in enumerate(generations)
+            ]
+            controller.enforce(requirements)
+            oracle.enforce(requirements)
+            assert controller.registry.active_lsas() == oracle.registry.active_lsas(), (
+                f"wave={wave}"
+            )
+        counters = controller.reconciler.counters
+        changed = self.WAVES - 1
+        assert counters.plans_recomputed == self.COUNT + dirty * changed
+        assert counters.plan_cache_hits == (self.COUNT - dirty) * changed
+        reference = oracle.reconciler.counters
+        assert counters.lies_injected == reference.lies_injected
+        assert counters.lies_retracted == reference.lies_retracted
+
+
+class TestControllerAge:
+    """A wave costs what the wave changes, not what the controller has
+    withdrawn before: :class:`~repro.core.lies.Lie` reads per wave stay the
+    same however long the churn has run."""
+
+    RING = 8
+    PERIOD = 40  # one requirement bumped per wave; weights cycle every 5 bumps
+
+    def count_lie_reads(self, monkeypatch):
+        from repro.core.lies import Lie
+
+        reads = {"count": 0}
+        original = Lie.__getattribute__
+
+        def counting(lie, name):
+            reads["count"] += 1
+            return original(lie, name)
+
+        monkeypatch.setattr(Lie, "__getattribute__", counting)
+        return reads
+
+    def churn(self, controller, generations, wave):
+        index = wave % self.RING
+        generations[index] += 1
+        controller.enforce([
+            churn_requirement(controller.topology, position, generation)
+            for position, generation in enumerate(generations)
+        ])
+
+    def test_a_dirty_wave_reads_as_many_lies_young_as_old(self, monkeypatch):
+        controller = FibbingController(build_ring_topology(self.RING, self.RING))
+        generations = [0] * self.RING
+        for wave in range(self.PERIOD):
+            self.churn(controller, generations, wave)
+        reads = self.count_lie_reads(monkeypatch)
+        young = []
+        for wave in range(self.PERIOD, 2 * self.PERIOD):
+            before = reads["count"]
+            self.churn(controller, generations, wave)
+            young.append(reads["count"] - before)
+        history_young = len(controller.registry.history())
+        for wave in range(2 * self.PERIOD, 6 * self.PERIOD):
+            self.churn(controller, generations, wave)
+        old = []
+        for wave in range(6 * self.PERIOD, 7 * self.PERIOD):
+            before = reads["count"]
+            self.churn(controller, generations, wave)
+            old.append(reads["count"] - before)
+        assert len(controller.registry.history()) > 3 * history_young
+        assert old == young
+
+    def test_a_clean_wave_reads_no_lie_however_old(self, monkeypatch):
+        controller = FibbingController(build_ring_topology(self.RING, self.RING))
+        generations = [0] * self.RING
+        for wave in range(3 * self.PERIOD):
+            self.churn(controller, generations, wave)
+        requirements = [
+            churn_requirement(controller.topology, position, generation)
+            for position, generation in enumerate(generations)
+        ]
+        reads = self.count_lie_reads(monkeypatch)
+        hits_before = controller.reconciler.counters.plan_cache_hits
+        controller.enforce(requirements)
+        assert controller.reconciler.counters.plan_cache_hits == hits_before + self.RING
+        assert reads["count"] == 0

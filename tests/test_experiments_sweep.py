@@ -27,31 +27,31 @@ def harness(grid=QUICK, parallel="serial", **kwargs):
 class TestGridExpansion:
     def test_quick_grid_is_2_seeds_by_2_points_per_axis(self):
         runs = harness().expand()
-        # 2 axes x 2 seeds x 2 grid points, plus the flashcrowd-classes,
+        # 2 seeds x 2 lie-scaling grid points, plus the flashcrowd-classes,
         # reaction and chaos smoke rows.
-        assert len(runs) == 11
-        assert [run.index for run in runs] == list(range(11))
+        assert len(runs) == 7
+        assert [run.index for run in runs] == list(range(7))
 
     def test_expansion_order_is_deterministic(self):
-        spec = GridSpec.build("shard", seeds=(7, 3), waves=[2, 4], shard_counts=[(1,)])
+        spec = GridSpec.build("lie-scaling", seeds=(7, 3), pops=[2, 4], core_sizes=[(4,)])
         combos = spec.expand()
         # Seeds vary slowest (declaration order), parameters fastest
         # (cartesian product in sorted-name order).
         assert [seed for seed, _ in combos] == [7, 7, 3, 3]
-        assert [dict(params)["waves"] for _, params in combos] == [2, 4, 2, 4]
+        assert [dict(params)["pops"] for _, params in combos] == [2, 4, 2, 4]
 
     def test_lists_are_frozen_to_tuples(self):
-        spec = GridSpec.build("shard", seeds=[0], shard_counts=[[1, 2]])
+        spec = GridSpec.build("lie-scaling", seeds=[0], core_sizes=[[4, 6]])
         ((_, params),) = spec.expand()
-        assert dict(params)["shard_counts"] == (1, 2)
+        assert dict(params)["core_sizes"] == (4, 6)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(SweepError):
-            GridSpec.build("shard", seeds=())
+            GridSpec.build("lie-scaling", seeds=())
 
     def test_empty_choice_list_rejected(self):
         with pytest.raises(SweepError):
-            GridSpec.build("shard", seeds=(0,), waves=[])
+            GridSpec.build("lie-scaling", seeds=(0,), pops=[])
 
     def test_unknown_experiment_rejected_at_expansion(self):
         grid = SweepGrid(name="bad", specs=(GridSpec.build("no-such", seeds=(0,)),))
@@ -59,8 +59,8 @@ class TestGridExpansion:
             grid.expand()
 
     def test_run_labels_are_readable(self):
-        run = RunSpec(index=0, experiment="shard", seed=3, params=(("waves", 6),))
-        assert run.label() == "shard[seed=3, waves=6]"
+        run = RunSpec(index=0, experiment="lie-scaling", seed=3, params=(("pops", 2),))
+        assert run.label() == "lie-scaling[seed=3, pops=2]"
 
 
 class TestHarnessValidation:
@@ -191,6 +191,6 @@ class TestPredefinedSweeps:
             assert grid.expand()  # expansion itself must not raise
 
     def test_registry_covers_the_scaling_ablations(self):
-        assert {"shard", "lie-scaling", "split-approx", "fig2"} <= set(
+        assert {"lie-scaling", "split-approx", "fig2"} <= set(
             EXPERIMENTS
         )

@@ -199,12 +199,8 @@ class TestSpfCacheInvalidation:
         # The per-layer aggregates are exactly their slice of spf_stats.
         sets = converged_network.counter_sets()
         assert per_router["dataplane"] == sets["dataplane"].snapshot()
-        assert per_router["controller"] == {
-            **sets["controller"].snapshot(),
-            **sets["shard"].snapshot(),
-        }
+        assert per_router["controller"] == sets["controller"].snapshot()
         assert sets["controller"].snapshot().items() <= aggregate.items()
-        assert sets["shard"].snapshot().items() <= aggregate.items()
         for key, value in aggregate.items():
             # Router entries carry the spf_*/rib_* keys, the "dataplane"
             # entry the dp_* keys; .get() lets one sum span both layers.

@@ -386,3 +386,40 @@ class TestFloatTieRegression:
             "T",
             "U",
         }
+
+
+class TestFloatTieDistanceRegression:
+    """Two equal-cost paths whose float sums differ in the last ulp.
+
+    ``compute_spf`` kept the distance of whichever path relaxed a node
+    first, while ``update_spf`` kept the distance it already had
+    (``dist >= current - tolerance``), so a repair could settle on the other
+    sum: N5's route to 172.16.4.0/24 cost ``4.8759999999999994`` repaired
+    but ``4.876`` from scratch (N5–N6 0.876 + N6–N4 4, versus N5–N6 + N6–N1
+    1 + N1–N4 3).  Both paths now keep the smallest sum among tied paths.
+    """
+
+    def test_hypothesis_counter_example_seed_15523(self):
+        driver = MutationDriver(15523, num_routers=7, edge_probability=0.35)
+        # Replayed exactly as the Hypothesis test does: the add_link draw
+        # hits an existing link and is skipped, but still consumes the rng.
+        for index, action in enumerate(["weight", "fail", "add_link", "weight", "weight"]):
+            if driver.apply(action):
+                driver.check_all_routers(context=f"step={index} action={action}")
+        assert driver.steps_applied == 4
+
+    def test_tied_paths_keep_the_smallest_sum_in_both_spf_paths(self):
+        from repro.igp.spf import compute_spf, update_spf
+
+        graph = ComputationGraph()
+        graph.add_edge("S", "A", 0.876)
+        graph.add_edge("A", "T", 4.0)
+        graph.add_edge("A", "B", 1.0)
+        before = compute_spf(graph, "S")
+        version = graph.version
+        graph.add_edge("B", "T", 3.0)
+        full = compute_spf(graph, "S")
+        repaired = update_spf(before, graph, graph.changes_since(version).edges)
+        smallest = min(0.876 + 4.0, 0.876 + 1.0 + 3.0)
+        assert full.distance["T"] == repaired.distance["T"] == smallest
+        assert full.predecessors["T"] == repaired.predecessors["T"] == {"A", "B"}

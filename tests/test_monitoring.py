@@ -475,29 +475,27 @@ class TestCounterCollection:
         assert per_router["controller"]["ctl_plans_recomputed"] == 12
         assert per_router["total"]["ctl_plans_recomputed"] == 12
 
-    def test_sharded_facade_registers_once_and_reports_shard_keys(self):
-        """A sharded facade's aggregate view covers its shards exactly once,
-        and the shard_* wave counters surface through every reporting
-        surface (spf_stats, collect_counters, ControllerStats)."""
-        from repro.core.shard import ShardedFibbingController
+    def test_single_controller_registers_once_and_reports_no_shard_keys(self):
+        """One controller is the whole control plane: registering it again
+        counts nothing twice, and no ``shard_*`` key reaches any surface."""
+        from repro.core.controller import FibbingController
         from repro.monitoring.counters import collect_counters
 
         network, _engine = self.build_network_with_engine()
-        facade = ShardedFibbingController(
-            network.topology, shards=3, network=network, attachment="R3"
+        controller = FibbingController(
+            network.topology, network=network, attachment="R3"
         )
-        facade.shards[0].reconciler.counters.plans_recomputed += 4
-        facade.shards[2].reconciler.counters.plans_recomputed += 6
-        facade.shard_counters.waves_serial += 2
-        assert network.counter_sets()["controller"].plans_recomputed == 10
-        assert network.spf_stats["shard_waves_serial"] == 2
+        controller.reconciler.counters.plans_recomputed += 4
+        network.register_controller(controller)
+        assert network.counter_sets()["controller"].plans_recomputed == 4
         per_router = collect_counters(network)
-        assert per_router["controller"]["ctl_plans_recomputed"] == 10
-        assert per_router["controller"]["shard_waves_serial"] == 2
-        assert per_router["total"]["shard_waves_serial"] == 2
-        assert facade.stats.snapshot()["shard_waves_serial"] == 2
-        # Registering an inner shard directly afterwards must not make its
-        # counters count twice: the facade's view already folds it in.
-        network.register_controller(facade.shards[0])
-        network.register_controller(facade)
-        assert network.counter_sets()["controller"].plans_recomputed == 10
+        assert per_router["controller"]["ctl_plans_recomputed"] == 4
+        surfaces = (
+            network.spf_stats,
+            per_router["controller"],
+            per_router["total"],
+            controller.stats.snapshot(),
+        )
+        for surface in surfaces:
+            assert not [key for key in surface if key.startswith("shard_")]
+        assert "shard" not in network.counter_sets()

@@ -5,8 +5,9 @@ incremental paths must produce.  This module pins the two properties that
 trust rests on:
 
 * the product exposes no way back to a from-scratch mode — no
-  ``incremental`` switch is left in any signature or module under
-  ``src/repro`` — so the oracles are the only from-scratch paths there are;
+  ``incremental`` switch, clear-and-replay threshold or second controller
+  shape is left in any signature or module under ``src/repro`` — so the
+  oracles are the only from-scratch paths there are;
 * each oracle really recomputes from scratch (its reuse counters stay at
   zero on every event) and still lands on the product's exact answer.
 """
@@ -23,7 +24,7 @@ from repro.core.loadbalancer import LoadBalancerPolicy, OnDemandLoadBalancer
 from repro.core.merger import LieMerger
 from repro.core.optimizer import MinMaxLoadOptimizer
 from repro.core.requirements import DestinationRequirement, RequirementSet
-from repro.core.shard import ShardedFibbingController
+from repro.core.scheduler import ControlLoopScheduler
 from repro.dataplane.demand import ClassSpec, TrafficMatrix
 from repro.dataplane.engine import (
     AggregateDemandEngine,
@@ -33,6 +34,7 @@ from repro.dataplane.engine import (
 from repro.experiments.fig1 import fig1_lie_digests
 from repro.experiments.fig2 import run_demo_timeseries
 from repro.experiments.flashcrowd_classes import run_flashcrowd_classes
+from repro.experiments.reaction import run_reaction_curves
 from repro.igp.network import compute_static_fibs
 from repro.topologies.demo import BLUE_PREFIX, build_demo_scenario, demo_lies
 from repro.util.timeline import Timeline
@@ -49,7 +51,8 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 
 
 class TestNoFromScratchModeInTheProduct:
-    """The eight settable values that used to select a from-scratch path."""
+    """The settable values that used to select a from-scratch path, a
+    clear-and-replay fallback or a sharded controller."""
 
     @pytest.mark.parametrize(
         "target, parameter",
@@ -58,22 +61,34 @@ class TestNoFromScratchModeInTheProduct:
             (DataPlaneEngine.__init__, "incremental"),
             (AggregateDemandEngine.__init__, "incremental"),
             (FibbingController.__init__, "incremental"),
-            (ShardedFibbingController.__init__, "incremental"),
             (fig1_lie_digests, "incremental"),
             (run_demo_timeseries, "dataplane_incremental"),
             (run_demo_timeseries, "controller_incremental"),
             (run_flashcrowd_classes, "dataplane_incremental"),
+            (FibbingController.__init__, "plan_dirty_threshold"),
+            (ControlLoopScheduler.__init__, "shard_stagger"),
+            (fig1_lie_digests, "shards"),
+            (run_demo_timeseries, "controller_shards"),
+            (run_demo_timeseries, "shard_stagger"),
+            (run_reaction_curves, "controller_shards"),
+            (run_reaction_curves, "shard_stagger"),
         ],
         ids=[
             "DataPlaneEngineBase",
             "DataPlaneEngine",
             "AggregateDemandEngine",
             "FibbingController",
-            "ShardedFibbingController",
             "fig1_lie_digests",
             "run_demo_timeseries-dataplane",
             "run_demo_timeseries-controller",
             "run_flashcrowd_classes",
+            "FibbingController-plan_dirty_threshold",
+            "ControlLoopScheduler-shard_stagger",
+            "fig1_lie_digests-shards",
+            "run_demo_timeseries-controller_shards",
+            "run_demo_timeseries-shard_stagger",
+            "run_reaction_curves-controller_shards",
+            "run_reaction_curves-shard_stagger",
         ],
     )
     def test_option_is_gone(self, target, parameter):
@@ -182,7 +197,7 @@ class TestControllerOracles:
         assert oracle.baseline_version() is None
         counters = oracle.reconciler.counters
         assert counters.plan_cache_hits == counters.opt_cache_hits == 0
-        assert counters.merge_cache_hits == counters.fallbacks == 0
+        assert counters.merge_cache_hits == 0
         assert product.reconciler.counters.plan_cache_hits > 0
         assert oracle.registry.active_lsas() == product.registry.active_lsas()
         assert oracle.active_lie_count() > 0

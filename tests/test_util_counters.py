@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core.chaos import FaultCounters
-from repro.core.controller import ControllerStats, FibbingController, ShardCounters
+from repro.core.controller import ControllerStats, FibbingController
 from repro.core.reconciler import CtlCounters
 from repro.dataplane.path_cache import DataPlaneCounters
 from repro.igp.flooding import FloodingStats
@@ -34,15 +34,11 @@ EXPORTED = {
     ],
     CtlCounters: [
         "ctl_plan_cache_hits", "ctl_plans_recomputed", "ctl_lies_injected",
-        "ctl_lies_retracted", "ctl_lies_kept", "ctl_fallbacks",
+        "ctl_lies_retracted", "ctl_lies_kept",
         "ctl_opt_cache_hits", "ctl_merge_cache_hits", "ctl_reactions_deferred",
         "ctl_supersessions", "ctl_transient_loops", "ctl_transient_blackholes",
         "ctl_converge_events", "ctl_converge_seconds", "ctl_resyncs",
         "ctl_resync_lies_recovered", "ctl_reactions_abandoned",
-        "ctl_stagger_lsas_dropped",
-    ],
-    ShardCounters: [
-        "shard_waves_serial", "shard_dirty", "shard_clean", "shard_cross_fallbacks",
     ],
     FaultCounters: [
         "fault_link_downs", "fault_link_ups", "fault_lsas_dropped",
@@ -95,7 +91,7 @@ def test_controller_stats_compose_own_fields_and_live_sets():
     network.start()
     network.converge()
     controller = FibbingController(network.topology, network=network, attachment="R3")
-    families = (SpfCounters, RibCounters, DataPlaneCounters, CtlCounters, ShardCounters)
+    families = (SpfCounters, RibCounters, DataPlaneCounters, CtlCounters)
     assert list(controller.stats.snapshot()) == CONTROLLER_OWN + [
         key for cls in families for key in EXPORTED[cls]
     ]
@@ -130,7 +126,30 @@ def test_collect_counters_total_is_spf_stats():
     assert list(stats) == [
         key
         for cls in (SpfCounters, RibCounters, DataPlaneCounters, CtlCounters,
-                    ShardCounters, FaultCounters)
+                    FaultCounters)
         for key in EXPORTED[cls]
     ]
     assert stats["spf_incremental_updates"] > 0
+
+
+#: Keys of the sharded facade and of the clear-and-replay fallback, both
+#: gone with the code that counted them.
+REMOVED_KEYS = (
+    "shard_waves_serial", "shard_dirty", "shard_clean", "shard_cross_fallbacks",
+    "ctl_fallbacks", "ctl_stagger_lsas_dropped",
+)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_is_reported_nowhere(key):
+    network = IgpNetwork(build_demo_topology())
+    network.start()
+    network.converge()
+    controller = FibbingController(network.topology, network=network, attachment="R3")
+    network.inject(demo_lies(), at_router="R3")
+    network.converge()
+    exported = {name for keys in EXPORTED.values() for name in keys}
+    assert key not in exported
+    assert key not in controller.stats.snapshot()
+    assert key not in network.spf_stats
+    assert key not in collect_counters(network)["controller"]

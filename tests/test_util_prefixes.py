@@ -1,5 +1,8 @@
 """Tests for repro.util.prefixes."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.util.errors import ValidationError
@@ -54,6 +57,11 @@ class TestPrefixBasics:
 
     def test_interning_returns_same_object(self):
         assert Prefix.parse("10.0.0.0/24") is Prefix.parse("10.0.0.0/24")
+
+    def test_pickle_and_deepcopy_return_the_interned_instance(self):
+        prefix = Prefix.parse("10.0.0.0/24")
+        assert pickle.loads(pickle.dumps(prefix)) is prefix
+        assert copy.deepcopy({"key": prefix})["key"] is prefix
 
     def test_equal_prefixes_hash_equal(self):
         assert hash(Prefix.parse("10.0.0.0/24")) == hash(Prefix(10 << 24, 24))

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast bench bench-quick bench-record sweep sweep-quick golden perf-ab
+.PHONY: test test-fast examples bench bench-quick bench-record sweep sweep-quick golden perf-ab
 
 ## Tier-1 verification: the full test suite plus benchmarks-as-tests.
 test:
@@ -10,6 +10,13 @@ test:
 ## Tests only (skips the benchmarks directory).
 test-fast:
 	$(PYTHON) -m pytest tests/ -q
+
+## Run every example script; fails on the first non-zero exit.
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done
 
 ## Full benchmark run; reproduced tables/series and BENCH_*.json land in the
 ## git-ignored benchmarks/out/ (like every other target except bench-record).

@@ -58,6 +58,7 @@ def test_controller_reaction_rib_counters(benchmark, report):
     # dominated by per-prefix repairs, not full prefix rescans.
     assert stats["rib_incremental_updates"] > 0
     assert stats["rib_full_recomputes"] <= 2 * NUM_ROUTERS
-    assert stats["rib_incremental_updates"] + stats["rib_cache_hits"] > (
-        stats["rib_full_recomputes"] + stats["rib_fallbacks"]
+    assert (
+        stats["rib_incremental_updates"] + stats["rib_cache_hits"]
+        > stats["rib_full_recomputes"]
     )

@@ -52,7 +52,7 @@ def main() -> None:
     print(f"  data-plane cache: {dp['dp_flows_reused']} cached paths reused, "
           f"{dp['dp_flows_rerouted']} flows re-routed, "
           f"{dp['dp_alloc_warm_starts']} warm-started allocations "
-          f"({dp['dp_fallbacks']} threshold fallbacks)")
+          f"({dp['dp_alloc_full']} from scratch)")
 
     print("\nRunning the same schedule WITHOUT the controller...")
     disabled = run_demo_timeseries(with_controller=False)

@@ -271,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which predefined grid to run (default: 'quick' when BENCH_QUICK "
              "is set in the environment, else 'default')",
     )
-    sweep.add_argument(
-        "--parallel", choices=("serial", "thread", "process"), default="process"
-    )
+    sweep.add_argument("--parallel", choices=("serial", "process"), default="process")
     sweep.add_argument("--workers", type=int, default=None,
                        help="pool size (default: one per CPU, capped at the run count)")
     sweep.add_argument(

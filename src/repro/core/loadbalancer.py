@@ -31,7 +31,6 @@ from repro.core.requirements import DestinationRequirement, RequirementSet
 from repro.dataplane.demand import TrafficMatrix
 from repro.monitoring.alarms import AlarmEvent, UtilizationAlarm
 from repro.monitoring.notifications import ClientRegistry
-from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
 __all__ = ["RebalanceAction", "OnDemandLoadBalancer"]
@@ -104,21 +103,18 @@ class OnDemandLoadBalancer:
         #: counters so reaction cost can be attributed end to end.
         self.dataplane = dataplane
         self.managed_prefixes = tuple(managed_prefixes) if managed_prefixes else None
-        # The controller shares its plan cache with the optimizer and the
-        # merger, so a reaction whose inputs did not move reuses the LP
-        # solution and the merged weight maps wholesale.
-        plan_cache = controller.plan_cache
         self.optimizer = MinMaxLoadOptimizer(
-            controller.topology,
-            max_stretch=policy.path_stretch,
-            plan_cache=plan_cache,
+            controller.topology, max_stretch=policy.path_stretch
         )
+        # The controller shares its plan cache with the merger, so a
+        # reaction whose requirements did not move reuses the merged weight
+        # maps wholesale.
         self.merger = LieMerger(
             controller.topology,
             tolerance=policy.merge_tolerance,
             max_entries=policy.max_ecmp_entries,
             rib_cache=controller.baseline_route_cache,
-            plan_cache=plan_cache,
+            plan_cache=controller.plan_cache,
         )
         self.actions: List[RebalanceAction] = []
 
@@ -146,11 +142,10 @@ class OnDemandLoadBalancer:
 
         Rebuilds the demand matrix from the client notifications, solves the
         min-max LP, reduces the requirements and asks the controller to
-        reconcile — where every stage reuses its cached plan when its inputs
-        did not move: an unchanged ``(graph version, demand digest,
-        capacities)`` reuses the whole LP solution, unchanged requirement
-        digests reuse their merged weight maps and skip re-planning, and
-        only prefixes whose requirement actually changed see any lie churn.
+        reconcile — where the stages after the LP reuse their cached plan
+        when their inputs did not move: unchanged requirement digests reuse
+        their merged weight maps and skip re-planning, and only prefixes
+        whose requirement actually changed see any lie churn.
         The installed lies and FIBs are bit-identical to a from-scratch
         reaction (the differential suite's oracle).
 
@@ -185,9 +180,7 @@ class OnDemandLoadBalancer:
             )
             self.actions.append(action)
             return action
-        result = self.optimizer.optimize(
-            demands, prefixes, plan_version=self.controller.baseline_version()
-        )
+        result = self.optimizer.optimize(demands, prefixes)
         requirements = self.build_requirements(result)
         optimized, merge_report = self.merger.optimize(requirements)
         updates = list(self.controller.enforce(optimized))

@@ -22,11 +22,9 @@ approximates with integer ECMP weights and enforces with lies.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -38,52 +36,7 @@ from repro.igp.topology import Topology
 from repro.util.errors import ControllerError
 from repro.util.prefixes import Prefix
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.reconciler import PlanCache
-
-__all__ = [
-    "OptimizationResult",
-    "MinMaxLoadOptimizer",
-    "capacity_digest",
-    "background_digest",
-]
-
-
-def background_digest(background: LinkLoads, quantum: float) -> str:
-    """Stable hex digest of measured per-link background loads, quantised.
-
-    Background loads are live measurements, which the graph version cannot
-    attest — historically their presence disabled whole-LP-solution reuse
-    outright.  This digest brings them into the plan-cache key instead:
-    with ``quantum <= 0`` two backgrounds share a digest only when every
-    link's load is bit-identical (reuse is then always exact); with a
-    positive ``quantum`` (in the loads' own units, bit/s) each load is
-    bucketed to ``round(load / quantum)`` first, so measurement jitter
-    smaller than the bucket no longer defeats the cache — at the cost of
-    reusing a solution optimised for a background up to one bucket away.
-    """
-    hasher = hashlib.sha256()
-    for source, target in background.links():
-        load = background.load(source, target)
-        bucket = repr(load) if quantum <= 0 else str(round(load / quantum))
-        hasher.update(f"{source}>{target}={bucket};".encode())
-    return hasher.hexdigest()
-
-
-def capacity_digest(topology: Topology) -> str:
-    """Stable hex digest of the per-link capacities.
-
-    Capacities do not enter the IGP computation graph — a capacity-only
-    provisioning event leaves the graph version untouched — yet they change
-    what the LP may place on each link.  The controller's plan cache
-    therefore keys optimisation results on this digest *alongside* the graph
-    version, so a capacity event correctly invalidates cached LP solutions
-    without perturbing the routing caches.
-    """
-    hasher = hashlib.sha256()
-    for link in sorted(topology.links, key=lambda link: link.key):
-        hasher.update(f"{link.source}>{link.target}={link.capacity!r};".encode())
-    return hasher.hexdigest()
+__all__ = ["OptimizationResult", "MinMaxLoadOptimizer"]
 
 LinkKey = Tuple[str, str]
 
@@ -107,10 +60,6 @@ class OptimizationResult:
     def feasible(self) -> bool:
         """Whether the LP solved to optimality."""
         return self.status == "optimal"
-
-    def flow_on(self, prefix: Prefix, source: str, target: str) -> float:
-        """Optimised flow of ``prefix`` on the directed link ``source -> target``."""
-        return self.flows.get(prefix, {}).get((source, target), 0.0)
 
     def link_loads(self) -> LinkLoads:
         """Aggregate optimised load per link (all optimised prefixes combined)."""
@@ -187,12 +136,6 @@ class _LinkModel:
         #: Per prefix, each router's distance to it (NaN when unreachable).
         self.distances: Dict[Prefix, np.ndarray] = {}
 
-    @cached_property
-    def capacity_digest(self) -> str:
-        """:func:`capacity_digest` of the revision, so steady-state plan-cache
-        lookups skip the O(links) hashing pass."""
-        return capacity_digest(self.topology)
-
     def row_of(self, prefix: Prefix) -> np.ndarray:
         """Per router, its flow-conservation row within ``prefix``'s block.
 
@@ -218,8 +161,6 @@ class MinMaxLoadOptimizer:
         background: Optional[LinkLoads] = None,
         flow_penalty: float = 1e-6,
         max_stretch: Optional[float] = None,
-        plan_cache: Optional["PlanCache"] = None,
-        background_quantum: float = 0.0,
     ) -> None:
         """Create an optimizer for ``topology``.
 
@@ -231,12 +172,6 @@ class MinMaxLoadOptimizer:
         on-demand load balancer uses a stretch of 1 so that traffic is only
         spread over reasonable detours (which also matches the paths the
         paper's controller uses); ``None`` leaves the LP unrestricted.
-
-        ``background_quantum`` tunes whole-LP reuse on the measurement-driven
-        path (a non-``None`` ``background``): 0 (the default) reuses a cached
-        solution only when the measured loads are bit-identical, a positive
-        value (bit/s) buckets each link's load first so sub-bucket jitter
-        keeps hitting the cache (see :func:`background_digest`).
         """
         self.topology = topology
         self.background = background
@@ -244,15 +179,8 @@ class MinMaxLoadOptimizer:
             raise ControllerError(f"flow_penalty must be non-negative, got {flow_penalty}")
         if max_stretch is not None and max_stretch < 0:
             raise ControllerError(f"max_stretch must be non-negative, got {max_stretch}")
-        if background_quantum < 0:
-            raise ControllerError(
-                f"background_quantum must be non-negative, got {background_quantum}"
-            )
         self.flow_penalty = flow_penalty
         self.max_stretch = max_stretch
-        self.background_quantum = background_quantum
-        #: Optional plan cache for whole-LP-solution reuse (see class docs).
-        self.plan_cache = plan_cache
         self._model: Optional[_LinkModel] = None
 
     # ------------------------------------------------------------------ #
@@ -266,16 +194,8 @@ class MinMaxLoadOptimizer:
     ) -> OptimizationResult:
         """Solve the min-max problem for ``prefixes`` (default: all demanded prefixes).
 
-        With a plan cache and a ``plan_version`` (the baseline graph version
-        of the caller's route-cache lineage), the solved
-        :class:`OptimizationResult` is reused wholesale when the graph
-        version, the per-link capacities and the demands are all unchanged —
-        the LP is deterministic, so the cached solution is exactly what a
-        fresh solve would return.  Background loads are live measurements
-        the version cannot attest; they enter the key as a (quantised)
-        digest instead, so the measurement-driven path reuses solutions
-        whenever the loads are unchanged — or unchanged up to
-        ``background_quantum`` (see :func:`background_digest`).
+        Every call solves the LP.  ``plan_version`` is accepted for callers
+        written against an earlier solution memo and is ignored.
         """
         if prefixes is None:
             prefixes = demands.prefixes
@@ -285,24 +205,6 @@ class MinMaxLoadOptimizer:
         for prefix in prefixes:
             # Raises TopologyError if the prefix is not announced anywhere.
             self.topology.prefix_attachments(prefix)
-
-        cache_key: Optional[Tuple] = None
-        if self.plan_cache is not None and plan_version is not None:
-            cache_key = (
-                plan_version,
-                demands.digest(),
-                self._link_model().capacity_digest,
-                tuple(str(prefix) for prefix in prefixes),
-                repr(self.flow_penalty),
-                repr(self.max_stretch),
-                ""
-                if self.background is None
-                else background_digest(self.background, self.background_quantum),
-            )
-            cached = self.plan_cache.optimization(cache_key)
-            if cached is not None:
-                self.plan_cache.counters.opt_cache_hits += 1
-                return cached
 
         solution = linprog(method="highs", **self._linprog_arguments(demands, prefixes))
         if not solution.success:
@@ -329,16 +231,13 @@ class MinMaxLoadOptimizer:
                 total_flow += value
             flows[prefix] = _remove_cycles(per_link)
 
-        result = OptimizationResult(
+        return OptimizationResult(
             objective=float(values[-1]),
             flows=flows,
             status="optimal",
             prefixes=prefixes,
             total_flow=total_flow,
         )
-        if cache_key is not None:
-            self.plan_cache.store_optimization(cache_key, result)
-        return result
 
     def _linprog_arguments(
         self, demands: TrafficMatrix, prefixes: Sequence[Prefix]

@@ -8,10 +8,9 @@ layer, closing the last from-scratch stage of the reaction pipeline
   keyed on ``(baseline graph version, requirement digest)`` atop the same
   lineage the controller's :class:`~repro.igp.rib_cache.RibCache` maintains:
   the name-free :class:`~repro.core.augmentation.LieShape` tuples a
-  requirement synthesises into, the merger's reduced weight maps, and whole
-  :class:`~repro.core.optimizer.OptimizationResult` objects.  When neither
-  the topology (version) nor a requirement (digest) changed, the previous
-  plan is reused wholesale — no validation walk, no lie synthesis, no LP.
+  requirement synthesises into and the merger's reduced weight maps.  When
+  neither the topology (version) nor a requirement (digest) changed, the
+  previous plan is reused wholesale — no validation walk, no lie synthesis.
 
 * :class:`LieReconciler` — turns a desired per-prefix lie set into the
   *minimal* retract/inject delta against the lies already installed
@@ -46,7 +45,6 @@ from repro.util.prefixes import Prefix
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Mapping
 
-    from repro.core.optimizer import OptimizationResult
     from repro.igp.topology import Topology
 
 __all__ = [
@@ -65,9 +63,8 @@ class CtlCounters(Counters):
     (version and digest unchanged, installed lies kept as-is);
     ``plans_recomputed`` went through synthesis + diff.  ``lies_injected`` /
     ``lies_retracted`` / ``lies_kept`` break every applied plan down into
-    actual network churn versus state carried over.  ``opt_cache_hits`` and
-    ``merge_cache_hits`` count whole optimisation results and merged weight
-    maps reused from the :class:`PlanCache`.
+    actual network churn versus state carried over.  ``merge_cache_hits``
+    counts merged weight maps reused from the :class:`PlanCache`.
     """
 
     plan_cache_hits: int = counter("ctl_plan_cache_hits")
@@ -75,7 +72,6 @@ class CtlCounters(Counters):
     lies_injected: int = counter("ctl_lies_injected")
     lies_retracted: int = counter("ctl_lies_retracted")
     lies_kept: int = counter("ctl_lies_kept")
-    opt_cache_hits: int = counter("ctl_opt_cache_hits")
     merge_cache_hits: int = counter("ctl_merge_cache_hits")
     # Asynchronous control-loop accounting (see core.scheduler): reactions
     # deferred past the controller's reaction latency, pending reactions
@@ -122,20 +118,19 @@ class MergedPlan:
 class PlanCache:
     """Versioned cache of controller planning artefacts.
 
-    All three families — lie shapes, merged requirements, optimisation
-    results — are keyed on the baseline (lie-free) graph version of the
-    controller's route-cache lineage plus a content digest, so a topology
-    change invalidates everything implicitly and a requirement change
-    invalidates exactly that requirement.  Only the two most recent versions
-    are retained: the planning artefacts of older graph states can never be
-    served again (versions are monotone), so keeping them would only leak.
+    Both families — lie shapes and merged requirements — are keyed on the
+    baseline (lie-free) graph version of the controller's route-cache
+    lineage plus a content digest, so a topology change invalidates
+    everything implicitly and a requirement change invalidates exactly that
+    requirement.  Only the two most recent versions are retained: the
+    planning artefacts of older graph states can never be served again
+    (versions are monotone), so keeping them would only leak.
     """
 
     def __init__(self, counters: Optional[CtlCounters] = None) -> None:
         self.counters = counters if counters is not None else CtlCounters()
         self._shapes: Dict[Tuple[int, str, float], Tuple[LieShape, ...]] = {}
         self._merged: Dict[Tuple[int, str, float, int], MergedPlan] = {}
-        self._optimizations: Dict[Tuple, "OptimizationResult"] = {}
         self._versions: List[int] = []
 
     # ------------------------------------------------------------------ #
@@ -152,15 +147,11 @@ class PlanCache:
         self._versions = self._versions[-2:]
         self._shapes = {k: v for k, v in self._shapes.items() if k[0] in keep}
         self._merged = {k: v for k, v in self._merged.items() if k[0] in keep}
-        self._optimizations = {
-            k: v for k, v in self._optimizations.items() if k[0] in keep
-        }
 
     def invalidate(self) -> None:
         """Drop every cached plan (counters survive)."""
         self._shapes.clear()
         self._merged.clear()
-        self._optimizations.clear()
         self._versions.clear()
 
     # ------------------------------------------------------------------ #
@@ -212,23 +203,9 @@ class PlanCache:
         self.observe_version(version)
         self._merged[(version, requirement.digest(), tolerance, max_entries)] = plan
 
-    # ------------------------------------------------------------------ #
-    # Whole optimisation results
-    # ------------------------------------------------------------------ #
-    def optimization(self, key: Tuple) -> Optional["OptimizationResult"]:
-        """The cached LP solution under ``key`` (built by the optimizer)."""
-        self.observe_version(key[0])
-        return self._optimizations.get(key)
-
-    def store_optimization(self, key: Tuple, result: "OptimizationResult") -> None:
-        """Remember one LP solution under its environment key."""
-        self.observe_version(key[0])
-        self._optimizations[key] = result
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"PlanCache(shapes={len(self._shapes)}, merged={len(self._merged)}, "
-            f"optimizations={len(self._optimizations)})"
+            f"PlanCache(shapes={len(self._shapes)}, merged={len(self._merged)})"
         )
 
 

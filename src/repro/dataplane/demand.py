@@ -17,18 +17,13 @@ every session the same id — the anchor of the per-session ECMP hashing
 equivalence the differential suite pins.
 
 Float discipline: per-key demand contributions are stored individually and
-summed with :func:`math.fsum` (correctly rounded), so the aggregate rate —
-and therefore :meth:`TrafficMatrix.digest` — is independent of the order in
-which flows or entries were added.  The previous running-sum accumulation
-made two permutations of the same flows digest differently, causing
-spurious ``PlanCache`` misses; and :meth:`entries` sorted by ``prefix``
-while :meth:`digest` sorted by ``str(prefix)``, which disagree once
-prefixes of different lengths mix.  Both now sort by ``(ingress, prefix)``.
+summed with :func:`math.fsum` (correctly rounded), so the aggregate rate is
+independent of the order in which flows or entries were added, and
+:meth:`TrafficMatrix.entries` sorts by ``(ingress, prefix)``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -58,8 +53,8 @@ class TrafficMatrix:
     """Mapping from (ingress router, destination prefix) to aggregate rate.
 
     Contributions are kept individually and folded with :func:`math.fsum`,
-    so every derived quantity (rates, totals, :meth:`digest`) is independent
-    of insertion order.
+    so every derived quantity (rates, totals, entries) is independent of
+    insertion order.
     """
 
     def __init__(self, entries: Iterable[DemandEntry] = ()) -> None:
@@ -152,22 +147,6 @@ class TrafficMatrix:
         return math.fsum(
             value for values in self._contributions.values() for value in values
         )
-
-    def digest(self) -> str:
-        """Stable hex digest of the positive demands (order-independent).
-
-        Rates enter at ``repr`` precision, so two matrices share a digest
-        exactly when an optimisation over them is guaranteed to produce the
-        same result — what the controller's plan cache keys on.  The sort
-        key is the same ``(ingress, prefix)`` order :meth:`entries` uses.
-        """
-        hasher = hashlib.sha256()
-        for (ingress, prefix), rate in sorted(
-            self._rates().items(), key=lambda item: (item[0][0], item[0][1])
-        ):
-            if rate > 0:
-                hasher.update(f"{ingress}|{prefix}={rate!r};".encode())
-        return hasher.hexdigest()
 
     def scaled(self, factor: float) -> "TrafficMatrix":
         """A copy of this matrix with every demand multiplied by ``factor``.

@@ -29,7 +29,8 @@ with versions and re-routes only the flows (or classes) whose cached walk
 crosses a changed *(router, prefix)* entry, and a
 :class:`~repro.dataplane.path_cache.WarmStartAllocator` re-runs progressive
 filling only on the connected components of the entity-link hypergraph that
-the event dirtied.  Both repairs are bit-identical to a from-scratch
+the event dirtied, however many that is; only the first allocation of an
+engine runs from scratch.  Both repairs are bit-identical to a from-scratch
 re-route and re-allocation; the from-scratch engines live in
 ``tests/oracles.py``, and the differential suites
 ``tests/test_dataplane_incremental.py`` / ``tests/test_dataplane_classes.py``
@@ -161,7 +162,6 @@ class DataPlaneEngineBase:
         self._last_sample_time = timeline.now
 
         self._sample_listeners: List[Callable[[LinkSample], None]] = []
-        self._rate_listeners: List[Callable[[float], None]] = []
         self._started = False
 
     # ------------------------------------------------------------------ #
@@ -170,10 +170,6 @@ class DataPlaneEngineBase:
     def on_sample(self, listener: Callable[[LinkSample], None]) -> None:
         """Register ``listener(sample)`` called after every periodic sample."""
         self._sample_listeners.append(listener)
-
-    def on_rates_changed(self, listener: Callable[[float], None]) -> None:
-        """Register ``listener(time)`` called whenever rates are recomputed."""
-        self._rate_listeners.append(listener)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -296,10 +292,6 @@ class DataPlaneEngineBase:
             self._advance_entity_bytes(elapsed)
         self._last_advance = now
 
-    def _notify_rates_changed(self) -> None:
-        for listener in self._rate_listeners:
-            listener(self.timeline.now)
-
     def _sample(self) -> None:
         """Periodic sampling: average link rates since the previous sample."""
         self._advance_counters()
@@ -322,13 +314,7 @@ class DataPlaneEngineBase:
 
 
 class DataPlaneEngine(DataPlaneEngineBase):
-    """Flow-level data plane driven by the shared simulation timeline.
-
-    ``alloc_dirty_threshold`` is the warm-start fallback knob: when an event
-    dirties more than that fraction of the active flows, the allocation is
-    recomputed in full and counted as a ``dp_fallback`` (same style as
-    ``RibCache.dirty_threshold``).
-    """
+    """Flow-level data plane driven by the shared simulation timeline."""
 
     def __init__(
         self,
@@ -337,7 +323,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
         timeline: Timeline,
         sample_interval: float = 1.0,
         hash_salt: int = 0,
-        alloc_dirty_threshold: float = 0.5,
     ) -> None:
         super().__init__(
             topology,
@@ -348,7 +333,7 @@ class DataPlaneEngine(DataPlaneEngineBase):
         )
         self.flows = FlowSet()
         self._path_cache = FlowPathCache()
-        self._allocator = WarmStartAllocator(dirty_threshold=alloc_dirty_threshold)
+        self._allocator = WarmStartAllocator()
         # Current (instantaneous) state, valid since _last_advance.
         self._flow_rates: Dict[int, float] = {}
         self._flow_paths: Dict[int, FlowPath] = {}
@@ -536,8 +521,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
             self.counters.alloc_warm_starts += 1
         elif repair.mode == "full":
             self.counters.alloc_full += 1
-        elif repair.mode == "fallback":
-            self.counters.fallbacks += 1
         self._flow_rates = self._allocator.rates
 
         # Repair the per-link totals: only the links whose flow membership
@@ -564,7 +547,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
                 affected_links.update(self._flow_links.get(flow_id, ()))
         for link in affected_links:
             self._retotal_link(link)
-        self._notify_rates_changed()
 
     def _discard_member(self, link: LinkKey, flow_id: int) -> None:
         members = self._link_members.get(link)
@@ -691,7 +673,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         timeline: Timeline,
         sample_interval: float = 1.0,
         hash_salt: int = 0,
-        alloc_dirty_threshold: float = 0.5,
     ) -> None:
         super().__init__(
             topology,
@@ -702,7 +683,7 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         )
         self.classes = ClassSet()
         self._path_cache = FlowPathCache()  # entity ids are class ids here
-        self._allocator = WarmStartAllocator(dirty_threshold=alloc_dirty_threshold)
+        self._allocator = WarmStartAllocator()
         # Path groups and their allocator entities, per class.
         self._class_groups: Dict[int, List[ClassPathGroup]] = {}
         self._class_entities: Dict[int, Tuple[int, ...]] = {}
@@ -777,10 +758,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
     # ------------------------------------------------------------------ #
     # State inspection
     # ------------------------------------------------------------------ #
-    def class_groups(self, class_id: int) -> List[ClassPathGroup]:
-        """Current path groups of one class (empty before the first walk)."""
-        return list(self._class_groups.get(class_id, ()))
-
     def class_session_rates(self, class_id: int) -> List[Tuple[float, int]]:
         """Current ``(per-session rate, session count)`` pairs of one class."""
         return [
@@ -1041,8 +1018,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             self.counters.alloc_warm_starts += 1
         elif repair.mode == "full":
             self.counters.alloc_full += 1
-        elif repair.mode == "fallback":
-            self.counters.fallbacks += 1
         self._entity_rates = self._allocator.rates
 
         for entity_id, (links, _demand, _count) in changed_inputs.items():
@@ -1052,7 +1027,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 affected_links.update(self._entity_links.get(entity_id, ()))
         for link in affected_links:
             self._retotal_link(link)
-        self._notify_rates_changed()
 
     @staticmethod
     def _groups_equal(

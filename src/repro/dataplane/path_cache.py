@@ -17,9 +17,8 @@ graph's dirty prefixes, the data plane repairs per-flow state from the dirty
   Components are filled through the exact
   :func:`~repro.dataplane.fairness.fill_component` routine the from-scratch
   allocator uses, so a repaired allocation is bit-identical to a full one.
-  When the dirty flows exceed ``dirty_threshold`` of the active flows the
-  repair would approach a from-scratch run, so the allocator falls back to
-  the full decomposition (counted separately, like ``rib_fallbacks``).
+  A primed allocator always repairs, even when every flow is dirty; the
+  full decomposition runs only on a cold (or invalidated) allocator.
 
 :class:`DataPlaneCounters` is the accounting mirror of
 :class:`~repro.igp.rib_cache.RibCounters` one layer down the stack; the
@@ -41,7 +40,6 @@ from repro.dataplane.flows import Flow
 from repro.dataplane.forwarding import FlowPath
 from repro.igp.fib import Fib
 from repro.util.counters import Counters, counter
-from repro.util.errors import SimulationError
 from repro.util.prefixes import Prefix
 
 __all__ = [
@@ -72,9 +70,8 @@ class DataPlaneCounters(Counters):
     ``flows_rerouted`` / ``flows_reused`` split every event's active flows
     into re-walked paths vs. cached paths carried over.  Each allocation
     event increments exactly one of ``alloc_warm_starts`` (per-component
-    repair), ``alloc_full`` (from-scratch decomposition: cold start or cache
-    disabled) or ``fallbacks`` (repair abandoned past the dirty-flow
-    threshold, recomputed in full).
+    repair) or ``alloc_full`` (from-scratch decomposition of a cold or
+    invalidated allocator).
 
     The ``classes_*`` fields are the aggregate-demand engine's mirror of
     the ``flows_*`` pair: demand classes whose forwarding DAG was re-walked
@@ -87,7 +84,6 @@ class DataPlaneCounters(Counters):
     flows_reused: int = counter("dp_flows_reused")
     alloc_warm_starts: int = counter("dp_alloc_warm_starts")
     alloc_full: int = counter("dp_alloc_full")
-    fallbacks: int = counter("dp_fallbacks")
     classes_rewalked: int = counter("dp_classes_rewalked")
     classes_reused: int = counter("dp_classes_reused")
     class_splits: int = counter("dp_classes_splits")
@@ -95,7 +91,7 @@ class DataPlaneCounters(Counters):
     @property
     def alloc_events(self) -> int:
         """Total allocation passes performed."""
-        return self.alloc_warm_starts + self.alloc_full + self.fallbacks
+        return self.alloc_warm_starts + self.alloc_full
 
 
 class FlowPathCache:
@@ -152,10 +148,6 @@ class FlowPathCache:
                 self._entry_versions[key] = self.version
         self._fibs = dict(fibs)
         return dirty
-
-    def entry_version(self, router: str, prefix: Prefix) -> int:
-        """Version at which the FIB entry of ``router`` for ``prefix`` last changed."""
-        return self._entry_versions.get((router, prefix), 0)
 
     # ------------------------------------------------------------------ #
     # Path storage
@@ -246,9 +238,9 @@ class FlowPathCache:
 class AllocationRepair:
     """Outcome of one :meth:`WarmStartAllocator.update` pass.
 
-    ``mode`` is ``"warm"``, ``"full"``, ``"fallback"`` or ``None`` (nothing
-    was dirty, the previous rates stand).  ``rate_changed`` lists the active
-    flows whose allocated rate differs bitwise from before the update.
+    ``mode`` is ``"warm"``, ``"full"`` or ``None`` (nothing was dirty, the
+    previous rates stand).  ``rate_changed`` lists the active flows whose
+    allocated rate differs bitwise from before the update.
     """
 
     mode: Optional[str]
@@ -266,14 +258,7 @@ class _Component:
 class WarmStartAllocator:
     """Max-min fair allocation with per-component warm-start repair."""
 
-    def __init__(self, dirty_threshold: float = 0.5) -> None:
-        if not 0.0 <= dirty_threshold <= 1.0:
-            raise SimulationError(
-                f"dirty_threshold must be in [0, 1], got {dirty_threshold}"
-            )
-        #: Fraction of the active flows beyond which a repair falls back to
-        #: a from-scratch decomposition (the fallback threshold knob).
-        self.dirty_threshold = dirty_threshold
+    def __init__(self) -> None:
         #: Current per-flow rates; the engine reads this mapping directly.
         self.rates: Dict[int, float] = {}
         self._inputs: Dict[int, FlowInput] = {}
@@ -285,10 +270,6 @@ class WarmStartAllocator:
 
     def __len__(self) -> int:
         return len(self._inputs)
-
-    def input_of(self, flow_id: int) -> Optional[FlowInput]:
-        """The (links, demand) input last allocated for ``flow_id``."""
-        return self._inputs.get(flow_id)
 
     def component_count(self) -> int:
         """Number of connected components in the current partition."""
@@ -337,7 +318,7 @@ class WarmStartAllocator:
 
         if not changed and not removed and not affected:
             if not self._primed:
-                return self._full(capacities, mode="full")
+                return self._full(capacities)
             # A capacity change on an unused link (or a pure no-op event)
             # cannot move any rate.
             return AllocationRepair(mode=None, rate_changed=frozenset())
@@ -347,15 +328,12 @@ class WarmStartAllocator:
         self._inputs.update(changed)
 
         if not self._primed:
-            return self._full(capacities, mode="full")
+            return self._full(capacities)
 
         recompute: Set[int] = set(changed)
         for component in affected:
             recompute.update(self._components[component].flow_ids)
         recompute &= self._inputs.keys()
-
-        if len(recompute) > self.dirty_threshold * max(1, len(self._inputs)):
-            return self._full(capacities, mode="fallback")
         return self._warm(recompute, affected, removed, capacities)
 
     def invalidate(self) -> None:
@@ -425,9 +403,7 @@ class WarmStartAllocator:
         self.rates.update(new_rates)
         return frozenset(rate_changed)
 
-    def _full(
-        self, capacities: Mapping[LinkKey, float], mode: str
-    ) -> AllocationRepair:
+    def _full(self, capacities: Mapping[LinkKey, float]) -> AllocationRepair:
         previous_rates = dict(self.rates)
         self._components.clear()
         self._flow_component.clear()
@@ -445,7 +421,7 @@ class WarmStartAllocator:
             for flow_id, rate in new_rates.items()
             if previous_rates.get(flow_id) != rate
         )
-        return AllocationRepair(mode=mode, rate_changed=rate_changed)
+        return AllocationRepair(mode="full", rate_changed=rate_changed)
 
     def _warm(
         self,
@@ -474,5 +450,5 @@ class WarmStartAllocator:
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
             f"WarmStartAllocator(flows={len(self._inputs)}, "
-            f"components={len(self._components)}, threshold={self.dirty_threshold})"
+            f"components={len(self._components)})"
         )

@@ -8,15 +8,15 @@ embarrassingly parallel with respect to the others.  This module turns the
 * :class:`GridSpec` / :class:`SweepGrid` declare the grid (experiment ×
   seeds × parameter choices); :meth:`SweepGrid.expand` produces a
   deterministic, ordered list of :class:`RunSpec` runs.
-* :class:`SweepHarness` executes the runs through a
-  :mod:`concurrent.futures` pool (``parallel="serial" | "thread" |
-  "process"``).  Every cache lineage an experiment builds
-  (``SpfCache``/``RibCache``/``PlanCache``, engine path caches) is created
-  *inside* the run, so each worker process owns its lineages outright and
-  no cache state crosses process boundaries; every run derives its
-  randomness from an explicit ``random.Random(seed)`` threaded through the
-  experiment entry points, never from module-level RNG state — so results
-  are independent of which worker executes a run and in what order.
+* :class:`SweepHarness` executes the runs serially or through a process
+  pool (``parallel="serial" | "process"``).  Every cache lineage an
+  experiment builds (``SpfCache``/``RibCache``/``PlanCache``, engine path
+  caches) is created *inside* the run, so each worker process owns its
+  lineages outright and no cache state crosses process boundaries; every
+  run derives its randomness from an explicit ``random.Random(seed)``
+  threaded through the experiment entry points, never from module-level
+  RNG state — so results are independent of which worker executes a run
+  and in what order.
 * :class:`SweepReport` merges the per-run counter snapshots (the same
   ``spf_*``/``rib_*``/``dp_*``/``ctl_*`` key space that
   :func:`repro.monitoring.counters.collect_counters` aggregates within one
@@ -43,7 +43,7 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 #: Accepted values of the ``parallel=`` knob.
-PARALLEL_MODES = ("serial", "thread", "process")
+PARALLEL_MODES = ("serial", "process")
 
 
 # --------------------------------------------------------------------- #
@@ -611,10 +611,7 @@ class SweepHarness:
             payloads = [_execute_run(spec) for spec in specs]
         else:
             workers = min(len(specs), self.max_workers or os.cpu_count() or 1)
-            executor_cls = (
-                ProcessPoolExecutor if self.parallel == "process" else ThreadPoolExecutor
-            )
-            with executor_cls(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_execute_run, spec) for spec in specs]
                 payloads = [future.result() for future in futures]
         for spec, payload in zip(specs, payloads):

@@ -105,8 +105,8 @@ class ComputationGraph:
         self._edges: Dict[str, Dict[str, float]] = {}
         self._redges: Dict[str, Dict[str, float]] = {}
         self._announcements: Dict[str, Dict[Prefix, float]] = {}
-        # Announcer refcount per prefix, so ``prefixes``/``prefix_count``
-        # need no union over the per-node announcement dicts.
+        # Announcer refcount per prefix, so ``prefixes`` needs no union
+        # over the per-node announcement dicts.
         self._prefix_refs: Dict[Prefix, int] = {}
         self._fake_nodes: Dict[str, FakeNodeInfo] = {}
         self._version = 0
@@ -606,11 +606,6 @@ class ComputationGraph:
     def prefixes(self) -> List[Prefix]:
         """All announced prefixes, sorted."""
         return sorted(self._prefix_refs)
-
-    @property
-    def prefix_count(self) -> int:
-        """Number of distinct announced prefixes (O(1))."""
-        return len(self._prefix_refs)
 
     def announcers(self, prefix: Prefix) -> Dict[str, float]:
         """Mapping of node name to announcement metric for ``prefix``."""

@@ -12,10 +12,10 @@ versioned result.
 
 The cache owns (or shares) an :class:`SpfCache` for the underlying per-source
 SPF lookups, so one ``RibCache`` is the single object a call site needs for
-the whole SPF → RIB → FIB pipeline.  When the dirty set exceeds
-``dirty_threshold`` of the announced prefixes the repair would approach a
-from-scratch :func:`~repro.igp.rib.compute_rib`, so the cache falls back to
-the full computation (counted separately, like SPF's fallbacks).
+the whole SPF → RIB → FIB pipeline.  A cached entry is always repaired,
+however many prefixes are dirty; a from-scratch
+:func:`~repro.igp.rib.compute_rib` runs only for a router with no entry or
+one the graph's delta log no longer reaches back to.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.igp.rib import Rib, compute_rib, dirty_prefixes, update_rib
 from repro.igp.spf import ShortestPaths
 from repro.igp.spf_cache import SpfCache
 from repro.util.counters import Counters, counter
-from repro.util.errors import RoutingError
 from repro.util.prefixes import Prefix
 
 __all__ = ["RibCounters", "RibCache"]
@@ -37,11 +36,10 @@ __all__ = ["RibCounters", "RibCache"]
 
 @dataclass
 class RibCounters(Counters):
-    """Hit/repair/fallback accounting of one :class:`RibCache`.
+    """Hit/repair/miss accounting of one :class:`RibCache`.
 
     Every RIB lookup increments exactly one of ``hits`` (same graph
-    version), ``incremental_updates`` (per-prefix dirty repair),
-    ``fallbacks`` (dirty set exceeded the threshold, full recompute) or
+    version), ``incremental_updates`` (per-prefix dirty repair) or
     ``full_recomputes`` (no usable cache entry or change history).
     ``prefixes_repaired`` and ``prefixes_reused`` break an incremental
     update down into re-resolved vs. carried-over routes.
@@ -50,14 +48,13 @@ class RibCounters(Counters):
     hits: int = counter("rib_cache_hits")
     incremental_updates: int = counter("rib_incremental_updates")
     full_recomputes: int = counter("rib_full_recomputes")
-    fallbacks: int = counter("rib_fallbacks")
     prefixes_repaired: int = counter("rib_prefixes_repaired")
     prefixes_reused: int = counter("rib_prefixes_reused")
 
     @property
     def rib_lookups(self) -> int:
         """Total per-router RIB lookups served."""
-        return self.hits + self.incremental_updates + self.full_recomputes + self.fallbacks
+        return self.hits + self.incremental_updates + self.full_recomputes
 
 
 @dataclass
@@ -73,22 +70,10 @@ class _Entry:
 class RibCache:
     """Per-router RIBs and FIBs keyed by graph version, with dirty-prefix repair."""
 
-    def __init__(
-        self,
-        spf_cache: Optional[SpfCache] = None,
-        dirty_threshold: float = 0.5,
-    ) -> None:
-        if not 0.0 <= dirty_threshold <= 1.0:
-            raise RoutingError(
-                f"dirty_threshold must be in [0, 1], got {dirty_threshold}"
-            )
+    def __init__(self, spf_cache: Optional[SpfCache] = None) -> None:
         #: Underlying per-source SPF cache (shared or owned); its lineage is
         #: also this cache's lineage.
         self.spf_cache = spf_cache if spf_cache is not None else SpfCache()
-        #: Fraction of the announced prefixes beyond which a repair falls
-        #: back to a from-scratch ``compute_rib`` (the fallback threshold
-        #: knob; see README).
-        self.dirty_threshold = dirty_threshold
         self.counters = RibCounters()
         self._entries: Dict[str, _Entry] = {}
 
@@ -154,26 +139,11 @@ class RibCache:
         if entry is not None:
             change = graph.changes_since(entry.version)
             if change is not None:
-                repaired = self._repair(entry, graph, version, spf, change)
-                if repaired is not None:
-                    self._entries[router] = repaired
-                    return repaired
-                # Past the dirty threshold: recompute, but count it as a
-                # fallback rather than a cold miss.
-                self.counters.fallbacks += 1
-                return self._store_full(graph, version, router, spf)
+                entry = self._repair(entry, graph, version, spf, change)
+                self._entries[router] = entry
+                return entry
         self.counters.full_recomputes += 1
-        return self._store_full(graph, version, router, spf)
-
-    def _store_full(
-        self,
-        graph: ComputationGraph,
-        version: int,
-        router: str,
-        spf: ShortestPaths,
-    ) -> _Entry:
-        rib = compute_rib(graph, router, spf)
-        entry = _Entry(version=version, spf=spf, rib=rib)
+        entry = _Entry(version=version, spf=spf, rib=compute_rib(graph, router, spf))
         self._entries[router] = entry
         return entry
 
@@ -184,12 +154,9 @@ class RibCache:
         version: int,
         spf: ShortestPaths,
         change: GraphChange,
-    ) -> Optional[_Entry]:
-        """Dirty-prefix repair of one entry; ``None`` when past the threshold."""
+    ) -> _Entry:
+        """Dirty-prefix repair of one entry."""
         dirty = dirty_prefixes(entry.rib, entry.spf, graph, spf, change)
-        total = max(1, graph.prefix_count)
-        if len(dirty) > self.dirty_threshold * total:
-            return None
         self.counters.incremental_updates += 1
         self.counters.prefixes_repaired += len(dirty)
         rib = update_rib(entry.rib, graph, spf, dirty) if dirty else entry.rib

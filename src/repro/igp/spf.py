@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.igp.graph import ComputationGraph, EdgeDelta
 from repro.util.errors import RoutingError
@@ -26,10 +26,6 @@ __all__ = ["ShortestPaths", "compute_spf", "update_spf", "cost_tolerance", "cost
 #: are still detected when accumulated float rounding grows with the path
 #: cost itself — see :func:`cost_tolerance`.
 _COST_EPSILON = 1e-9
-
-#: Fraction of the previously reachable nodes beyond which :func:`update_spf`
-#: abandons the repair for a full Dijkstra (counted as an ``spf_fallback``).
-FULL_THRESHOLD = 0.5
 
 
 def cost_tolerance(scale: float) -> float:
@@ -199,24 +195,19 @@ def update_spf(
        whose distance or incident costs changed, and first-hop changes are
        propagated down the (new) shortest-path DAG in distance order.
 
-    When the invalidated region exceeds :data:`FULL_THRESHOLD` of the previously
-    reachable nodes the repair would approach the cost of a fresh run, so the
-    function falls back to :func:`compute_spf`.  The returned object is
-    ``prev`` itself when the deltas turn out not to affect this source at
-    all — callers must treat :class:`ShortestPaths` as immutable.
+    The repair runs however large the invalidated region is — up to every
+    node but the source, which has no predecessor because edge costs are
+    positive.  The returned object is ``prev`` itself when the deltas turn
+    out not to affect this source at all — callers must treat
+    :class:`ShortestPaths` as immutable.
 
-    ``counters``, when given, must expose mutable ``incremental_updates`` and
-    ``fallbacks`` attributes (see :class:`repro.igp.spf_cache.SpfCounters`);
-    exactly one of the two is incremented per call.
+    ``counters``, when given, must expose a mutable ``incremental_updates``
+    attribute (see :class:`repro.igp.spf_cache.SpfCounters`), incremented
+    once per call.
     """
     source = prev.source
     if not graph.has_node(source):
         raise RoutingError(f"SPF source {source!r} is not in the computation graph")
-
-    def fall_back() -> ShortestPaths:
-        if counters is not None:
-            counters.fallbacks += 1
-        return compute_spf(graph, source)
 
     # Collapse repeated changes of the same directed edge: the oldest
     # ``old_cost`` and the graph's current state are what matters.
@@ -230,12 +221,10 @@ def update_spf(
         new_cost = graph.successors(u).get(v) if graph.has_node(u) else None
         if old_cost != new_cost:
             effective.append(EdgeDelta(u, v, old_cost, new_cost))
+    if counters is not None:
+        counters.incremental_updates += 1
     if not effective:
-        if counters is not None:
-            counters.incremental_updates += 1
         return prev
-    if len(effective) > max(16, len(prev.distance)):
-        return fall_back()
 
     # ----- 1. invalidate the subtree hanging off worsened DAG edges ------ #
     children: Dict[str, List[str]] = {}
@@ -256,10 +245,6 @@ def update_spf(
             continue
         invalid.add(node)
         stack.extend(children.get(node, ()))
-    if source in invalid or len(invalid) > FULL_THRESHOLD * max(1, len(prev.distance)):
-        return fall_back()
-    if counters is not None:
-        counters.incremental_updates += 1
 
     # ----- 2. bounded Dijkstra over the affected region ------------------ #
     # Distances of non-invalidated, still-present nodes are exact upper

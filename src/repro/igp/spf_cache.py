@@ -5,8 +5,8 @@ One :class:`SpfCache` holds, per source router, the last
 computed at.  Lookups against the same version are free; lookups against a
 newer version replay the graph's dirty-edge delta log through
 :func:`~repro.igp.spf.update_spf` so that only the affected subtree is
-re-relaxed; and when the log cannot reach back far enough (or the change
-touches too much of the graph) the cache transparently falls back to a full
+re-relaxed, however much of the graph the change touches.  Only when the
+log cannot reach back far enough does the cache run a full
 :func:`~repro.igp.spf.compute_spf`.
 
 A router's LSDB keeps one live graph and records every installed LSA on its
@@ -42,12 +42,11 @@ __all__ = ["SpfCounters", "SpfCache"]
 
 @dataclass
 class SpfCounters(Counters):
-    """Hit/miss/fallback accounting of one :class:`SpfCache`.
+    """Hit/repair/miss accounting of one :class:`SpfCache`.
 
     Every SPF lookup increments exactly one of ``hits`` (same version),
-    ``incremental_updates`` (delta replay), ``fallbacks`` (incremental path
-    taken but the change was too large or malformed, full rerun) or
-    ``full_recomputes`` (no usable cache entry or delta history).
+    ``incremental_updates`` (delta replay) or ``full_recomputes`` (no usable
+    cache entry or delta history).
     ``fib_cache_hits`` counts whole FIB-set reuses, which skip the SPF
     lookups entirely and are therefore *not* part of ``spf_lookups``.
     """
@@ -55,13 +54,12 @@ class SpfCounters(Counters):
     hits: int = counter("spf_cache_hits")
     incremental_updates: int = counter("spf_incremental_updates")
     full_recomputes: int = counter("spf_full_recomputes")
-    fallbacks: int = counter("spf_fallbacks")
     fib_cache_hits: int = counter("fib_cache_hits")
 
     @property
     def spf_lookups(self) -> int:
         """Total per-source SPF lookups served."""
-        return self.hits + self.incremental_updates + self.full_recomputes + self.fallbacks
+        return self.hits + self.incremental_updates + self.full_recomputes
 
 
 class SpfCache:

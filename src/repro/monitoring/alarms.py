@@ -15,7 +15,7 @@ Each firing feeds the on-demand load balancer's ``react()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.monitoring.collector import LinkLoadView, LoadCollector
@@ -32,11 +32,6 @@ class AlarmEvent:
 
     time: float
     hot_links: Tuple[LinkLoadView, ...]
-
-    @property
-    def worst_utilization(self) -> float:
-        """Utilisation of the most loaded link in the event."""
-        return max((view.utilization for view in self.hot_links), default=0.0)
 
     @property
     def hot_link_keys(self) -> Tuple[Tuple[str, str], ...]:

@@ -10,7 +10,7 @@ deployment: it only ever sees (interface, octet-counter) pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.dataplane.engine import DataPlaneEngine
 from repro.igp.topology import Topology
@@ -81,16 +81,14 @@ def collect_counters(network: "IgpNetwork") -> Dict[str, Dict[str, int]]:
 
     This is the monitoring-plane view of the incremental engines: for
     every router it reports how many SPF triggers were served from cache,
-    repaired incrementally from the dirty-edge delta log, recomputed in full,
-    or fell back after an oversized delta — and, one layer up, how many RIB
-    resolutions were cache hits, per-prefix dirty repairs, full prefix
-    rescans, or fallbacks past the dirty-prefix threshold (the ``rib_*``
-    keys).  The ``"dataplane"`` entry carries the flow-level ``dp_*``
-    counters of every data-plane engine registered with the network (paths
-    reused vs. re-walked, warm-started vs. full fair-share allocations,
-    plus the aggregate engine's ``dp_classes_rewalked`` /
-    ``dp_classes_reused`` / ``dp_classes_splits`` demand-class mirror of
-    the flow pair); the
+    repaired incrementally from the dirty-edge delta log or recomputed in
+    full — and, one layer up, how many RIB resolutions were cache hits,
+    per-prefix dirty repairs or full prefix rescans (the ``rib_*`` keys).
+    The ``"dataplane"`` entry carries the flow-level ``dp_*`` counters of
+    every data-plane engine registered with the network (paths reused vs.
+    re-walked, warm-started vs. full fair-share allocations, plus the
+    aggregate engine's ``dp_classes_rewalked`` / ``dp_classes_reused`` /
+    ``dp_classes_splits`` demand-class mirror of the flow pair); the
     ``"controller"`` entry carries the ``ctl_*`` reconciliation counters of
     every registered controller (requirement plans served from the plan
     cache vs. recomputed, lies injected/retracted/kept), *merged across

@@ -26,17 +26,16 @@ O(arrival batches) service work, and QoE aggregates weight by the counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.dataplane.demand import ClassSpec
 from repro.dataplane.engine import AggregateDemandEngine, DataPlaneEngine, LinkSample
 from repro.dataplane.flows import Flow, FlowSpec
 from repro.monitoring.notifications import ClientNotification, NotificationBus
 from repro.util.errors import SimulationError, ValidationError
 from repro.util.prefixes import Prefix
 from repro.video.catalog import Video, VideoCatalog
-from repro.video.client import PlaybackClient, PlaybackState
+from repro.video.client import PlaybackClient
 
 __all__ = ["VideoServer", "StreamingSession", "StreamingService"]
 
@@ -257,10 +256,6 @@ class StreamingService:
     def clients(self) -> List[PlaybackClient]:
         """The playback clients of every session ever started, sorted by id."""
         return [session.client for session in self.all_sessions]
-
-    def total_viewers(self) -> int:
-        """Real playback sessions ever started (cohorts count their size)."""
-        return sum(session.session_count for session in self.all_sessions)
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -12,13 +12,12 @@ the fast path starts:
 * :class:`ClearAndReplayController` re-plans every requirement of every
   enforce wave through validation, lie synthesis and the registry diff,
   with no plan cache, no skip bookkeeping and no baseline memo;
-* :class:`ClearAndReplayBalancer` runs the LP and the merger without the
-  controller's plan cache, so a reaction never reuses a cached plan.
+* :class:`ClearAndReplayBalancer` runs the merger without the controller's
+  plan cache, so a reaction never reuses a merged plan.
 
 Each oracle leaves the fast path's reuse counters at zero
 (``dp_flows_reused``, ``dp_classes_reused``, ``ctl_plan_cache_hits``,
-``ctl_opt_cache_hits``, ``ctl_merge_cache_hits``, ``ctl_fallbacks``); the
-drivers assert that, so an oracle cannot quietly turn into a second
+``ctl_merge_cache_hits``); the drivers assert that, so an oracle cannot quietly turn into a second
 incremental engine.
 """
 
@@ -78,7 +77,6 @@ class FromScratchDataPlaneEngine(DataPlaneEngine):
             link: _canonical_link_total(members)
             for link, members in contributions.items()
         }
-        self._notify_rates_changed()
 
 
 class FromScratchAggregateEngine(AggregateDemandEngine):
@@ -125,7 +123,6 @@ class FromScratchAggregateEngine(AggregateDemandEngine):
             link: _canonical_link_total(members)
             for link, members in contributions.items()
         }
-        self._notify_rates_changed()
 
 
 class ClearAndReplayController(FibbingController):
@@ -152,14 +149,10 @@ class ClearAndReplayController(FibbingController):
             self.topology, max_ecmp=max_ecmp, rib_cache=self.baseline_route_cache
         )
 
-    def baseline_version(self):
-        # No version: the optimizer cannot key a cached LP solution on it.
-        return None
-
 
 class ClearAndReplayBalancer(OnDemandLoadBalancer):
-    """Load balancer whose LP and merge stages never consult a plan cache."""
+    """Load balancer whose merge stage never consults a plan cache."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.optimizer.plan_cache = self.merger.plan_cache = None
+        self.merger.plan_cache = None

@@ -236,7 +236,7 @@ class DualControllerDriver:
         # The oracle re-plans everything: any reuse would make it a second
         # incremental controller.
         ref = oracle.reconciler.counters
-        assert ref.plan_cache_hits == ref.opt_cache_hits == 0, context
+        assert ref.plan_cache_hits == 0, context
         assert ref.merge_cache_hits == 0, context
 
 
@@ -394,7 +394,11 @@ class TestThresholdAndCounters:
 
 
 class TestReactCaching:
-    """Whole-reaction reuse: LP solutions and merged weight maps."""
+    """Whole-reaction reuse: merged weight maps and requirement plans.
+
+    The LP itself is re-solved on every reaction; what a steady reaction
+    reuses is everything downstream of it.
+    """
 
     def build(self, seed=19):
         driver = DualControllerDriver(seed=seed)
@@ -419,41 +423,36 @@ class TestReactCaching:
         driver.clients.matrix = matrix
         return driver
 
-    def test_repeated_alarm_with_steady_demands_reuses_the_lp(self):
+    def test_repeated_alarm_with_steady_demands_reuses_the_plans(self):
         driver = self.build()
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=1.0, hot_links=()))
         driver.check(context="first reaction")
         counters = driver.incremental.reconciler.counters
-        assert counters.opt_cache_hits == 0
         # The workload premise: the reaction did plan requirements.
         assert counters.plans_recomputed > 0
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=2.0, hot_links=()))
         driver.check(context="second reaction")
-        assert counters.opt_cache_hits == 1
         assert counters.merge_cache_hits > 0
         # An unchanged reaction is pure reuse: no plan was recomputed and
         # no lie moved on the wire.
         assert counters.plan_cache_hits > 0
         # The oracle-side balancer never got a plan cache.
-        assert driver.oracle.reconciler.counters.opt_cache_hits == 0
+        assert driver.oracle.reconciler.counters.merge_cache_hits == 0
 
     def test_capacity_event_invalidates_the_lp_reuse(self):
-        """Capacities are invisible to the graph version; the cache must
-        still notice them (via the capacity digest) or it would re-install
-        a plan optimised for the old link sizes."""
+        """Capacities are invisible to the graph version; the reaction must
+        still see them or it would re-install a plan optimised for the old
+        link sizes."""
         driver = self.build()
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=1.0, hot_links=()))
         driver.check()
         assert driver.apply("capacity")
-        counters = driver.incremental.reconciler.counters
-        hits_before = counters.opt_cache_hits
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=2.0, hot_links=()))
         driver.check(context="react after capacity event")
-        assert counters.opt_cache_hits == hits_before
 
     def test_demand_change_invalidates_the_lp_reuse(self):
         driver = self.build()
@@ -461,12 +460,9 @@ class TestReactCaching:
             balancer.react(AlarmEvent(time=1.0, hot_links=()))
         driver.check()
         driver.clients.matrix = driver.clients.matrix.scaled(1.5)
-        counters = driver.incremental.reconciler.counters
-        hits_before = counters.opt_cache_hits
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=2.0, hot_links=()))
         driver.check(context="react after demand change")
-        assert counters.opt_cache_hits == hits_before
 
 
 class TestNamespaceUnderChurn:

@@ -18,7 +18,6 @@ from repro.topologies.isp import synthetic_isp
 from repro.topologies.random import random_topology
 from repro.topologies.zoo import dumbbell
 from repro.util.errors import ControllerError
-from repro.util.prefixes import Prefix
 from repro.util.units import mbps
 
 
@@ -166,78 +165,29 @@ class TestGeneralProperties:
 
 
 class TestBackgroundLoadAwareCaching:
-    """Whole-LP reuse on the measurement-driven path (quantised digests).
+    """The measurement-driven path: every solve reads the current background.
 
-    Background loads are live measurements the graph version cannot attest;
-    they enter the plan-cache key as a (quantised) digest, so unchanged —
-    or sub-bucket-jittered — measurements reuse the cached solution and
-    ``ctl_opt_cache_hits`` fires on the measurement-driven path too.
+    Background loads are live measurements; the optimizer keeps no LP
+    solution memo, so the next solve after a measurement moved always sees
+    the new loads.
     """
-
-    def build(self, background, quantum=0.0):
-        from repro.core.reconciler import PlanCache
-
-        topology = build_demo_topology()
-        plan_cache = PlanCache()
-        optimizer = MinMaxLoadOptimizer(
-            topology,
-            background=background,
-            plan_cache=plan_cache,
-            background_quantum=quantum,
-        )
-        return optimizer, plan_cache
 
     def background(self, load=mbps(4)):
         loads = LinkLoads()
         loads.add("R1", "R4", load)
         return loads
 
-    def test_unchanged_background_reuses_the_lp(self, fig2_demands):
-        optimizer, plan_cache = self.build(self.background())
-        first = optimizer.optimize(fig2_demands, plan_version=7)
-        assert plan_cache.counters.opt_cache_hits == 0
-        second = optimizer.optimize(fig2_demands, plan_version=7)
-        assert plan_cache.counters.opt_cache_hits == 1
-        assert second is first
-
     def test_changed_background_misses_exact_cache(self, fig2_demands):
-        optimizer, plan_cache = self.build(self.background())
-        optimizer.optimize(fig2_demands, plan_version=7)
+        topology = build_demo_topology()
+        optimizer = MinMaxLoadOptimizer(topology, background=self.background())
+        first = optimizer.optimize(fig2_demands)
         optimizer.background = self.background(mbps(12))
-        changed = optimizer.optimize(fig2_demands, plan_version=7)
-        assert plan_cache.counters.opt_cache_hits == 0
-        # The fresh solve actually saw the new background (R1->R4 carries
+        changed = optimizer.optimize(fig2_demands)
+        # The second solve actually saw the new background (R1->R4 carries
         # 12 of 32 Mbit/s, so less optimised flow fits there).
-        assert changed.objective > 0
-
-    def test_jitter_within_the_quantum_still_hits(self, fig2_demands):
-        optimizer, plan_cache = self.build(self.background(mbps(4)), quantum=mbps(1))
-        first = optimizer.optimize(fig2_demands, plan_version=7)
-        optimizer.background = self.background(mbps(4) + 1000.0)  # sub-bucket jitter
-        second = optimizer.optimize(fig2_demands, plan_version=7)
-        assert plan_cache.counters.opt_cache_hits == 1
-        assert second is first
-
-    def test_jitter_beyond_the_quantum_misses(self, fig2_demands):
-        optimizer, plan_cache = self.build(self.background(mbps(4)), quantum=mbps(1))
-        optimizer.optimize(fig2_demands, plan_version=7)
-        optimizer.background = self.background(mbps(6))
-        optimizer.optimize(fig2_demands, plan_version=7)
-        assert plan_cache.counters.opt_cache_hits == 0
-
-    def test_negative_quantum_is_rejected(self):
-        with pytest.raises(ControllerError):
-            MinMaxLoadOptimizer(build_demo_topology(), background_quantum=-1.0)
-
-    def test_background_digest_is_stable_and_quantised(self):
-        from repro.core.optimizer import background_digest
-
-        exact = background_digest(self.background(mbps(4)), 0.0)
-        assert exact == background_digest(self.background(mbps(4)), 0.0)
-        assert exact != background_digest(self.background(mbps(5)), 0.0)
-        bucketed = background_digest(self.background(mbps(4)), mbps(1))
-        assert bucketed == background_digest(self.background(mbps(4) + 1.0), mbps(1))
-        assert bucketed != background_digest(self.background(mbps(6)), mbps(1))
+        assert changed.objective > first.objective
+        fresh = MinMaxLoadOptimizer(topology, background=self.background(mbps(12)))
+        assert changed == fresh.optimize(fig2_demands)
 
 
 # ---------------------------------------------------------------------- #

@@ -63,7 +63,7 @@ class DualEngineDriver:
     hash walks the same paths — any divergence is a caching bug.
     """
 
-    def __init__(self, seed, topology=None, alloc_dirty_threshold=0.5):
+    def __init__(self, seed, topology=None):
         self.rng = random.Random(seed)
         self.topology = (
             topology
@@ -77,10 +77,7 @@ class DualEngineDriver:
         self.timeline_inc = Timeline()
         self.timeline_ref = Timeline()
         self.incremental = DataPlaneEngine(
-            self.topology,
-            lambda: self.fibs,
-            self.timeline_inc,
-            alloc_dirty_threshold=alloc_dirty_threshold,
+            self.topology, lambda: self.fibs, self.timeline_inc
         )
         self.reference = FromScratchDataPlaneEngine(
             self.topology, lambda: self.fibs, self.timeline_ref
@@ -279,16 +276,13 @@ class TestDifferentialRandomized:
         # Every event split the active flows into rerouted + reused.
         assert counters.flows_rerouted > 0
         assert counters.flows_reused > 0
-        assert counters.alloc_events == (
-            counters.alloc_warm_starts + counters.alloc_full + counters.fallbacks
-        )
+        assert counters.alloc_events == counters.alloc_warm_starts + counters.alloc_full
         # The reference engine never reuses anything: every event is a full
         # reroute + full allocation (no-op routing changes and unused-link
         # capacity changes skip the allocator on the incremental side only).
         reference = driver.reference.counters
         assert reference.flows_reused == 0
         assert reference.alloc_warm_starts == 0
-        assert reference.fallbacks == 0
         assert reference.alloc_full >= counters.alloc_events
         assert reference.flows_rerouted >= counters.flows_rerouted
 
@@ -361,7 +355,7 @@ class TestBatchArrivals:
 
 
 class TestCacheBehaviour:
-    """Staleness, threshold fallbacks, no-op events and component tracking."""
+    """Staleness, all-dirty repairs, no-op events and component tracking."""
 
     def build(self, pods=4):
         topology = build_pod_topology(pods=pods)
@@ -402,19 +396,24 @@ class TestCacheBehaviour:
             flow_id, old_rate = rates[pod]
             assert engine.flow_rate(flow_id) == old_rate
 
-    def test_zero_threshold_forces_counted_fallbacks(self):
-        topology = build_pod_topology(pods=2)
-        fibs = compute_static_fibs(topology)
-        engine = DataPlaneEngine(
-            topology, lambda: fibs, Timeline(), alloc_dirty_threshold=0.0
-        )
-        first = engine.add_flow("S0", pod_prefix(topology, 0), mbps(20))
-        assert engine.counters.alloc_full == 1  # cold start is a full, not a fallback
-        engine.add_flow("S0", pod_prefix(topology, 0), mbps(20))
-        assert engine.counters.fallbacks == 1
-        assert engine.counters.alloc_warm_starts == 0
-        # The fallback's from-scratch result is still correct.
-        assert engine.flow_rate(first.flow_id) == pytest.approx(mbps(8))
+    def test_event_dirtying_every_flow_is_a_warm_repair(self):
+        """A capacity change on the bottleneck every flow shares dirties 100 %
+        of the flows; the repair is still warm and bitwise equal to the
+        oracle's from-scratch ``max_min_fair_allocation``."""
+        driver = DualEngineDriver(seed=3, topology=build_pod_topology(pods=2))
+        engine = driver.incremental
+        prefix = pod_prefix(driver.topology, 0)
+        for index in range(5):
+            flows = [each.add_flow("S0", prefix, mbps(2 + 3 * index)) for each in driver.engines]
+            driver.active.append(flows[0].flow_id)
+        assert engine.allocation_components() == 1
+        assert engine.counters.alloc_full == 1  # the cold start only
+        warm_before = engine.counters.alloc_warm_starts
+        for each in driver.engines:
+            each.set_link_capacity("M0", "C0", mbps(7))
+        assert engine.counters.alloc_warm_starts == warm_before + 1
+        assert engine.counters.alloc_full == 1
+        driver.check_equivalent("every flow dirty")
 
     def test_capacity_change_on_unused_link_skips_allocation(self):
         topology, engine = self.build()
@@ -478,7 +477,6 @@ class TestCacheBehaviour:
         assert counters.flows_rerouted == flows
         assert counters.flows_reused > 10 * counters.flows_rerouted
         assert counters.alloc_full == 1  # the cold start only
-        assert counters.fallbacks == 0
         assert counters.alloc_warm_starts == flows + churn - 1
 
     def test_disabled_cache_counts_only_full_allocations(self):
@@ -491,6 +489,5 @@ class TestCacheBehaviour:
         counters = engine.counters
         assert counters.alloc_full == 4
         assert counters.alloc_warm_starts == 0
-        assert counters.fallbacks == 0
         assert counters.flows_reused == 0
         assert counters.flows_rerouted == 1 + 2 + 3 + 3

@@ -179,7 +179,6 @@ class TestSpfCacheInvalidation:
             stats["spf_cache_hits"]
             + stats["spf_incremental_updates"]
             + stats["spf_full_recomputes"]
-            + stats["spf_fallbacks"]
         )
         total_runs = sum(p.spf_runs for p in converged_network.routers.values())
         # Every SPF trigger is served by at most one cache lookup, and SPF

@@ -182,7 +182,6 @@ class TestDifferentialRandomized:
             counters.hits
             + counters.incremental_updates
             + counters.full_recomputes
-            + counters.fallbacks
         )
         # 10 mutation rounds x every router went through the cache.
         assert counters.rib_lookups >= 10 * len(driver.topology.routers)
@@ -210,7 +209,7 @@ class TestDifferentialHypothesis:
 
 
 class TestCacheStaleness:
-    """Version gaps, dirty-threshold fallbacks and no-op deltas all behave."""
+    """Version gaps, all-dirty changes and no-op deltas all behave."""
 
     def build(self, seed=3):
         driver = MutationDriver(seed)
@@ -246,19 +245,31 @@ class TestCacheStaleness:
         counters = driver.cache.counters
         assert counters.full_recomputes >= full_before + len(driver.topology.routers)
 
-    def test_dirty_threshold_fallback_is_counted_and_correct(self):
-        """A change dirtying more than the threshold falls back to a full rescan."""
-        driver = MutationDriver(seed=5)
-        driver.cache = RibCache(dirty_threshold=0.0)  # any dirty prefix trips it
-        driver.check_all_routers()
-        fallback_before = driver.cache.counters.fallbacks
-        assert driver.apply("weight")
-        driver.check_all_routers(context="past threshold")
+    def test_change_dirtying_every_prefix_is_repaired(self):
+        """A change dirtying every announced prefix is still a repair.
+
+        Re-attaching every prefix at a new cost moves every announcer map,
+        so each router re-resolves 100 % of its prefixes through
+        ``update_rib`` — and must land on ``compute_rib`` and
+        ``resolve_rib_to_fib`` exactly.
+        """
+        driver = self.build(seed=5)
+        topology = driver.topology
+        prefixes = topology.prefixes
+        routers = topology.routers
+        assert prefixes and not driver.lies
         counters = driver.cache.counters
-        assert counters.fallbacks > fallback_before
-        # At threshold 0 a repair is only allowed when nothing is dirty, so
-        # no prefix is ever re-resolved incrementally.
-        assert counters.prefixes_repaired == 0
+        incremental_before = counters.incremental_updates
+        full_before = counters.full_recomputes
+        repaired_before = counters.prefixes_repaired
+        for prefix in prefixes:
+            for attachment in topology.prefix_attachments(prefix):
+                topology.detach_prefix(attachment.router, prefix)
+                topology.attach_prefix(attachment.router, prefix, attachment.cost + 1)
+        driver.check_all_routers(context="every prefix dirty")
+        assert counters.incremental_updates == incremental_before + len(routers)
+        assert counters.full_recomputes == full_before
+        assert counters.prefixes_repaired == repaired_before + len(routers) * len(prefixes)
 
     def test_noop_delta_is_a_pure_hit(self):
         """Rebuilding an identical graph keeps the version: pure cache hits."""

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.igp.graph import ComputationGraph, EdgeDelta
 from repro.igp.lsa import FakeNodeLsa
 from repro.igp.spf import compute_spf, costs_equal, update_spf
-from repro.igp.spf_cache import SpfCache
+from repro.igp.spf_cache import SpfCache, SpfCounters
 from repro.topologies.random import random_topology
 from repro.util.prefixes import Prefix
 
@@ -132,7 +132,6 @@ class TestDifferentialRandomized:
             counters.hits
             + counters.incremental_updates
             + counters.full_recomputes
-            + counters.fallbacks
         )
         # 11 rounds x 10 sources were served through the cache.
         assert counters.spf_lookups >= 10 * len(driver.topology.routers)
@@ -238,16 +237,48 @@ class TestUpdateSpfDirect:
         prev = compute_spf(graph, "S")
         assert update_spf(prev, graph, ()) is prev
 
-    def test_oversized_delta_falls_back_to_full(self):
+    def test_oversized_delta_is_repaired(self):
         graph = self.build_graph()
         prev = compute_spf(graph, "S")
         version = graph.version
-        # Rewrite every edge: the invalidated region exceeds the threshold.
+        # Rewrite every edge: every node but the source is invalidated.
         for source in list(graph.nodes):
             for target, cost in list(graph.successors(source).items()):
                 graph.add_edge(source, target, cost + 10)
-        repaired = update_spf(prev, graph, graph.deltas_since(version))
+        counters = SpfCounters()
+        repaired = update_spf(prev, graph, graph.deltas_since(version), counters)
         assert_same_spf(repaired, compute_spf(graph, "S"))
+        assert counters.incremental_updates == 1
+
+    def test_failing_the_sources_only_uplink_invalidates_everything(self):
+        # A tree hanging off S through its single uplink S-A: failing the
+        # uplink invalidates every node but S, the largest delta a repair
+        # can face; restoring it then grows the result back from S alone.
+        graph = ComputationGraph()
+        for parent, child, cost in [
+            ("S", "A", 1), ("A", "B", 2), ("A", "C", 1),
+            ("B", "D", 1), ("B", "E", 3), ("C", "F", 2),
+        ]:
+            graph.add_edge(parent, child, cost)
+            graph.add_edge(child, parent, cost)
+        prev = compute_spf(graph, "S")
+        assert set(prev.distance) == set(graph.nodes)
+        counters = SpfCounters()
+
+        version = graph.version
+        graph.remove_edge("S", "A")
+        graph.remove_edge("A", "S")
+        cut = update_spf(prev, graph, graph.deltas_since(version), counters)
+        assert_same_spf(cut, compute_spf(graph, "S"))
+        assert set(cut.distance) == {"S"}
+
+        version = graph.version
+        graph.add_edge("S", "A", 4)
+        graph.add_edge("A", "S", 4)
+        restored = update_spf(cut, graph, graph.deltas_since(version), counters)
+        assert_same_spf(restored, compute_spf(graph, "S"))
+        assert restored.next_hops["F"] == frozenset({"A"})
+        assert counters.incremental_updates == 2
 
 
 class TestDeltaLog:

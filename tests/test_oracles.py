@@ -34,8 +34,11 @@ from repro.dataplane.engine import (
 from repro.experiments.fig1 import fig1_lie_digests
 from repro.experiments.fig2 import run_demo_timeseries
 from repro.experiments.flashcrowd_classes import run_flashcrowd_classes
+from repro.dataplane.path_cache import WarmStartAllocator
 from repro.experiments.reaction import run_reaction_curves
+from repro.igp import spf
 from repro.igp.network import compute_static_fibs
+from repro.igp.rib_cache import RibCache
 from repro.topologies.demo import BLUE_PREFIX, build_demo_scenario, demo_lies
 from repro.util.timeline import Timeline
 from repro.util.units import mbps
@@ -52,7 +55,8 @@ SRC = pathlib.Path(repro.__file__).resolve().parent
 
 class TestNoFromScratchModeInTheProduct:
     """The settable values that used to select a from-scratch path, a
-    clear-and-replay fallback or a sharded controller."""
+    clear-and-replay fallback, a dirty-share fallback threshold, an LP
+    solution memo or a sharded controller."""
 
     @pytest.mark.parametrize(
         "target, parameter",
@@ -72,6 +76,12 @@ class TestNoFromScratchModeInTheProduct:
             (run_demo_timeseries, "shard_stagger"),
             (run_reaction_curves, "controller_shards"),
             (run_reaction_curves, "shard_stagger"),
+            (RibCache.__init__, "dirty_threshold"),
+            (WarmStartAllocator.__init__, "dirty_threshold"),
+            (DataPlaneEngine.__init__, "alloc_dirty_threshold"),
+            (AggregateDemandEngine.__init__, "alloc_dirty_threshold"),
+            (MinMaxLoadOptimizer.__init__, "plan_cache"),
+            (MinMaxLoadOptimizer.__init__, "background_quantum"),
         ],
         ids=[
             "DataPlaneEngineBase",
@@ -89,10 +99,19 @@ class TestNoFromScratchModeInTheProduct:
             "run_demo_timeseries-shard_stagger",
             "run_reaction_curves-controller_shards",
             "run_reaction_curves-shard_stagger",
+            "RibCache-dirty_threshold",
+            "WarmStartAllocator-dirty_threshold",
+            "DataPlaneEngine-alloc_dirty_threshold",
+            "AggregateDemandEngine-alloc_dirty_threshold",
+            "MinMaxLoadOptimizer-plan_cache",
+            "MinMaxLoadOptimizer-background_quantum",
         ],
     )
     def test_option_is_gone(self, target, parameter):
         assert parameter not in inspect.signature(target).parameters
+
+    def test_spf_has_no_full_threshold(self):
+        assert not hasattr(spf, "FULL_THRESHOLD")
 
     def test_merger_has_no_spf_cache_shim(self):
         assert "spf_cache" not in inspect.signature(LieMerger.__init__).parameters
@@ -194,9 +213,8 @@ class TestControllerOracles:
             for controller in (product, oracle):
                 controller.enforce(requirements)
 
-        assert oracle.baseline_version() is None
         counters = oracle.reconciler.counters
-        assert counters.plan_cache_hits == counters.opt_cache_hits == 0
+        assert counters.plan_cache_hits == 0
         assert counters.merge_cache_hits == 0
         assert product.reconciler.counters.plan_cache_hits > 0
         assert oracle.registry.active_lsas() == product.registry.active_lsas()
@@ -208,7 +226,7 @@ class TestControllerOracles:
             for prefix in fib.prefixes:
                 assert mine[router].lookup(prefix) == fib.lookup(prefix)
 
-    def test_clear_and_replay_balancer_bypasses_both_caches(self):
+    def test_clear_and_replay_balancer_bypasses_the_merge_cache(self):
         topology = build_demo_scenario().topology
         clients = TrafficMatrix()
 
@@ -221,7 +239,5 @@ class TestControllerOracles:
         oracle = ClearAndReplayBalancer(
             ClearAndReplayController(topology), Clients(), policy=policy
         )
-        assert oracle.optimizer.plan_cache is None
         assert oracle.merger.plan_cache is None
-        assert product.optimizer.plan_cache is not None
         assert product.merger.plan_cache is not None

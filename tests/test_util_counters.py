@@ -21,21 +21,21 @@ from repro.util.counters import merge_snapshots
 EXPORTED = {
     SpfCounters: [
         "spf_cache_hits", "spf_incremental_updates", "spf_full_recomputes",
-        "spf_fallbacks", "fib_cache_hits",
+        "fib_cache_hits",
     ],
     RibCounters: [
         "rib_cache_hits", "rib_incremental_updates", "rib_full_recomputes",
-        "rib_fallbacks", "rib_prefixes_repaired", "rib_prefixes_reused",
+        "rib_prefixes_repaired", "rib_prefixes_reused",
     ],
     DataPlaneCounters: [
         "dp_flows_rerouted", "dp_flows_reused", "dp_alloc_warm_starts",
-        "dp_alloc_full", "dp_fallbacks", "dp_classes_rewalked",
+        "dp_alloc_full", "dp_classes_rewalked",
         "dp_classes_reused", "dp_classes_splits",
     ],
     CtlCounters: [
         "ctl_plan_cache_hits", "ctl_plans_recomputed", "ctl_lies_injected",
         "ctl_lies_retracted", "ctl_lies_kept",
-        "ctl_opt_cache_hits", "ctl_merge_cache_hits", "ctl_reactions_deferred",
+        "ctl_merge_cache_hits", "ctl_reactions_deferred",
         "ctl_supersessions", "ctl_transient_loops", "ctl_transient_blackholes",
         "ctl_converge_events", "ctl_converge_seconds", "ctl_resyncs",
         "ctl_resync_lies_recovered", "ctl_reactions_abandoned",
@@ -132,11 +132,13 @@ def test_collect_counters_total_is_spf_stats():
     assert stats["spf_incremental_updates"] > 0
 
 
-#: Keys of the sharded facade and of the clear-and-replay fallback, both
-#: gone with the code that counted them.
+#: Keys of the sharded facade, the clear-and-replay fallback, the SPF/RIB/
+#: allocator dirty-share fallbacks and the LP solution memo, all gone with
+#: the code that counted them.
 REMOVED_KEYS = (
     "shard_waves_serial", "shard_dirty", "shard_clean", "shard_cross_fallbacks",
     "ctl_fallbacks", "ctl_stagger_lsas_dropped",
+    "spf_fallbacks", "rib_fallbacks", "dp_fallbacks", "ctl_opt_cache_hits",
 )
 
 

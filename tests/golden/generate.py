@@ -1,8 +1,9 @@
 """Regenerate the golden regression snapshots in this directory.
 
 The snapshots pin down externally observable numbers of the experiments —
-the Fig. 1 link-load vectors and the optimality-gap study — so that engine
-refactors (e.g. the incremental SPF cache) cannot silently drift behaviour.
+the Fig. 1 link-load vectors, the optimality-gap study and the ``perf/``
+workloads' output digests — so that engine refactors (e.g. the incremental
+SPF cache) cannot silently drift behaviour.
 
 Run from the repository root:
 
@@ -16,8 +17,33 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 GOLDEN_DIR = pathlib.Path(__file__).parent
+REPO_ROOT = GOLDEN_DIR.parents[1]
+if str(REPO_ROOT) not in sys.path:
+    # ``perf`` is imported as a package from the repository root.
+    sys.path.insert(0, str(REPO_ROOT))
+
+#: Seeds of the ``perf/`` digest snapshot.
+PERF_SEEDS = (0, 7)
+
+#: Run-phase counters pinned next to each ``perf/`` output digest: the
+#: repair-vs-recompute split of SPF and RIB, the allocator's warm starts,
+#: lie churn, transient loops, abandoned reactions and LSA loss.
+PERF_COUNTERS = (
+    "spf_incremental_updates",
+    "spf_full_recomputes",
+    "rib_incremental_updates",
+    "rib_full_recomputes",
+    "dp_alloc_warm_starts",
+    "ctl_lies_injected",
+    "ctl_lies_retracted",
+    "ctl_lies_kept",
+    "ctl_transient_loops",
+    "ctl_reactions_abandoned",
+    "fault_lsas_dropped",
+)
 
 
 def fig1_snapshot() -> dict:
@@ -216,6 +242,38 @@ def optimality_snapshot() -> dict:
     }
 
 
+def perf_digest_entry(workload: str, seed: int) -> dict:
+    """One smoke-scale ``perf/`` rep: its output digest and pinned counters.
+
+    A rep that fails its own output checks raises, so a broken world can
+    never be snapshotted as its golden.
+    """
+    from perf.worlds import SIZES, run_rep
+
+    rep = run_rep(workload, seed, SIZES["smoke"])
+    if rep.failures:
+        raise AssertionError(f"{workload} seed {seed} failed:\n" + "\n".join(rep.failures))
+    return {
+        "output_digest": rep.output_digest,
+        "counters": {key: rep.counters[key] for key in PERF_COUNTERS if key in rep.counters},
+    }
+
+
+def perf_digest_snapshot() -> dict:
+    """Every ``perf/`` workload at smoke scale, at each of :data:`PERF_SEEDS`.
+
+    The digests hash each world's outputs (QoE, byte counters, lie set), so
+    a refactor that claims to leave behaviour alone is checked by
+    ``TestPerfDigests`` instead of by hand-run full-scale reps.
+    """
+    from perf.metrics import WORKLOADS
+
+    return {
+        workload: {str(seed): perf_digest_entry(workload, seed) for seed in PERF_SEEDS}
+        for workload in sorted(WORKLOADS)
+    }
+
+
 def main() -> None:
     snapshots = {
         "fig1_loads.json": fig1_snapshot(),
@@ -226,6 +284,7 @@ def main() -> None:
         "optimality_gaps.json": optimality_snapshot(),
         "reaction_curves.json": reaction_snapshot(),
         "chaos_recovery.json": chaos_recovery_snapshot(),
+        "perf_digests.json": perf_digest_snapshot(),
     }
     for name, payload in snapshots.items():
         path = GOLDEN_DIR / name

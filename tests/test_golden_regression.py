@@ -9,6 +9,7 @@ rather than in a benchmark eyeball.  Regenerate with
 *meant* to move these numbers.
 """
 
+import functools
 import json
 import pathlib
 
@@ -22,11 +23,17 @@ from repro.igp.rib import rib_digest
 from repro.igp.rib_cache import RibCache
 from repro.topologies.demo import build_demo_scenario, demo_lies
 
+from golden.generate import PERF_SEEDS, perf_digest_entry
 from oracles import (
     ClearAndReplayBalancer,
     ClearAndReplayController,
     FromScratchDataPlaneEngine,
 )
+from perf.metrics import WORKLOADS
+
+
+#: Both ``TestPerfDigests`` tests of one (workload, seed) share a single rep.
+perf_entry = functools.lru_cache(maxsize=None)(perf_digest_entry)
 
 
 def use_clear_and_replay_controller(monkeypatch):
@@ -344,3 +351,28 @@ class TestOptimalityGolden:
             assert row.gap == want["gap"]
             assert row.delivery_fraction == want["delivery_fraction"]
             assert row.control_state == want["control_state"]
+
+
+class TestPerfDigests:
+    """The ``perf/`` workloads at smoke scale, pinned per workload and seed:
+    the output digest (QoE, per-link byte counters, the final lie set) and
+    the run-phase counters that say how the layers got there (SPF/RIB repairs
+    vs full recomputes, warm starts, lie churn, transient loops, abandoned
+    reactions, dropped LSAs).  A refactor that claims to change nothing is
+    checked here, not by hand-run full-scale reps."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return load_golden("perf_digests.json")
+
+    @pytest.mark.parametrize("seed", PERF_SEEDS)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_output_digest(self, golden, workload, seed):
+        expected = golden[workload][str(seed)]["output_digest"]
+        assert perf_entry(workload, seed)["output_digest"] == expected
+
+    @pytest.mark.parametrize("seed", PERF_SEEDS)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_pinned_counters(self, golden, workload, seed):
+        expected = golden[workload][str(seed)]["counters"]
+        assert perf_entry(workload, seed)["counters"] == expected

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast examples bench bench-quick bench-record sweep sweep-quick golden perf-ab
+.PHONY: test test-fast examples bench bench-quick bench-record golden perf-ab
 
 ## Tier-1 verification: the full test suite plus benchmarks-as-tests.
 test:
@@ -28,21 +28,10 @@ bench-quick:
 	BENCH_QUICK=1 $(PYTHON) -m pytest benchmarks/ -q
 
 ## The one target that rewrites the tracked trajectory: full benchmarks into
-## benchmarks/results/*.txt + BENCH_*.json at the repository root, then the
-## full sweep into BENCH_default.json.  Run from a clean checkout and commit.
+## benchmarks/results/*.txt + BENCH_*.json at the repository root.  Run from
+## a clean checkout and commit.
 bench-record:
 	BENCH_RECORD=1 $(PYTHON) -m pytest benchmarks/ -q
-	$(PYTHON) -m repro sweep --parallel process --check --out .
-
-## Full parameter-grid sweep across a process pool; writes
-## benchmarks/out/BENCH_default.json and verifies the process-pool run is
-## byte-identical to a serial re-run of the same grid.
-sweep:
-	$(PYTHON) -m repro sweep --parallel process --check
-
-## Reduced smoke sweep (2 seeds x 2 grid points per axis; what CI runs).
-sweep-quick:
-	BENCH_QUICK=1 $(PYTHON) -m repro sweep --parallel process --check
 
 ## Regenerate the golden regression snapshots (only when a change is meant
 ## to alter experiment numbers — say so in the commit message).

@@ -11,19 +11,11 @@ regenerated without touching pytest::
     python -m repro optimality           # §2 gap to the min-max optimum
     python -m repro lie-scaling          # ablation A2
     python -m repro split-approx         # ablation A3
-    python -m repro sweep                # full parameter-grid sweep -> BENCH_*.json
-
-``repro sweep`` runs a declarative experiment × seeds × knobs grid across a
-process pool (see :mod:`repro.experiments.sweep`) and writes the merged
-report as ``BENCH_<name>.json`` under ``benchmarks/out/``; ``--check``
-additionally re-runs the grid serially and fails unless the per-run digests
-and merged counters are byte-identical between the two executions.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Iterable, List, Optional, Sequence
 
@@ -167,50 +159,6 @@ def _cmd_split_approx(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.sweep import SWEEPS, SweepHarness
-
-    name = args.sweep
-    if name is None:
-        name = "quick" if os.environ.get("BENCH_QUICK") else "default"
-    grid = SWEEPS[name]
-
-    harness = SweepHarness(grid, parallel=args.parallel, max_workers=args.workers)
-    print(f"sweep {grid.name!r}: {len(harness.expand())} runs, parallel={args.parallel}")
-    report = harness.run()
-    path = report.save(directory=args.out)
-    _print_table(
-        ["run", "digest", "seconds"],
-        [
-            (f"{run.experiment}[seed={run.seed}]", run.digest[:16], f"{run.seconds:.3f}")
-            for run in report.runs
-        ],
-    )
-    _print_table(
-        ["merged counter", "value"],
-        sorted(report.merged_counters.items()),
-    )
-    print(f"sweep digest: {report.sweep_digest}")
-    print(f"wrote {path} ({report.total_seconds:.1f}s total)")
-
-    if args.check:
-        reference_mode = "serial" if args.parallel != "serial" else "process"
-        reference = SweepHarness(
-            grid, parallel=reference_mode, max_workers=args.workers
-        ).run()
-        problems = report.determinism_diff(reference)
-        if problems:
-            print(f"determinism check FAILED ({args.parallel} vs {reference_mode}):")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(
-            f"determinism check passed: {args.parallel} and {reference_mode} "
-            f"executions are byte-identical"
-        )
-    return 0
-
-
 # --------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------- #
@@ -260,29 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--table-sizes", type=int, nargs="+", default=[2, 4, 8, 16, 32])
     split.add_argument("--samples", type=int, default=200)
     split.set_defaults(handler=_cmd_split_approx)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="parameter-grid sweep across a worker pool -> BENCH_*.json"
-    )
-    sweep.add_argument(
-        "--sweep",
-        choices=("default", "quick"),
-        default=None,
-        help="which predefined grid to run (default: 'quick' when BENCH_QUICK "
-             "is set in the environment, else 'default')",
-    )
-    sweep.add_argument("--parallel", choices=("serial", "process"), default="process")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="pool size (default: one per CPU, capped at the run count)")
-    sweep.add_argument(
-        "--check",
-        action="store_true",
-        help="re-run the grid in the opposite mode (serial<->process) and fail "
-             "unless digests and merged counters are byte-identical",
-    )
-    sweep.add_argument("--out", default=None,
-                       help="directory for BENCH_<name>.json (default: benchmarks/out/)")
-    sweep.set_defaults(handler=_cmd_sweep)
 
     return parser
 

@@ -24,10 +24,6 @@ same code path:
 ``scaling``
     The extended ablations: lie-count scaling, split-approximation error and
     reaction-time sweeps.
-``sweep``
-    The declarative grid sweep harness: expands experiment × seeds × knob
-    grids into runs, executes them across a process pool, and merges the
-    per-run counter snapshots into one ``BENCH_*.json`` report.
 """
 
 from repro.experiments.fig1 import Fig1Result, run_fig1
@@ -44,16 +40,6 @@ from repro.experiments.scaling import (
     SplitApproximationRow,
     run_lie_scaling,
     run_split_approximation,
-)
-from repro.experiments.sweep import (
-    EXPERIMENTS,
-    SWEEPS,
-    GridSpec,
-    RunResult,
-    RunSpec,
-    SweepGrid,
-    SweepHarness,
-    SweepReport,
 )
 
 __all__ = [
@@ -73,12 +59,4 @@ __all__ = [
     "SplitApproximationRow",
     "run_lie_scaling",
     "run_split_approximation",
-    "EXPERIMENTS",
-    "SWEEPS",
-    "GridSpec",
-    "RunResult",
-    "RunSpec",
-    "SweepGrid",
-    "SweepHarness",
-    "SweepReport",
 ]

@@ -23,9 +23,8 @@ The fault variants can additionally be degraded with seeded link churn
 must keep resolving through its anchor adjacency), per-adjacency LSA loss
 and SNMP poll timeouts; the clean variant always runs at zero knobs.  Every
 random draw comes from an explicit ``random.Random`` derived from the seed
-by integer arithmetic, so rows are bit-identical across workers and
-``PYTHONHASHSEED`` values.  The sweep harness exposes it as the
-``"chaos"`` experiment and ``tests/golden/chaos_recovery.json`` pins the
+by integer arithmetic, so rows are bit-identical across runs and
+``PYTHONHASHSEED`` values.  ``tests/golden/chaos_recovery.json`` pins the
 rows.
 """
 

@@ -139,11 +139,10 @@ def run_demo_timeseries(
     byte counters and samples stay bit-identical to the per-flow run (the
     dual-engine differential suite pins this), while the QoE report
     aggregates count-weighted cohorts.
-    ``seed`` (the sweep harness entry point) derives the flow ``hash_salt``
-    from an explicit ``random.Random(seed)`` when no salt is given — the
-    run is a pure function of its arguments, with no module-level RNG state
-    to leak between runs sharing a sweep worker; ``seed=None`` keeps the
-    historical salt.
+    ``seed`` derives the flow ``hash_salt`` from an explicit
+    ``random.Random(seed)`` when no salt is given — the run is a pure
+    function of its arguments, with no module-level RNG state to leak
+    between runs in one process; ``seed=None`` keeps the historical salt.
 
     The asynchronous control-loop timing knobs (all defaulting to the
     synchronous/byte-identical behaviour):

@@ -59,9 +59,9 @@ class FlashCrowdClassesResult:
     alarms: int
     actions: int
     lies_active: int
-    dataplane_stats: Dict[str, int] = field(default_factory=dict)
     #: The underlying Fig. 2-style result (series, counters, lie digests).
-    demo: Optional[DemoRunResult] = None
+    demo: DemoRunResult
+    dataplane_stats: Dict[str, int] = field(default_factory=dict)
 
 
 def build_scaled_demo_scenario(sessions: int) -> DemoScenario:
@@ -102,15 +102,12 @@ def run_flashcrowd_classes(
     policy: LoadBalancerPolicy = LoadBalancerPolicy(),
     hash_salt: int = 0,
     seed: Optional[int] = None,
-    keep_demo_result: bool = True,
 ) -> FlashCrowdClassesResult:
     """Run the scaled Fig. 2-style flash crowd on the aggregate data plane.
 
     A pure function of its arguments (``seed`` draws the ECMP hash salt,
     as in :func:`~repro.experiments.fig2.run_demo_timeseries`); the
-    returned ``wall_seconds`` is the only non-deterministic field.  Set
-    ``keep_demo_result=False`` to drop the bulky per-sample series when only
-    the scalar summary matters (the sweep rows do).
+    returned ``wall_seconds`` is the only non-deterministic field.
     """
     scenario = build_scaled_demo_scenario(sessions)
     scale = math.ceil(sessions / DEMO_SESSION_TOTAL)
@@ -137,5 +134,5 @@ def run_flashcrowd_classes(
         actions=len(demo.actions),
         lies_active=demo.lies_active,
         dataplane_stats=dict(demo.dataplane_stats),
-        demo=demo if keep_demo_result else None,
+        demo=demo,
     )

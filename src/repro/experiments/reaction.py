@@ -14,9 +14,8 @@ Every run is the full closed-loop Fig. 2 demo
 (:func:`~repro.experiments.fig2.run_demo_timeseries`) and a pure function
 of ``(seed, knobs)``: the per-flow ECMP salt and the poll-jitter stream
 both derive from explicit ``random.Random`` instances seeded by integer
-arithmetic, so rows are bit-identical across workers and
-``PYTHONHASHSEED`` values.  The sweep harness exposes it as the
-``"reaction"`` experiment; ``tests/golden/reaction_curves.json`` pins the
+arithmetic, so rows are bit-identical across runs and
+``PYTHONHASHSEED`` values.  ``tests/golden/reaction_curves.json`` pins the
 curves and ``benchmarks/test_bench_reaction_async.py`` publishes them as a
 ``BENCH_*.json`` artifact.
 """

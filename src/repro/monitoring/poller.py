@@ -56,7 +56,7 @@ class SnmpPoller:
         self.poll_interval = check_positive(poll_interval, "poll_interval")
         # Per-poll schedule jitter: each poll fires poll_interval ± U(jitter)
         # seconds after the previous one, drawn from an *explicit* RNG so
-        # runs stay deterministic and sweep-reproducible.  jitter=0 draws
+        # runs stay deterministic and reproducible.  jitter=0 draws
         # nothing at all — the zero-jitter schedule is byte-identical to the
         # fixed-period poller whether or not an RNG is supplied.
         self.jitter = check_non_negative(jitter, "jitter")

@@ -1,16 +1,16 @@
 """Machine-readable benchmark artifacts (``BENCH_*.json``) and atomic writes.
 
-Every benchmark and every sweep emits two artifacts: the human-readable
-table ``<name>.txt`` and a machine-readable ``BENCH_<name>.json``, so the
-perf trajectory can be tracked across PRs by diffing/parsing JSON instead of
+Every benchmark emits two artifacts: the human-readable table
+``<name>.txt`` and a machine-readable ``BENCH_<name>.json``, so the perf
+trajectory can be tracked across PRs by diffing/parsing JSON instead of
 scraping text tables.  Both land in the untracked :data:`OUT_DIR` unless the
 caller names a directory, so running the suite leaves the tree clean; only
 ``make bench-record`` names the tracked locations (``benchmarks/results/``
 and ``BENCH_*.json`` at the repository root).
 
 All writes go through :func:`atomic_write_text`: the content lands in a
-unique temporary file first (keyed by pid, so concurrent workers of the
-process-pool sweep harness never share one) and is renamed into place with
+unique temporary file first (keyed by pid, so two processes rewriting the
+same artifact never share one) and is renamed into place with
 :func:`os.replace`.  A rewrite therefore fully replaces the previous run's
 artifact — no stale rows accumulate — and a reader never observes a
 half-written file, even with parallel writers.
@@ -21,18 +21,18 @@ The JSON envelope is versioned (:data:`BENCH_SCHEMA`):
 
     {
       "schema": "repro-bench/1",
-      "kind": "benchmark" | "sweep",
+      "kind": "benchmark",
       "name": "<artifact name>",
       "git": "<git describe --always --dirty>",
-      ... kind-specific body ...
+      "lines": [...],
+      "tables": [...],
+      "metrics": {...}
     }
 
-``kind="benchmark"`` bodies carry the report's ``lines`` and structured
-``tables``; ``kind="sweep"`` bodies carry the grid, per-run digests and
-merged counters (see :class:`repro.experiments.sweep.SweepReport`).  Both
-kinds may carry a ``metrics`` mapping of scalar measurements
-(``{name: float}``) so downstream tooling can track numbers like speedups
-across PRs without parsing the formatted table strings.
+The body carries the report's ``lines`` and structured ``tables``, and may
+carry a ``metrics`` mapping of scalar measurements (``{name: float}``) so
+downstream tooling can track numbers like speedups across PRs without
+parsing the formatted table strings.
 
 Artifacts produced from a dirty working tree (``git`` stamp ending in
 ``-dirty``) additionally carry a ``warnings`` list flagging that the tree
@@ -197,7 +197,6 @@ def _validated_metrics(metrics: Mapping[str, float]) -> Dict[str, float]:
 
 def write_bench_json(
     name: str,
-    kind: str,
     body: Dict[str, object],
     directory: Optional[pathlib.Path] = None,
     metrics: Optional[Mapping[str, float]] = None,
@@ -212,7 +211,7 @@ def write_bench_json(
     describe = git_describe()
     payload = {
         "schema": BENCH_SCHEMA,
-        "kind": kind,
+        "kind": "benchmark",
         "name": name,
         "git": describe,
         **body,
@@ -309,7 +308,6 @@ class BenchmarkReport:
         )
         write_bench_json(
             self.name,
-            "benchmark",
             {"lines": self.lines, "tables": self.tables},
             directory=self.bench_dir,
             metrics=self.metrics,

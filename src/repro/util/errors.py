@@ -48,13 +48,3 @@ class SimulationError(ReproError):
 
 class MonitoringError(ReproError):
     """A monitoring component (counter, poller, collector) misbehaved."""
-
-
-class SweepError(ReproError):
-    """A parameter-sweep run failed or a sweep was misconfigured.
-
-    Raised by :mod:`repro.experiments.sweep` when a grid references an
-    unknown experiment, when a worker run raises (the original traceback is
-    embedded in the message, so a pool failure is never a silent drop), or
-    when a determinism check finds serial and parallel sweeps disagreeing.
-    """

@@ -163,9 +163,9 @@ class Prefix:
     def __reduce__(self) -> Tuple:
         # Route pickling and copying through __new__(network, length): the
         # default slot-state protocol would call __new__ without arguments
-        # and trip the immutability guard.  A prefix that is pickled across
-        # a process pool or deep-copied (copy.deepcopy, dataclasses.asdict)
-        # comes back as the interned instance.
+        # and trip the immutability guard.  A prefix that is pickled or
+        # deep-copied (copy.deepcopy, dataclasses.asdict) comes back as the
+        # interned instance.
         return (Prefix, (self.network, self.length))
 
     def __eq__(self, other: object) -> bool:

@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import importlib.util
+import inspect
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,14 +12,14 @@ class TestParser:
     def test_every_subcommand_registered(self):
         parser = build_parser()
         subcommands = {"fig1", "fig2", "qoe", "overhead", "optimality", "lie-scaling",
-                       "split-approx", "sweep"}
+                       "split-approx"}
         # argparse stores subparsers in the last action.
         choices = None
         for action in parser._actions:  # noqa: SLF001 - inspecting argparse internals in a test
             if hasattr(action, "choices") and action.choices:
                 choices = set(action.choices)
         assert choices is not None
-        assert subcommands <= choices
+        assert choices == subcommands
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -68,19 +71,27 @@ class TestCommands:
         assert "optimal-mcf" in output
         assert "fibbing" in output
 
-    def test_sweep_quick_writes_bench_json(self, capsys, tmp_path):
-        assert main(["sweep", "--sweep", "quick", "--parallel", "serial",
-                     "--out", str(tmp_path)]) == 0
-        output = capsys.readouterr().out
-        assert "sweep digest:" in output
-        assert (tmp_path / "BENCH_quick.json").exists()
 
-    def test_sweep_check_passes_on_quick_grid(self, capsys, tmp_path):
-        assert main(["sweep", "--sweep", "quick", "--parallel", "process",
-                     "--check", "--out", str(tmp_path)]) == 0
-        assert "determinism check passed" in capsys.readouterr().out
+class TestSweepHarnessRemoved:
+    """The parameter-grid sweep was a second way to run the experiments
+    above; its subcommand, module, error type and sweep-only parameters
+    stay gone."""
 
-    def test_sweep_honors_bench_quick_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("BENCH_QUICK", "1")
-        assert main(["sweep", "--parallel", "serial", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "BENCH_quick.json").exists()
+    def test_sweep_subcommand_is_rejected(self):
+        with pytest.raises(SystemExit):
+            main(["sweep"])
+
+    def test_sweep_module_is_gone(self):
+        assert importlib.util.find_spec("repro.experiments.sweep") is None
+
+    def test_sweep_error_is_gone(self):
+        import repro.util.errors as errors
+
+        assert not hasattr(errors, "SweepError")
+
+    def test_sweep_only_parameters_are_gone(self):
+        from repro.experiments.flashcrowd_classes import run_flashcrowd_classes
+        from repro.util.artifacts import write_bench_json
+
+        assert "keep_demo_result" not in inspect.signature(run_flashcrowd_classes).parameters
+        assert "kind" not in inspect.signature(write_bench_json).parameters

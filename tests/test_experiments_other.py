@@ -1,9 +1,16 @@
-"""Tests for the overhead, optimality and scaling experiment harnesses."""
+"""Tests for the overhead, optimality and scaling experiment harnesses,
+and for the seeding contract every seeded experiment entry point keeps."""
+
+from dataclasses import asdict
 
 import pytest
 
+from repro.experiments.chaos import run_chaos_resilience
+from repro.experiments.fig2 import run_demo_timeseries
+from repro.experiments.flashcrowd_classes import run_flashcrowd_classes
 from repro.experiments.optimality import run_optimality_study
 from repro.experiments.overhead import build_flash_crowd_demands, run_overhead_comparison
+from repro.experiments.reaction import run_reaction_curves
 from repro.experiments.scaling import run_lie_scaling, run_split_approximation
 from repro.topologies.random import random_topology
 from repro.util.errors import ValidationError
@@ -108,3 +115,66 @@ class TestScalingAblations:
     def test_split_approximation_validation(self):
         with pytest.raises(ValidationError):
             run_split_approximation(samples=0)
+
+
+def demo_outputs(result):
+    """A Fig. 2-style run's deterministic outputs (wall-clock left out)."""
+    return (
+        result.throughput_series,
+        result.link_counters,
+        result.lie_digests,
+        result.controller_stats,
+        result.dataplane_stats,
+        asdict(result.qoe),
+    )
+
+
+#: Every seeded experiment entry point, at smoke sizes, as deterministic rows.
+SEEDED_ENTRY_POINTS = {
+    "lie-scaling": lambda: [
+        asdict(row) for row in run_lie_scaling(core_sizes=(4,), pops=2, destinations=2, seed=0)
+    ],
+    "split-approx": lambda: [
+        asdict(row) for row in run_split_approximation(table_sizes=(2, 4), samples=50, seed=0)
+    ],
+    "fig2": lambda: demo_outputs(run_demo_timeseries(duration=25.0, seed=0)),
+    "flashcrowd-classes": lambda: demo_outputs(
+        run_flashcrowd_classes(sessions=6_200, duration=25.0, seed=0).demo
+    ),
+    "reaction": lambda: [
+        asdict(row)
+        for row in run_reaction_curves(
+            seed=0,
+            duration=25.0,
+            poll_intervals=(0.5, 1.0),
+            reaction_latencies=(0.0, 0.5),
+            spf_delays=(0.05,),
+        )
+    ],
+    "chaos": lambda: [
+        asdict(row)
+        for row in run_chaos_resilience(
+            seed=0,
+            link_churn=1,
+            lsa_loss_rate=0.02,
+            poll_timeout_rate=0.1,
+            staleness_horizon=5.0,
+        )
+    ],
+}
+
+
+class TestSeeding:
+    def test_seed_variation_changes_rows(self):
+        def rows(seed):
+            return run_split_approximation(table_sizes=(2, 4), samples=50, seed=seed)
+
+        assert rows(0) != rows(1)
+        assert rows(0) == rows(0)
+
+    @pytest.mark.parametrize("name", sorted(SEEDED_ENTRY_POINTS))
+    def test_a_second_run_in_one_process_repeats_the_first(self, name):
+        # No cache, counter or RNG state may carry over from one run to the
+        # next: each entry point builds its whole world from its arguments.
+        run = SEEDED_ENTRY_POINTS[name]
+        assert run() == run()

@@ -52,13 +52,15 @@ class TestBenchJson:
             bench_json_path("")
 
     def test_write_then_load_round_trip(self, tmp_path):
-        path = write_bench_json("demo", "benchmark", {"lines": ["a"]}, directory=tmp_path)
+        path = write_bench_json("demo", {"lines": ["a"]}, directory=tmp_path)
         payload = load_bench_json(path)
         assert payload["schema"] == BENCH_SCHEMA
         assert payload["kind"] == "benchmark"
         assert payload["name"] == "demo"
         assert payload["lines"] == ["a"]
         assert payload["git"]
+        # Canonical form: sorted keys, two-space indent, trailing newline.
+        assert path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_load_rejects_foreign_json(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
@@ -113,7 +115,6 @@ class TestBenchJson:
     def test_metrics_land_in_payload(self, tmp_path):
         path = write_bench_json(
             "demo",
-            "benchmark",
             {"lines": []},
             directory=tmp_path,
             metrics={"speedup": 4.2, "events": 30},
@@ -124,15 +125,13 @@ class TestBenchJson:
 
     def test_metrics_reject_bad_names_and_values(self, tmp_path):
         with pytest.raises(ValidationError, match="non-empty string"):
-            write_bench_json("demo", "benchmark", {}, tmp_path, metrics={"": 1.0})
+            write_bench_json("demo", {}, tmp_path, metrics={"": 1.0})
         with pytest.raises(ValidationError, match="not a number"):
-            write_bench_json("demo", "benchmark", {}, tmp_path, metrics={"a": "1"})
+            write_bench_json("demo", {}, tmp_path, metrics={"a": "1"})
         with pytest.raises(ValidationError, match="not a number"):
-            write_bench_json("demo", "benchmark", {}, tmp_path, metrics={"a": True})
+            write_bench_json("demo", {}, tmp_path, metrics={"a": True})
         with pytest.raises(ValidationError, match="not finite"):
-            write_bench_json(
-                "demo", "benchmark", {}, tmp_path, metrics={"a": float("nan")}
-            )
+            write_bench_json("demo", {}, tmp_path, metrics={"a": float("nan")})
 
     def test_load_rejects_malformed_metrics(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
@@ -157,7 +156,7 @@ class TestBenchJson:
 
         monkeypatch.setattr(artifacts, "git_describe", lambda root=None: "abc1234-dirty")
         with caplog.at_level(logging.WARNING, logger="repro.util.artifacts"):
-            path = artifacts.write_bench_json("demo", "benchmark", {}, tmp_path)
+            path = artifacts.write_bench_json("demo", {}, tmp_path)
         payload = load_bench_json(path)
         assert payload["git"] == "abc1234-dirty"
         assert any("dirty working tree" in warning for warning in payload["warnings"])
@@ -167,7 +166,7 @@ class TestBenchJson:
         import repro.util.artifacts as artifacts
 
         monkeypatch.setattr(artifacts, "git_describe", lambda root=None: "abc1234")
-        path = artifacts.write_bench_json("demo", "benchmark", {}, tmp_path)
+        path = artifacts.write_bench_json("demo", {}, tmp_path)
         assert "warnings" not in load_bench_json(path)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.policies import LoadBalancerPolicy
@@ -47,21 +47,46 @@ DEMO_SESSION_TOTAL = 62
 
 @dataclass
 class FlashCrowdClassesResult:
-    """Outcome of one scaled class-level flash-crowd run."""
+    """Outcome of one scaled class-level flash-crowd run.
 
-    sessions: int
+    The run's numbers are read through from ``demo``; only the scale, the
+    controller switch and the wall-clock time are this result's own.
+    """
+
     scale: int
     with_controller: bool
-    qoe: QoeReport
     #: Wall-clock seconds of the whole closed-loop run (single core).
     wall_seconds: float
-    peak_utilization: float
-    alarms: int
-    actions: int
-    lies_active: int
     #: The underlying Fig. 2-style result (series, counters, lie digests).
     demo: DemoRunResult
-    dataplane_stats: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def sessions(self) -> int:
+        return self.demo.sessions_started
+
+    @property
+    def qoe(self) -> QoeReport:
+        return self.demo.qoe
+
+    @property
+    def peak_utilization(self) -> float:
+        return self.demo.peak_utilization
+
+    @property
+    def alarms(self) -> int:
+        return len(self.demo.alarms)
+
+    @property
+    def actions(self) -> int:
+        return len(self.demo.actions)
+
+    @property
+    def lies_active(self) -> int:
+        return self.demo.lies_active
+
+    @property
+    def dataplane_stats(self) -> Dict[str, int]:
+        return self.demo.dataplane_stats
 
 
 def build_scaled_demo_scenario(sessions: int) -> DemoScenario:
@@ -124,15 +149,5 @@ def run_flashcrowd_classes(
     )
     wall_seconds = time.perf_counter() - start
     return FlashCrowdClassesResult(
-        sessions=demo.sessions_started,
-        scale=scale,
-        with_controller=with_controller,
-        qoe=demo.qoe,
-        wall_seconds=wall_seconds,
-        peak_utilization=demo.peak_utilization,
-        alarms=len(demo.alarms),
-        actions=len(demo.actions),
-        lies_active=demo.lies_active,
-        dataplane_stats=dict(demo.dataplane_stats),
-        demo=demo,
+        scale=scale, with_controller=with_controller, wall_seconds=wall_seconds, demo=demo
     )

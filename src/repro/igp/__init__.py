@@ -14,12 +14,13 @@ the demo depends on:
     Per-router link-state database, keyed by LSA identity and sequence
     number.
 ``graph``
-    The computation graph a router derives from its LSDB (real and fake
-    nodes, directed weighted edges, per-node prefix announcements).
+    The computation graph a router derives from its LSDB (routers, directed
+    weighted edges, per-node prefix announcements, and lies kept as leaf
+    announcements attached to their anchor, outside the SPF graph).
 ``spf``
     Dijkstra shortest-path-first with full ECMP next-hop sets, plus the
     incremental repair (``update_spf``) that re-relaxes only the subtree
-    affected by a batch of edge deltas.
+    affected by a batch of edge deltas; lies move no edge and run no SPF.
 ``spf_cache``
     Per-source SPF results keyed by computation-graph version, replayed
     through the dirty-edge delta log on change.

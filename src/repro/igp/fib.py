@@ -239,12 +239,8 @@ def _resolve_route(
             local = True
             continue
         if contribution.next_hop_is_fake:
+            # Only a lie's anchor routes to the fake node itself.
             info = graph.fake_info(contribution.next_hop)
-            if info.anchor != router:
-                raise RoutingError(
-                    f"router {router!r} selected fake node {info.name!r} anchored at "
-                    f"{info.anchor!r}; lies must only be adjacent to their anchor"
-                )
             physical = info.forwarding_address
             _validate_forwarding_address(graph, router, info.name, physical)
             fake_entries.append((info.name, physical))
@@ -305,13 +301,13 @@ def _truncate(entries: List[FibEntry], max_ecmp: int) -> Tuple[List[FibEntry], b
 def _validate_forwarding_address(
     graph: ComputationGraph, router: str, fake_node: str, physical: str
 ) -> None:
-    if not graph.has_node(physical):
-        raise RoutingError(
-            f"fake node {fake_node!r} resolves to unknown next hop {physical!r}"
-        )
     if graph.is_fake(physical):
         raise RoutingError(
             f"fake node {fake_node!r} resolves to another fake node {physical!r}"
+        )
+    if not graph.has_node(physical):
+        raise RoutingError(
+            f"fake node {fake_node!r} resolves to unknown next hop {physical!r}"
         )
     if physical not in graph.successors(router):
         raise RoutingError(

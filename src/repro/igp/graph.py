@@ -1,10 +1,16 @@
 """The computation graph a router derives from its link-state database.
 
-The graph contains *real* routers (from :class:`~repro.igp.lsa.RouterLsa`),
-*fake* nodes (from :class:`~repro.igp.lsa.FakeNodeLsa`), directed weighted
-edges, and per-node prefix announcements.  SPF (:mod:`repro.igp.spf`) runs on
-this structure; it never needs to know whether a node is real or fake — that
-distinction only matters when the RIB is resolved into a FIB.
+The graph holds the routers (from :class:`~repro.igp.lsa.RouterLsa`), the
+directed weighted edges between them, per-node prefix announcements, and the
+Fibbing lies (from :class:`~repro.igp.lsa.FakeNodeLsa`).  SPF
+(:mod:`repro.igp.spf`) runs over the routers and edges only.  A lie is a
+*leaf*: its fake node hangs off one anchor and so can never shorten a path
+between two routers, the way OSPF treats a type-5 LSA as a route and not as
+a vertex.  The graph keeps each lie as an announcement of its prefix by the
+fake node, plus a :class:`FakeNodeInfo` attachment (anchor, fake-link cost,
+forwarding address); route resolution (:mod:`repro.igp.rib`) reaches it
+through its anchor, at ``dist(anchor) + link_cost``.  Installing or
+withdrawing a lie therefore moves no edge, and an SPF cache sees no delta.
 
 The same class is also buildable straight from a :class:`Topology` plus a
 list of lies, which is what the static route computation
@@ -36,9 +42,9 @@ class EdgeDelta:
     """One directed-edge change between two graph versions.
 
     ``old_cost is None`` means the edge did not exist before; ``new_cost is
-    None`` means it no longer exists.  Node insertions and removals are fully
-    described by the deltas of their incident edges (an isolated node never
-    affects SPF).
+    None`` means it no longer exists.  Router insertions and removals are
+    fully described by the deltas of their incident edges (an isolated node
+    never affects SPF); lies are not nodes and log no edge deltas.
     """
 
     source: str
@@ -52,12 +58,14 @@ class GraphChange:
     """Everything that changed between two graph versions.
 
     ``edges`` are the directed-edge deltas (what SPF repair consumes);
-    ``prefixes`` are the prefixes whose announcer map changed in any way
-    (announcer added/removed or metric changed); ``fake_nodes`` are the fake
-    node names whose :class:`FakeNodeInfo` was added, removed or altered.
-    The latter two are what per-prefix RIB/FIB dirty tracking consumes: a
-    prefix untouched by all three components resolves to a bit-identical
-    route, so its previous :class:`~repro.igp.rib.Route` can be reused.
+    ``prefixes`` are the prefixes whose announcers changed in any way
+    (announcer added/removed, metric changed, or a lie's attachment
+    altered); ``fake_nodes`` are the fake node names whose
+    :class:`FakeNodeInfo` was added, removed or altered.  Every lie change
+    lists its prefix, so ``prefixes`` is what per-prefix RIB/FIB dirty
+    tracking starts from: a prefix it does not name, and whose announcers'
+    SPF state did not move, resolves to a bit-identical route, so its
+    previous :class:`~repro.igp.rib.Route` can be reused.
     """
 
     edges: Tuple[EdgeDelta, ...] = ()
@@ -71,10 +79,18 @@ class GraphChange:
 
 @dataclass(frozen=True)
 class FakeNodeInfo:
-    """Metadata about a fake node needed for FIB resolution."""
+    """A lie's attachment: what resolving a route through its fake node needs.
+
+    The fake node ``name`` hangs off ``anchor`` by a link of ``link_cost``
+    and announces ``prefix`` at ``prefix_cost``; the anchor sends what it
+    routes to the fake node to ``forwarding_address``.
+    """
 
     name: str
     anchor: str
+    link_cost: float
+    prefix: Prefix
+    prefix_cost: float
     forwarding_address: str
 
 
@@ -99,15 +115,16 @@ class _OneStep:
 
 
 class ComputationGraph:
-    """Directed weighted graph over real and fake nodes, with prefix announcements."""
+    """Directed weighted graph over routers, with prefix announcements and lies."""
 
     def __init__(self) -> None:
         self._edges: Dict[str, Dict[str, float]] = {}
         self._redges: Dict[str, Dict[str, float]] = {}
+        # Announcements by announcer (routers and fake nodes alike) and the
+        # same entries indexed by prefix, so ``announcers`` and ``prefixes``
+        # need no scan over the announcers.
         self._announcements: Dict[str, Dict[Prefix, float]] = {}
-        # Announcer refcount per prefix, so ``prefixes`` needs no union
-        # over the per-node announcement dicts.
-        self._prefix_refs: Dict[Prefix, int] = {}
+        self._prefix_refs: Dict[Prefix, Dict[str, float]] = {}
         self._fake_nodes: Dict[str, FakeNodeInfo] = {}
         self._version = 0
         # Dirty delta log: (version-after-step, edge deltas, prefixes, fake
@@ -260,9 +277,9 @@ class ComputationGraph:
         Otherwise the edge diff is appended as a single delta step on top of
         the previous history.  This is how the one call site that still
         rebuilds from scratch — ``compute_static_fibs``, and the controller's
-        baseline built the same way from the topology — gets incremental SPF;
-        a router's LSDB mutates its live graph in place instead and needs no
-        diff.
+        baseline built the same way from the topology — gets incremental SPF
+        (an SPF hit when only lies moved); a router's LSDB mutates its live
+        graph in place instead and needs no diff.
         """
         if previous is self:
             return
@@ -278,19 +295,17 @@ class ComputationGraph:
             for target, cost in targets.items():
                 if target not in old_targets:
                     deltas.append(EdgeDelta(source, target, None, cost))
-        prefix_deltas: Set[Prefix] = set()
-        for node in self._announcements.keys() | previous._announcements.keys():
-            mine = self._announcements.get(node, {})
-            theirs = previous._announcements.get(node, {})
-            if mine != theirs:
-                for prefix in mine.keys() | theirs.keys():
-                    if mine.get(prefix) != theirs.get(prefix):
-                        prefix_deltas.add(prefix)
-        fake_deltas = {
-            name
-            for name in self._fake_nodes.keys() | previous._fake_nodes.keys()
-            if self._fake_nodes.get(name) != previous._fake_nodes.get(name)
+        prefix_deltas = {
+            prefix
+            for prefix in self._prefix_refs.keys() | previous._prefix_refs.keys()
+            if self._prefix_refs.get(prefix) != previous._prefix_refs.get(prefix)
         }
+        fake_deltas: Set[str] = set()
+        for name in self._fake_nodes.keys() | previous._fake_nodes.keys():
+            mine, theirs = self._fake_nodes.get(name), previous._fake_nodes.get(name)
+            if mine != theirs:
+                fake_deltas.add(name)
+                prefix_deltas.update(info.prefix for info in (mine, theirs) if info)
         # Keys are compared too so that an isolated node appearing or
         # vanishing (no edge delta) still gets its own version.
         same_state = (
@@ -354,20 +369,20 @@ class ComputationGraph:
         announcement wins (matching OSPF behaviour for duplicate externals).
         """
         if self._set_announcement(node, prefix, cost):
+            self.add_node(node)
             self._record(prefixes=(prefix,))
 
     def _set_announcement(self, node: str, prefix: Prefix, cost: float) -> bool:
-        """:meth:`announce` without the log entry; whether anything changed."""
+        """:meth:`announce` without the node or the log entry; whether anything changed."""
         if cost < 0:
             raise TopologyError(f"announcement cost must be non-negative, got {cost}")
-        self.add_node(node)
         announcements = self._announcements.setdefault(node, {})
         current = announcements.get(prefix)
         if current is not None and cost >= current:
             return False
-        if current is None:
-            self._prefix_refs[prefix] = self._prefix_refs.get(prefix, 0) + 1
-        announcements[prefix] = float(cost)
+        cost = float(cost)
+        announcements[prefix] = cost
+        self._prefix_refs.setdefault(prefix, {})[node] = cost
         return True
 
     def withdraw_announcement(self, node: str, prefix: Prefix) -> None:
@@ -378,14 +393,13 @@ class ComputationGraph:
             raise TopologyError(f"{node!r} does not announce {prefix}") from None
         if not self._announcements[node]:
             del self._announcements[node]
-        self._release_prefix(prefix)
+        self._release_prefix(prefix, node)
         self._record(prefixes=(prefix,))
 
-    def _release_prefix(self, prefix: Prefix) -> None:
-        remaining = self._prefix_refs[prefix] - 1
-        if remaining:
-            self._prefix_refs[prefix] = remaining
-        else:
+    def _release_prefix(self, prefix: Prefix, node: str) -> None:
+        announcers = self._prefix_refs[prefix]
+        del announcers[node]
+        if not announcers:
             del self._prefix_refs[prefix]
 
     def discard_node(self, name: str) -> None:
@@ -413,52 +427,40 @@ class ComputationGraph:
         prefix_cost: float,
         forwarding_address: str,
     ) -> None:
-        """Insert a fake node as described by a :class:`FakeNodeLsa`.
+        """Attach a lie, as described by a :class:`FakeNodeLsa`, to ``anchor``.
 
-        The fake link is added in both directions so that the anchor reaches
-        the fake node; the reverse direction never matters for destination
-        prefixes but keeps the graph symmetric, as OSPF's two-way check would.
-        Links, announcement and resolution metadata go into the log as one
-        step.
+        The fake node becomes an announcer of ``prefix`` with a
+        :class:`FakeNodeInfo` attachment, not a node: it adds no edge, so
+        the log step lists its prefix and name but no edge delta.
         """
         if name in self._fake_nodes:
             raise TopologyError(f"fake node {name!r} already present")
         if anchor not in self._edges:
             raise TopologyError(f"fake node {name!r} anchored at unknown router {anchor!r}")
-        links = (
-            self._set_edge(anchor, name, link_cost),
-            self._set_edge(name, anchor, link_cost),
-        )
-        announced = self._set_announcement(name, prefix, prefix_cost)
+        if link_cost <= 0:
+            raise TopologyError(
+                f"fake link {anchor}->{name} must have positive cost, got {link_cost}"
+            )
+        self._set_announcement(name, prefix, prefix_cost)
         self._fake_nodes[name] = FakeNodeInfo(
-            name=name, anchor=anchor, forwarding_address=forwarding_address
+            name=name,
+            anchor=anchor,
+            link_cost=float(link_cost),
+            prefix=prefix,
+            prefix_cost=float(prefix_cost),
+            forwarding_address=forwarding_address,
         )
-        self._record(
-            edges=tuple(delta for delta in links if delta is not None),
-            prefixes=(prefix,) if announced else (),
-            fake_nodes=(name,),
-        )
+        self._record(prefixes=(prefix,), fake_nodes=(name,))
 
     def remove_fake_node(self, name: str) -> None:
-        """Remove a fake node, its fake links and its announcements."""
-        if name not in self._fake_nodes:
-            raise TopologyError(f"{name!r} is not a fake node")
-        del self._fake_nodes[name]
-        deltas: List[EdgeDelta] = []
-        for target, cost in list(self._edges.get(name, {}).items()):
-            del self._edges[name][target]
-            del self._redges[target][name]
-            deltas.append(EdgeDelta(name, target, cost, None))
-        for source, cost in list(self._redges.get(name, {}).items()):
-            del self._edges[source][name]
-            del self._redges[name][source]
-            deltas.append(EdgeDelta(source, name, cost, None))
-        self._edges.pop(name, None)
-        self._redges.pop(name, None)
-        withdrawn = self._announcements.pop(name, {})
-        for prefix in withdrawn:
-            self._release_prefix(prefix)
-        self._record(edges=tuple(deltas), prefixes=tuple(withdrawn), fake_nodes=(name,))
+        """Detach a lie: its attachment and its announcement."""
+        try:
+            info = self._fake_nodes.pop(name)
+        except KeyError:
+            raise TopologyError(f"{name!r} is not a fake node") from None
+        del self._announcements[name]
+        self._release_prefix(info.prefix, name)
+        self._record(prefixes=(info.prefix,), fake_nodes=(name,))
 
     # ------------------------------------------------------------------ #
     # Builders
@@ -468,8 +470,7 @@ class ComputationGraph:
         """Build the graph from the live LSAs of a link-state database.
 
         Directed edges are only added when *both* endpoints advertised them
-        (OSPF's two-way connectivity check), except for fake nodes where the
-        controller vouches for the link.  A fake-node LSA is ignored while
+        (OSPF's two-way connectivity check).  A fake-node LSA is ignored while
         its anchor is gone or its forwarding address is not a two-way
         neighbour of the anchor — as OSPF ignores an external LSA whose
         forwarding address is unreachable — so a failed adjacency falls back
@@ -552,17 +553,14 @@ class ComputationGraph:
     # ------------------------------------------------------------------ #
     @property
     def nodes(self) -> List[str]:
-        """All node names (real and fake), sorted."""
+        """All SPF node names, sorted: the routers (a fake node is no node)."""
         return sorted(self._edges)
 
-    @property
-    def real_nodes(self) -> List[str]:
-        """Node names excluding fake nodes, sorted."""
-        return sorted(name for name in self._edges if name not in self._fake_nodes)
+    real_nodes = nodes
 
     @property
     def fake_nodes(self) -> Dict[str, FakeNodeInfo]:
-        """Mapping of fake node name to its resolution metadata."""
+        """Mapping of fake node name to its lie attachment."""
         return dict(self._fake_nodes)
 
     def is_fake(self, node: str) -> bool:
@@ -570,11 +568,15 @@ class ComputationGraph:
         return node in self._fake_nodes
 
     def fake_info(self, node: str) -> FakeNodeInfo:
-        """Resolution metadata of a fake node (raises for real nodes)."""
+        """Attachment of a fake node (raises for real nodes)."""
         try:
             return self._fake_nodes[node]
         except KeyError:
             raise TopologyError(f"{node!r} is not a fake node") from None
+
+    def attachment(self, node: str) -> Optional[FakeNodeInfo]:
+        """Attachment of ``node`` if it is a fake node, else ``None``."""
+        return self._fake_nodes.get(node)
 
     def has_node(self, node: str) -> bool:
         """Whether ``node`` exists in the graph."""
@@ -608,15 +610,11 @@ class ComputationGraph:
         return sorted(self._prefix_refs)
 
     def announcers(self, prefix: Prefix) -> Dict[str, float]:
-        """Mapping of node name to announcement metric for ``prefix``."""
-        result: Dict[str, float] = {}
-        for node, announcements in self._announcements.items():
-            if prefix in announcements:
-                result[node] = announcements[prefix]
-        return result
+        """Mapping of announcer (router or fake node) to metric for ``prefix``."""
+        return dict(self._prefix_refs.get(prefix, {}))
 
     def announcements_of(self, node: str) -> Dict[Prefix, float]:
-        """All prefixes announced by ``node`` with their metrics."""
+        """All prefixes announced by ``node`` (router or fake node) with their metrics."""
         return dict(self._announcements.get(node, {}))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

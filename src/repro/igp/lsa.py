@@ -14,7 +14,10 @@ actually floods:
   the fake node is selected as next hop.  In the real system this is encoded
   as a combination of type-5 LSAs with forwarding addresses; here it is one
   self-contained object, which keeps the flooding and LSDB logic readable
-  without changing the semantics the controller relies on.
+  without changing the semantics the controller relies on.  Like a type-5
+  change, installing one recomputes only the routes to its prefix, from the
+  shortest-path tree the router already has: the fake node is a leaf of its
+  anchor, never a vertex SPF runs over (:mod:`repro.igp.graph`).
 
 Every LSA carries an origin, a sequence number and a ``withdrawn`` flag.  A
 higher sequence number replaces an older instance of the same LSA (same
@@ -149,7 +152,8 @@ class FakeNodeLsa(Lsa):
     origin:
         The controller identifier originating the lie (used as LSDB origin).
     fake_node:
-        Globally unique name of the fake node added to the computation graph.
+        Globally unique name of the fake node, the announcer of ``prefix``
+        in the computation graph.
     anchor:
         Real router the fake node is attached to.  Only this router can ever
         select the fake node as a direct next hop.

@@ -11,9 +11,10 @@ The database also owns the router's one live
 builds it with :meth:`~repro.igp.graph.ComputationGraph.from_lsdb`; from
 then on :meth:`install` applies each accepted LSA to it as one recorded delta
 step, under the rules ``from_lsdb`` builds by (two-way check for edges; a
-fake node is in the graph iff its forwarding address is a two-way neighbour
-of its anchor), so SPF and RIB repair read what changed from the graph's own
-log.  ``from_lsdb(live_lsas())`` stays the oracle the live graph must equal
+lie is in the graph iff its forwarding address is a two-way neighbour of its
+anchor), so SPF and RIB repair read what changed from the graph's own log.
+A lie LSA moves no edge, so it costs the routers a RIB repair of its prefix
+and no SPF.  ``from_lsdb(live_lsas())`` stays the oracle the live graph must equal
 (``tests/test_igp_graph_incremental.py``).
 """
 

@@ -6,6 +6,11 @@ contribution remembers which node announced the prefix and through which
 first-hop neighbor the announcer is reached; this is exactly the information
 the FIB needs to apply Fibbing's fake-node resolution while preserving
 multiplicity ("R1 twice" in the paper's Fig. 1c).
+
+A lie's fake node is not in the SPF result: it is a leaf reached through
+its anchor, so its total is ``(dist(anchor) + link_cost) + prefix_cost`` —
+the float sums Dijkstra would form with the fake node in the graph — and its
+first hops are the anchor's, or the fake node itself at the anchor.
 """
 
 from __future__ import annotations
@@ -116,47 +121,53 @@ def _route_for_prefix(
     prefix: Prefix,
 ) -> Optional[Route]:
     """The best route of ``router`` toward ``prefix``, or ``None`` if unroutable."""
-    announcers = graph.announcers(prefix)
-    best_cost = float("inf")
-    candidates: List[Tuple[str, float]] = []
-    for announcer, metric in announcers.items():
-        if not spf.reachable(announcer):
-            continue
-        total = spf.distance_to(announcer) + metric
-        candidates.append((announcer, total))
-        best_cost = min(best_cost, total)
-    if not candidates:
+    distance = spf.distance
+    totals: Dict[str, float] = {}
+    for announcer, metric in graph.announcers(prefix).items():
+        lie = graph.attachment(announcer)
+        if lie is None:
+            dist = distance.get(announcer)
+            if dist is not None:
+                totals[announcer] = dist + metric
+        else:
+            dist = distance.get(lie.anchor)
+            if dist is not None:
+                totals[announcer] = (dist + lie.link_cost) + metric
+    if not totals:
         return None
+    best_cost = min(totals.values())
 
     contributions: List[RouteContribution] = []
     # Ties are detected with the same symmetric relative tolerance as SPF's
     # ECMP comparison (costs_equal), not with ``best + tolerance(best)``:
     # the asymmetric form under-estimates the tolerance of the larger total
     # and can drop an announcer that SPF itself would consider tied.
-    for announcer, total in sorted(candidates):
+    for announcer in sorted(totals):
+        total = totals[announcer]
         if total > best_cost and not costs_equal(total, best_cost):
             continue
-        announcer_is_fake = graph.is_fake(announcer)
-        if announcer == router:
+        lie = graph.attachment(announcer)
+        if lie is None and announcer == router:
+            contributions.append(RouteContribution(announcer=announcer, next_hop=None))
+        elif lie is None:
+            contributions.extend(
+                RouteContribution(announcer=announcer, next_hop=next_hop)
+                for next_hop in sorted(spf.next_hops[announcer])
+            )
+        elif lie.anchor == router:
             contributions.append(
                 RouteContribution(
                     announcer=announcer,
-                    next_hop=None,
-                    announcer_is_fake=announcer_is_fake,
+                    next_hop=announcer,
+                    announcer_is_fake=True,
+                    next_hop_is_fake=True,
                 )
             )
-            continue
-        for next_hop in sorted(spf.next_hops_to(announcer)):
-            contributions.append(
-                RouteContribution(
-                    announcer=announcer,
-                    next_hop=next_hop,
-                    announcer_is_fake=announcer_is_fake,
-                    next_hop_is_fake=graph.is_fake(next_hop),
-                )
+        else:
+            contributions.extend(
+                RouteContribution(announcer=announcer, next_hop=next_hop, announcer_is_fake=True)
+                for next_hop in sorted(spf.next_hops[lie.anchor])
             )
-    if not contributions:
-        return None
     return Route(prefix=prefix, cost=best_cost, contributions=tuple(contributions))
 
 
@@ -196,42 +207,29 @@ def dirty_prefixes(
 
     A prefix is *dirty* when any input of its route resolution moved:
 
-    * its announcer map changed (``change.prefixes``),
+    * its announcers changed (``change.prefixes``, which also names the
+      prefix of every lie installed, withdrawn or altered),
     * the SPF state of any node changed — distance or first-hop ECMP set —
-      and that node announces the prefix (an announcer appearing, vanishing
-      or moving beyond the ECMP tolerance is a distance change),
-    * a fake node it could involve was touched: prefixes announced by touched
-      fake nodes, and prefixes whose previous route already ran through one
-      (``announcer_is_fake`` / ``next_hop_is_fake`` contributions can flip
-      even when distances are stable).
+      and that node announces the prefix or anchors a lie for it (an
+      announcer appearing, vanishing or moving beyond the ECMP tolerance is
+      a distance change).
 
     Every other prefix resolves from bit-identical inputs, so its previous
-    :class:`Route` object is reused wholesale by :func:`update_rib`.
+    :class:`Route` object is reused wholesale by :func:`update_rib`.  A
+    lie-only change leaves the SPF result untouched (``spf is prev_spf``),
+    so it dirties the lies' prefixes and nothing else.
     """
     dirty: Set[Prefix] = set(change.prefixes)
-
     if spf is not prev_spf:
-        for node in prev_spf.distance.keys() | spf.distance.keys():
-            if (
-                prev_spf.distance.get(node) != spf.distance.get(node)
-                or prev_spf.next_hops.get(node) != spf.next_hops.get(node)
-            ) and graph.has_node(node):
-                dirty.update(graph.announcements_of(node))
-
-    if change.fake_nodes:
-        for name in change.fake_nodes:
-            if graph.has_node(name):
-                dirty.update(graph.announcements_of(name))
-        for prefix, route in prev.routes_by_prefix().items():
-            if prefix in dirty:
-                continue
-            for contribution in route.contributions:
-                if (
-                    contribution.announcer in change.fake_nodes
-                    or contribution.next_hop in change.fake_nodes
-                ):
-                    dirty.add(prefix)
-                    break
+        moved = {
+            node
+            for node in prev_spf.distance.keys() | spf.distance.keys()
+            if prev_spf.distance.get(node) != spf.distance.get(node)
+            or prev_spf.next_hops.get(node) != spf.next_hops.get(node)
+        }
+        for node in moved:
+            dirty.update(graph.announcements_of(node))
+        dirty.update(lie.prefix for lie in graph.fake_nodes.values() if lie.anchor in moved)
     return dirty
 
 

@@ -5,8 +5,8 @@ This is the incremental-SPF pattern lifted one layer up the stack: where
 the graph's dirty-edge delta log, :class:`RibCache` repairs per-router RIBs
 (and their resolved FIBs) from the *dirty prefixes* of the same log.  After a
 topology or lie delta, only the prefixes whose resolution inputs moved —
-announcer set, announcer distance/ECMP set, or an involved fake node — are
-re-resolved; every clean :class:`~repro.igp.rib.Route` and
+their announcers (a lie names its own prefix), or the distance/ECMP set of
+an announcer or of a lie's anchor — are re-resolved; every clean :class:`~repro.igp.rib.Route` and
 :class:`~repro.igp.fib.PrefixFib` object is reused wholesale from the prior
 versioned result.
 
@@ -179,30 +179,22 @@ class RibCache:
     ) -> Set[Prefix]:
         """Dirty set for FIB resolution: route changes plus resolution churn.
 
-        A route can be byte-identical while its resolution changed: a lie's
-        forwarding address moving to another interface alters only the
-        :class:`~repro.igp.graph.FakeNodeInfo`, and a failed link can strip
-        the adjacency a forwarding address relies on without moving the fake
-        node's own distance.  So any previous entry that resolved *via* a
-        fake node is re-resolved when that fake was touched or when any edge
-        at this router changed (forwarding-address validity is checked
-        against the router's current successors) — including to reproduce
-        the :class:`~repro.util.errors.RoutingError` a from-scratch
-        resolution would raise for a now-unresolvable lie.
+        A lie installed, withdrawn or altered (its forwarding address moved
+        to another interface) names its prefix in ``change.prefixes``, so
+        ``dirty`` already covers it.  What ``dirty`` misses is a failed link
+        stripping the adjacency a forwarding address relies on while the
+        route stays byte-identical.  So when any edge at this router changed
+        (forwarding-address validity is checked against the router's current
+        successors), every previous entry that resolved *via* a fake node is
+        re-resolved — including to reproduce the
+        :class:`~repro.util.errors.RoutingError` a from-scratch resolution
+        would raise for a now-unresolvable lie.
         """
-        router_edges_changed = any(
-            delta.source == prev_fib.router for delta in change.edges
-        )
-        if not change.fake_nodes and not router_edges_changed:
-            return set(dirty)
+        if not any(delta.source == prev_fib.router for delta in change.edges):
+            return dirty
         fib_dirty = set(dirty)
-        via_fake = prev_fib.via_fake_prefixes()
-        if router_edges_changed:
-            for prefixes in via_fake.values():
-                fib_dirty.update(prefixes)
-        else:
-            for name in change.fake_nodes:
-                fib_dirty.update(via_fake.get(name, ()))
+        for prefixes in prev_fib.via_fake_prefixes().values():
+            fib_dirty.update(prefixes)
         return fib_dirty
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -1,10 +1,11 @@
 """Shortest-path-first computation (Dijkstra) with full ECMP support.
 
 The result of an SPF run from a source router contains, for every reachable
-node, the distance, the complete set of first-hop neighbors over which an
+router, the distance, the complete set of first-hop neighbors over which an
 equal-cost shortest path exists (the ECMP set), and the shortest-path DAG
-predecessors (used to enumerate paths, e.g. for tests and for the MPLS
-baseline that needs explicit paths).
+predecessors.  SPF runs over routers and edges only: a lie's fake node is a
+leaf that route resolution (:mod:`repro.igp.rib`) reaches through its
+anchor, so installing or withdrawing a lie never calls :func:`update_spf`.
 """
 
 from __future__ import annotations
@@ -79,49 +80,6 @@ class ShortestPaths:
         if node not in self.distance:
             raise RoutingError(f"{node!r} is unreachable from {self.source!r}")
         return self.next_hops.get(node, frozenset())
-
-    def paths_to(
-        self, node: str, limit: int = 1024, *, partial: bool = False
-    ) -> List[Tuple[str, ...]]:
-        """Enumerate every equal-cost shortest path from the source to ``node``.
-
-        Paths are returned as node tuples ``(source, ..., node)``, sorted
-        lexicographically for determinism.  ``limit`` bounds the enumeration
-        to protect against combinatorial blow-up on dense graphs; when more
-        than ``limit`` paths exist the enumeration is *truncated*, which
-        raises :class:`RoutingError` unless ``partial=True`` explicitly opts
-        into receiving the first ``limit`` paths (in predecessor-DFS order).
-
-        The walk is iterative — path depth is bounded by the topology
-        diameter, not by the interpreter recursion limit, so paths thousands
-        of hops deep enumerate fine.
-        """
-        if node not in self.distance:
-            raise RoutingError(f"{node!r} is unreachable from {self.source!r}")
-        paths: List[Tuple[str, ...]] = []
-        truncated = False
-        # Depth-first over the predecessor DAG; predecessors are pushed in
-        # reverse-sorted order so they pop ascending, preserving the
-        # enumeration order of the old recursive implementation.
-        stack: List[Tuple[str, Tuple[str, ...]]] = [(node, ())]
-        while stack:
-            current, suffix = stack.pop()
-            if current == self.source:
-                if len(paths) >= limit:
-                    truncated = True
-                    break
-                paths.append((current,) + suffix)
-                continue
-            for predecessor in sorted(
-                self.predecessors.get(current, frozenset()), reverse=True
-            ):
-                stack.append((predecessor, (current,) + suffix))
-        if truncated and not partial:
-            raise RoutingError(
-                f"more than {limit} equal-cost paths from {self.source!r} to "
-                f"{node!r}; raise limit or pass partial=True for a truncated set"
-            )
-        return sorted(paths)
 
     def __contains__(self, node: str) -> bool:
         return node in self.distance

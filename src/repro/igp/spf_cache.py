@@ -2,8 +2,10 @@
 
 One :class:`SpfCache` holds, per source router, the last
 :class:`~repro.igp.spf.ShortestPaths` together with the graph version it was
-computed at.  Lookups against the same version are free; lookups against a
-newer version replay the graph's dirty-edge delta log through
+computed at.  Lookups against the same version are free, and so are lookups
+against a newer version whose log steps moved no edge: prefix announcements
+and lies (leaves, see :mod:`repro.igp.graph`) never change a distance.
+Otherwise the graph's dirty-edge delta log is replayed through
 :func:`~repro.igp.spf.update_spf` so that only the affected subtree is
 re-relaxed, however much of the graph the change touches.  Only when the
 log cannot reach back far enough does the cache run a full
@@ -44,9 +46,10 @@ __all__ = ["SpfCounters", "SpfCache"]
 class SpfCounters(Counters):
     """Hit/repair/miss accounting of one :class:`SpfCache`.
 
-    Every SPF lookup increments exactly one of ``hits`` (same version),
-    ``incremental_updates`` (delta replay) or ``full_recomputes`` (no usable
-    cache entry or delta history).
+    Every SPF lookup increments exactly one of ``hits`` (no edge moved since
+    the cached version: same version, or only announcements and lies
+    changed), ``incremental_updates`` (edge-delta replay) or
+    ``full_recomputes`` (no usable cache entry or delta history).
     ``fib_cache_hits`` counts whole FIB-set reuses, which skip the SPF
     lookups entirely and are therefore *not* part of ``spf_lookups``.
     """
@@ -112,6 +115,10 @@ class SpfCache:
                 self.counters.hits += 1
                 return cached
             deltas = graph.deltas_since(cached_version)
+            if deltas == ():
+                self.counters.hits += 1
+                self._entries[source] = (version, cached)
+                return cached
             if deltas is not None:
                 result = update_spf(cached, graph, deltas, counters=self.counters)
                 self._entries[source] = (version, result)

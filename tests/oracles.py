@@ -13,7 +13,13 @@ the fast path starts:
   enforce wave through validation, lie synthesis and the registry diff,
   with no plan cache, no skip bookkeeping and no baseline memo;
 * :class:`ClearAndReplayBalancer` runs the merger without the controller's
-  plan cache, so a reaction never reuses a merged plan.
+  plan cache, so a reaction never reuses a merged plan;
+* :func:`fake_node_rib` / :func:`fake_node_fib` resolve routes with every lie
+  as an SPF node of its own (:func:`fake_node_graph`), the resolution the
+  product's leaf lies (:mod:`repro.igp.rib`) must reproduce bit for bit.
+
+:func:`paths_to` enumerates the equal-cost paths of an SPF result, which
+only tests read.
 
 Each oracle leaves the fast path's reuse counters at zero
 (``dp_flows_reused``, ``dp_classes_reused``, ``ctl_plan_cache_hits``,
@@ -34,14 +40,22 @@ from repro.dataplane.engine import (
 )
 from repro.dataplane.fairness import max_min_fair_allocation
 from repro.dataplane.forwarding import route_flows_hashed
-from repro.igp.fib import DEFAULT_MAX_ECMP
+from repro.igp.fib import DEFAULT_MAX_ECMP, Fib, FibEntry, PrefixFib, _truncate
+from repro.igp.graph import ComputationGraph
 from repro.igp.network import compute_static_fibs
+from repro.igp.rib import Rib, Route, RouteContribution
+from repro.igp.spf import ShortestPaths, compute_spf, costs_equal
+from repro.util.errors import RoutingError
 
 __all__ = [
     "ClearAndReplayBalancer",
     "ClearAndReplayController",
     "FromScratchAggregateEngine",
     "FromScratchDataPlaneEngine",
+    "fake_node_fib",
+    "fake_node_graph",
+    "fake_node_rib",
+    "paths_to",
 ]
 
 LinkKey = Tuple[str, str]
@@ -156,3 +170,133 @@ class ClearAndReplayBalancer(OnDemandLoadBalancer):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.merger.plan_cache = None
+
+
+def fake_node_graph(graph: ComputationGraph) -> ComputationGraph:
+    """``graph`` with every lie as an SPF node of its own.
+
+    Each fake node gets its fake link to the anchor in both directions and
+    announces its prefix, so Dijkstra reaches it like any router.
+    """
+    oracle = ComputationGraph()
+    for node in graph.nodes:
+        oracle.add_node(node)
+        for target, cost in graph.successors(node).items():
+            oracle.add_edge(node, target, cost)
+    for prefix in graph.prefixes:
+        for announcer, metric in graph.announcers(prefix).items():
+            if not graph.is_fake(announcer):
+                oracle.announce(announcer, prefix, metric)
+    for lie in graph.fake_nodes.values():
+        oracle.add_edge(lie.anchor, lie.name, lie.link_cost)
+        oracle.add_edge(lie.name, lie.anchor, lie.link_cost)
+        oracle.announce(lie.name, lie.prefix, lie.prefix_cost)
+    return oracle
+
+
+def fake_node_rib(graph: ComputationGraph, router: str) -> Rib:
+    """The RIB of ``router``: every announcer, fake or not, at its SPF distance."""
+    oracle = fake_node_graph(graph)
+    spf = compute_spf(oracle, router)
+    routes: Dict[object, Route] = {}
+    for prefix in oracle.prefixes:
+        totals = {
+            announcer: spf.distance[announcer] + metric
+            for announcer, metric in oracle.announcers(prefix).items()
+            if announcer in spf.distance
+        }
+        if not totals:
+            continue
+        best = min(totals.values())
+        contributions = []
+        for announcer in sorted(totals):
+            if totals[announcer] > best and not costs_equal(totals[announcer], best):
+                continue
+            fake = graph.is_fake(announcer)
+            if announcer == router:
+                contributions.append(RouteContribution(announcer, None, fake))
+                continue
+            for hop in sorted(spf.next_hops[announcer]):
+                contributions.append(RouteContribution(announcer, hop, fake, graph.is_fake(hop)))
+        routes[prefix] = Route(prefix=prefix, cost=best, contributions=tuple(contributions))
+    return Rib(router, routes)
+
+
+def fake_node_fib(
+    graph: ComputationGraph, router: str, max_ecmp: int = DEFAULT_MAX_ECMP
+) -> Fib:
+    """:func:`fake_node_rib` resolved to weighted physical next hops.
+
+    A fake next hop must be a lie anchored at ``router`` whose forwarding
+    address is a real neighbour of it; anything else raises
+    :class:`~repro.util.errors.RoutingError`.
+    """
+    neighbours = graph.successors(router)
+    prefix_fibs = {}
+    for route in fake_node_rib(graph, router):
+        weights: Dict[str, int] = {}
+        via: Dict[str, List[str]] = {}
+        for contribution in route.contributions:
+            hop = contribution.next_hop
+            if hop is not None and not contribution.next_hop_is_fake:
+                weights[hop] = 1
+        for contribution in sorted(
+            (c for c in route.contributions if c.next_hop_is_fake),
+            key=lambda c: c.next_hop,
+        ):
+            lie = graph.fake_info(contribution.next_hop)
+            physical = lie.forwarding_address
+            if lie.anchor != router or graph.is_fake(physical) or physical not in neighbours:
+                raise RoutingError(f"{router}: lie {lie.name} cannot forward to {physical!r}")
+            weights[physical] = weights.get(physical, 0) + 1
+            via.setdefault(physical, []).append(lie.name)
+        entries = [
+            FibEntry(next_hop=hop, weight=weights[hop], via_fake=tuple(via.get(hop, ())))
+            for hop in sorted(weights)
+        ]
+        truncated = sum(weights.values()) > max_ecmp
+        if truncated:
+            entries, _ = _truncate(entries, max_ecmp)
+        prefix_fibs[route.prefix] = PrefixFib(
+            prefix=route.prefix,
+            cost=route.cost,
+            entries=tuple(entries),
+            local=route.is_local,
+            truncated=truncated,
+        )
+    return Fib(router, prefix_fibs)
+
+
+def paths_to(
+    spf: ShortestPaths, node: str, limit: int = 1024, *, partial: bool = False
+) -> List[Tuple[str, ...]]:
+    """Every equal-cost shortest path from ``spf.source`` to ``node``, sorted.
+
+    Paths are node tuples ``(source, ..., node)``.  More than ``limit`` paths
+    raise :class:`~repro.util.errors.RoutingError` unless ``partial=True``
+    asks for the first ``limit`` (in predecessor-DFS order).  The walk is
+    iterative, so paths thousands of hops deep enumerate fine.
+    """
+    if node not in spf.distance:
+        raise RoutingError(f"{node!r} is unreachable from {spf.source!r}")
+    paths: List[Tuple[str, ...]] = []
+    truncated = False
+    # Depth-first over the predecessor DAG; predecessors are pushed in
+    # reverse-sorted order so they pop ascending.
+    stack: List[Tuple[str, Tuple[str, ...]]] = [(node, ())]
+    while stack:
+        current, suffix = stack.pop()
+        if current == spf.source:
+            if len(paths) >= limit:
+                truncated = True
+                break
+            paths.append((current,) + suffix)
+            continue
+        for predecessor in sorted(spf.predecessors.get(current, frozenset()), reverse=True):
+            stack.append((predecessor, (current,) + suffix))
+    if truncated and not partial:
+        raise RoutingError(
+            f"more than {limit} equal-cost paths from {spf.source!r} to "
+            f"{node!r}; raise limit or pass partial=True for a truncated set"
+        )
+    return sorted(paths)

@@ -18,6 +18,7 @@ from repro.topologies.isp import synthetic_isp
 from repro.topologies.random import random_topology
 from repro.topologies.zoo import dumbbell
 from repro.util.errors import ControllerError
+from repro.util.prefixes import Prefix
 from repro.util.units import mbps
 
 
@@ -65,6 +66,28 @@ class TestDemoInstance:
         optimizer = MinMaxLoadOptimizer(build_demo_topology())
         loads = optimizer.optimize(fig2_demands).link_loads()
         assert loads.max_utilization(build_demo_topology()) == pytest.approx(0.6458, abs=1e-3)
+
+
+class TestNoiseFloor:
+    def test_a_prefix_with_a_tiny_share_keeps_its_flows(self):
+        """A prefix carrying 1e-5 of the offered load is routed, not LP noise:
+        its flows survive the solver-noise threshold and deliver its demand."""
+        topology = build_demo_topology()
+        tiny = Prefix.parse("10.9.0.0/24")
+        topology.attach_prefix("R4", tiny, cost=0.0)
+        share = mbps(62) * 1e-5
+        demands = TrafficMatrix.from_dict({
+            ("A", BLUE_PREFIX): mbps(31),
+            ("B", BLUE_PREFIX): mbps(31),
+            ("B", tiny): share,
+        })
+        flows = MinMaxLoadOptimizer(topology).optimize(demands).flows[tiny]
+        assert flows
+        for router in topology.routers:
+            outbound = sum(v for (s, t), v in flows.items() if s == router)
+            inbound = sum(v for (s, t), v in flows.items() if t == router)
+            net = {"B": share, "R4": -share}.get(router, 0.0)
+            assert outbound - inbound == pytest.approx(net, rel=1e-6, abs=1e-6), router
 
 
 class TestPathStretch:

@@ -4,10 +4,13 @@ import networkx as nx
 import pytest
 
 from repro.igp.graph import ComputationGraph
+from repro.igp.rib import RouteContribution, compute_rib
 from repro.igp.spf import compute_spf
-from repro.topologies.demo import build_demo_topology
+from repro.topologies.demo import BLUE_PREFIX, build_demo_topology, demo_lies
 from repro.topologies.zoo import grid
 from repro.util.errors import RoutingError
+
+from oracles import paths_to
 
 
 def diamond_graph() -> ComputationGraph:
@@ -111,13 +114,13 @@ class TestEcmpNextHops:
 class TestPathEnumeration:
     def test_diamond_has_two_paths(self):
         spf = compute_spf(diamond_graph(), "S")
-        paths = spf.paths_to("T")
+        paths = paths_to(spf, "T")
         assert paths == [("S", "L", "T"), ("S", "R", "T")]
 
     def test_paths_all_have_equal_cost(self):
         graph = ComputationGraph.from_topology(grid(3, 3, with_loopbacks=False))
         spf = compute_spf(graph, "G0_0")
-        paths = spf.paths_to("G2_2")
+        paths = paths_to(spf, "G2_2")
         assert len(paths) == 6  # binomial(4, 2) lattice paths
         assert all(len(path) == 5 for path in paths)
 
@@ -125,26 +128,26 @@ class TestPathEnumeration:
         graph = ComputationGraph.from_topology(grid(3, 3, with_loopbacks=False))
         spf = compute_spf(graph, "G0_0")
         with pytest.raises(RoutingError, match="equal-cost paths"):
-            spf.paths_to("G2_2", limit=2)
+            paths_to(spf, "G2_2", limit=2)
 
     def test_partial_paths_respect_limit(self):
         graph = ComputationGraph.from_topology(grid(3, 3, with_loopbacks=False))
         spf = compute_spf(graph, "G0_0")
-        partial = spf.paths_to("G2_2", limit=2, partial=True)
+        partial = paths_to(spf, "G2_2", limit=2, partial=True)
         assert len(partial) == 2
-        assert set(partial) < set(spf.paths_to("G2_2"))
+        assert set(partial) < set(paths_to(spf, "G2_2"))
 
     def test_limit_equal_to_path_count_is_not_truncation(self):
         graph = ComputationGraph.from_topology(grid(3, 3, with_loopbacks=False))
         spf = compute_spf(graph, "G0_0")
-        assert len(spf.paths_to("G2_2", limit=6)) == 6
+        assert len(paths_to(spf, "G2_2", limit=6)) == 6
 
     def test_path_to_unreachable_raises(self):
         graph = diamond_graph()
         graph.add_node("island")
         spf = compute_spf(graph, "S")
         with pytest.raises(RoutingError):
-            spf.paths_to("island")
+            paths_to(spf, "island")
 
     def test_contains_operator(self):
         spf = compute_spf(diamond_graph(), "S")
@@ -152,24 +155,30 @@ class TestPathEnumeration:
         assert "nothere" not in spf
 
 
-class TestFakeNodesInSpf:
-    def test_fake_node_is_reachable_from_anchor(self):
-        graph = ComputationGraph.from_topology(build_demo_topology())
-        from repro.topologies.demo import demo_lies
+class TestLiesAreLeaves:
+    """A lie is no SPF node: routes reach its fake node through the anchor."""
 
+    def test_fake_node_is_not_an_spf_node(self):
         graph = ComputationGraph.from_topology(build_demo_topology(), demo_lies())
-        spf = compute_spf(graph, "B")
-        assert spf.distance_to("fB") == 1.0
-        assert spf.next_hops_to("fB") == frozenset({"fB"})
+        plain = ComputationGraph.from_topology(build_demo_topology())
+        for router in ("B", "R2"):
+            spf = compute_spf(graph, router)
+            assert "fB" not in spf
+            assert spf == compute_spf(plain, router)
+
+    def test_anchor_routes_to_the_fake_node_itself(self):
+        graph = ComputationGraph.from_topology(build_demo_topology(), demo_lies())
+        route = compute_rib(graph, "B").route(BLUE_PREFIX)
+        # dist(B, B) + fake link 1 + prefix cost 1.
+        assert route.cost == 2.0
+        assert RouteContribution("fB", "fB", True, True) in route.contributions
 
     def test_other_routers_reach_fake_node_through_anchor(self):
-        from repro.topologies.demo import demo_lies
-
         graph = ComputationGraph.from_topology(build_demo_topology(), demo_lies())
-        spf = compute_spf(graph, "R2")
-        # R2 reaches fB via B (cost 1 to B + 1 fake link).
-        assert spf.distance_to("fB") == 2.0
-        assert spf.next_hops_to("fB") == frozenset({"B"})
+        route = compute_rib(graph, "A").route(BLUE_PREFIX)
+        # A reaches fB via B: cost 1 to B + 1 fake link + 1 prefix cost.
+        assert route.cost == 3.0
+        assert RouteContribution("fB", "B", True, False) in route.contributions
 
 
 class TestLongChainPaths:
@@ -189,7 +198,7 @@ class TestLongChainPaths:
         spf = compute_spf(self.chain_graph(), "n0")
         last = f"n{self.HOPS}"
         assert spf.distance_to(last) == float(self.HOPS)
-        paths = spf.paths_to(last)  # would raise RecursionError before
+        paths = paths_to(spf, last)  # would raise RecursionError before
         assert len(paths) == 1
         assert len(paths[0]) == self.HOPS + 1
         assert paths[0][0] == "n0" and paths[0][-1] == last

@@ -222,15 +222,15 @@ class TestUpdateSpfDirect:
             prefix_cost=0.5,
             forwarding_address="X",
         )
-        repaired = update_spf(prev, graph, graph.deltas_since(version))
-        assert_same_spf(repaired, compute_spf(graph, "S"))
-        assert repaired.reachable("fake-1")
+        # A lie is a leaf: it logs no edge delta and moves no distance.
+        assert graph.version > version and graph.deltas_since(version) == ()
+        assert_same_spf(prev, compute_spf(graph, "S"))
+        assert not prev.reachable("fake-1")
 
         version = graph.version
         graph.remove_fake_node("fake-1")
-        again = update_spf(repaired, graph, graph.deltas_since(version))
-        assert_same_spf(again, compute_spf(graph, "S"))
-        assert not again.reachable("fake-1")
+        assert graph.version > version and graph.deltas_since(version) == ()
+        assert_same_spf(prev, compute_spf(graph, "S"))
 
     def test_empty_deltas_return_prev_object(self):
         graph = self.build_graph()

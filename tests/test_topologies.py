@@ -21,6 +21,8 @@ from repro.topologies.demo import BLUE_PREFIX, SOURCE_PREFIXES
 from repro.topologies.random import attach_destination_prefixes
 from repro.util.errors import ValidationError
 
+from oracles import paths_to
+
 
 class TestDemoTopology:
     def test_paper_weights(self):
@@ -35,8 +37,8 @@ class TestDemoTopology:
         graph = ComputationGraph.from_topology(build_demo_topology())
         spf_a = compute_spf(graph, "A")
         spf_b = compute_spf(graph, "B")
-        assert spf_a.paths_to("C") == [("A", "B", "R2", "C")]
-        assert spf_b.paths_to("C") == [("B", "R2", "C")]
+        assert paths_to(spf_a, "C") == [("A", "B", "R2", "C")]
+        assert paths_to(spf_b, "C") == [("B", "R2", "C")]
 
     def test_blue_prefix_attached_at_c(self):
         topo = build_demo_topology()

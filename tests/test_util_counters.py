@@ -121,6 +121,9 @@ def test_collect_counters_total_is_spf_stats():
     FibbingController(network.topology, network=network, attachment="R3")
     network.inject(demo_lies(), at_router="R3")
     network.converge()
+    # Lies run no SPF; a weight change does.
+    network.change_weight("A", "B", 9)
+    network.converge()
     stats = network.spf_stats
     assert collect_counters(network)["total"] == stats
     assert list(stats) == [

@@ -125,14 +125,9 @@ def _route_for_prefix(
     totals: Dict[str, float] = {}
     for announcer, metric in graph.announcers(prefix).items():
         lie = graph.attachment(announcer)
-        if lie is None:
-            dist = distance.get(announcer)
-            if dist is not None:
-                totals[announcer] = dist + metric
-        else:
-            dist = distance.get(lie.anchor)
-            if dist is not None:
-                totals[announcer] = (dist + lie.link_cost) + metric
+        dist = distance.get(announcer if lie is None else lie.anchor)
+        if dist is not None:
+            totals[announcer] = dist + metric if lie is None else (dist + lie.link_cost) + metric
     if not totals:
         return None
     best_cost = min(totals.values())

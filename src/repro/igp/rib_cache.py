@@ -6,9 +6,9 @@ the graph's dirty-edge delta log, :class:`RibCache` repairs per-router RIBs
 (and their resolved FIBs) from the *dirty prefixes* of the same log.  After a
 topology or lie delta, only the prefixes whose resolution inputs moved —
 their announcers (a lie names its own prefix), or the distance/ECMP set of
-an announcer or of a lie's anchor — are re-resolved; every clean :class:`~repro.igp.rib.Route` and
-:class:`~repro.igp.fib.PrefixFib` object is reused wholesale from the prior
-versioned result.
+an announcer or of a lie's anchor — are re-resolved; every clean
+:class:`~repro.igp.rib.Route` and :class:`~repro.igp.fib.PrefixFib` object is
+reused wholesale from the prior versioned result.
 
 The cache owns (or shares) an :class:`SpfCache` for the underlying per-source
 SPF lookups, so one ``RibCache`` is the single object a call site needs for

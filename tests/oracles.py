@@ -13,18 +13,18 @@ the fast path starts:
   enforce wave through validation, lie synthesis and the registry diff,
   with no plan cache, no skip bookkeeping and no baseline memo;
 * :class:`ClearAndReplayBalancer` runs the merger without the controller's
-  plan cache, so a reaction never reuses a merged plan;
-* :func:`fake_node_rib` / :func:`fake_node_fib` resolve routes with every lie
-  as an SPF node of its own (:func:`fake_node_graph`), the resolution the
-  product's leaf lies (:mod:`repro.igp.rib`) must reproduce bit for bit.
-
-:func:`paths_to` enumerates the equal-cost paths of an SPF result, which
-only tests read.
+  plan cache, so a reaction never reuses a merged plan.
 
 Each oracle leaves the fast path's reuse counters at zero
 (``dp_flows_reused``, ``dp_classes_reused``, ``ctl_plan_cache_hits``,
 ``ctl_merge_cache_hits``); the drivers assert that, so an oracle cannot quietly turn into a second
 incremental engine.
+
+Route resolution has a functional oracle: :func:`fake_node_rib` and
+:func:`fake_node_fib` run Dijkstra with every lie as an SPF node of its own
+(:func:`fake_node_graph`), the resolution that the product's leaf lies
+(:mod:`repro.igp.rib`) must reproduce bit for bit.  :func:`paths_to`
+enumerates the equal-cost paths of an SPF result, which only tests read.
 """
 
 from __future__ import annotations

@@ -579,7 +579,7 @@ class ComputationGraph:
         return self._fake_nodes.get(node)
 
     def has_node(self, node: str) -> bool:
-        """Whether ``node`` exists in the graph."""
+        """Whether ``node`` is an SPF node of the graph (a fake node is not)."""
         return node in self._edges
 
     def successors(self, node: str) -> Mapping[str, float]:

@@ -6,22 +6,30 @@ attachment point) eventually reaches every router, propagating hop by hop
 with per-link delays, and duplicate instances stop spreading as soon as a
 router recognises them as stale.
 
+Deliveries due at the same instant ride in *runs*: one timeline event
+hands a list of ``(target, lsa, source)`` to the routers one LSA at a time.
+A send joins the open run only while that run's event is due at the same
+instant, has not started firing and is still the last event the timeline
+scheduled; otherwise it opens a new run.  The sends a run merges would have
+been adjacent in the timeline's FIFO order anyway, so every delivery keeps
+its exact position relative to every other event.
+
 The fabric also keeps counters (messages, bytes) that the control-plane
 overhead benchmark reads to compare Fibbing against the MPLS RSVP-TE
-baseline.
+baseline.  They count LSA-hops, not runs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.igp.lsa import Lsa
 from repro.igp.topology import Topology
 from repro.util.counters import Counters, counter
 from repro.util.errors import TopologyError
-from repro.util.timeline import Timeline
+from repro.util.timeline import ScheduledEvent, Timeline
 from repro.util.validation import check_non_negative
 
 __all__ = ["FloodingFabric", "FloodingStats"]
@@ -29,6 +37,10 @@ __all__ = ["FloodingFabric", "FloodingStats"]
 #: Per-hop processing delay added on top of the link propagation delay, in
 #: seconds.  Mirrors the per-LSA processing cost of a software router.
 DEFAULT_PROCESSING_DELAY = 0.002
+
+#: One delivery of a run: ``(target, lsa, source)``; ``source`` is ``None``
+#: for a controller injection.
+Delivery = Tuple[str, Lsa, Optional[str]]
 
 
 @dataclass
@@ -67,6 +79,9 @@ class FloodingFabric:
         self.on_drop: Optional[Callable[[str, str, Lsa], None]] = None
         # Set by the IgpNetwork once the router processes exist.
         self._deliver: Optional[Callable[[str, Lsa, Optional[str]], None]] = None
+        # The open run and the timeline event that will deliver it.
+        self._run: List[Delivery] = []
+        self._run_event: Optional[ScheduledEvent] = None
 
     def set_loss(
         self,
@@ -112,11 +127,7 @@ class FloodingFabric:
                 if self.on_drop is not None:
                     self.on_drop(source, target, lsa)
                 return
-        self.timeline.schedule_in(
-            delay,
-            lambda: self._deliver_one(target, lsa, source),
-            label=f"lsa-delivery:{source}->{target}:{lsa.key}",
-        )
+        self._enqueue(delay, (target, lsa, source), "lsa-delivery")
 
     def flood_from(self, origin: str, lsa: Lsa, exclude: Optional[str] = None) -> None:
         """Send ``lsa`` from ``origin`` to every neighbor except ``exclude``."""
@@ -140,17 +151,34 @@ class FloodingFabric:
             raise TopologyError(f"cannot inject LSAs at unknown router {router!r}")
         self.stats.messages_sent += 1
         self.stats.bytes_sent += lsa.size_bytes
-        self.timeline.schedule_in(
-            self.processing_delay,
-            lambda: self._deliver_one(router, lsa, None),
-            label=f"lsa-injection:{router}:{lsa.key}",
-        )
+        self._enqueue(self.processing_delay, (router, lsa, None), "lsa-injection")
 
     def record_duplicate(self) -> None:
         """Called by router processes when they drop a stale/duplicate LSA."""
         self.stats.duplicates_suppressed += 1
 
-    def _deliver_one(self, target: str, lsa: Lsa, from_neighbor: Optional[str]) -> None:
-        self.stats.deliveries += 1
-        assert self._deliver is not None  # guarded in send()/inject()
-        self._deliver(target, lsa, from_neighbor)
+    def _enqueue(self, delay: float, delivery: Delivery, label: str) -> None:
+        """Append ``delivery`` to the open run, or open a run due in ``delay``."""
+        timeline = self.timeline
+        time = timeline.now + delay
+        event = self._run_event
+        if (
+            event is not None
+            and event is timeline.last_scheduled
+            and not event.fired
+            and event.time == time
+            and event.label == label
+        ):
+            self._run.append(delivery)
+            return
+        run = [delivery]
+        self._run = run
+        self._run_event = timeline.schedule(time, lambda: self._deliver_run(run), label=label)
+
+    def _deliver_run(self, run: List[Delivery]) -> None:
+        deliver = self._deliver
+        assert deliver is not None  # guarded in send()/inject()
+        stats = self.stats
+        for target, lsa, source in run:
+            stats.deliveries += 1
+            deliver(target, lsa, source)

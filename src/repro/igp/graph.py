@@ -60,21 +60,19 @@ class GraphChange:
     ``edges`` are the directed-edge deltas (what SPF repair consumes);
     ``prefixes`` are the prefixes whose announcers changed in any way
     (announcer added/removed, metric changed, or a lie's attachment
-    altered); ``fake_nodes`` are the fake node names whose
-    :class:`FakeNodeInfo` was added, removed or altered.  Every lie change
-    lists its prefix, so ``prefixes`` is what per-prefix RIB/FIB dirty
-    tracking starts from: a prefix it does not name, and whose announcers'
-    SPF state did not move, resolves to a bit-identical route, so its
-    previous :class:`~repro.igp.rib.Route` can be reused.
+    altered).  Every lie change lists its prefix, so ``prefixes`` is what
+    per-prefix RIB/FIB dirty tracking starts from: a prefix it does not
+    name, and whose announcers' SPF state did not move, resolves to a
+    bit-identical route, so its previous :class:`~repro.igp.rib.Route` can
+    be reused.
     """
 
     edges: Tuple[EdgeDelta, ...] = ()
     prefixes: FrozenSet[Prefix] = frozenset()
-    fake_nodes: FrozenSet[str] = frozenset()
 
     @property
     def is_empty(self) -> bool:
-        return not (self.edges or self.prefixes or self.fake_nodes)
+        return not (self.edges or self.prefixes)
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,9 @@ class FakeNodeInfo:
     forwarding_address: str
 
 
-#: One entry of the delta log: version after the step, then its edge deltas,
-#: touched prefixes and touched fake nodes.
-_LogStep = Tuple[int, Tuple[EdgeDelta, ...], Tuple[Prefix, ...], Tuple[str, ...]]
+#: One entry of the delta log: version after the step, then its edge deltas
+#: and touched prefixes.
+_LogStep = Tuple[int, Tuple[EdgeDelta, ...], Tuple[Prefix, ...]]
 
 
 class _OneStep:
@@ -127,12 +125,11 @@ class ComputationGraph:
         self._prefix_refs: Dict[Prefix, Dict[str, float]] = {}
         self._fake_nodes: Dict[str, FakeNodeInfo] = {}
         self._version = 0
-        # Dirty delta log: (version-after-step, edge deltas, prefixes, fake
-        # nodes) — the parts of the step's :class:`GraphChange`, assembled
-        # only when a reader asks.  Beyond the edge deltas SPF repair needs,
-        # each step carries the prefixes whose announcer map changed and the
-        # fake nodes touched, which is what per-prefix RIB/FIB dirty tracking
-        # consumes.
+        # Dirty delta log: (version-after-step, edge deltas, prefixes) — the
+        # parts of the step's :class:`GraphChange`, assembled only when a
+        # reader asks.  Beyond the edge deltas SPF repair needs, each step
+        # carries the prefixes whose announcer map changed, which is what
+        # per-prefix RIB/FIB dirty tracking consumes.
         # ``_history_base`` is the oldest version the log can still replay
         # from; ``deltas_since``/``changes_since`` answer ``None`` for
         # anything older.  ``_recording`` is switched off while the builder
@@ -159,24 +156,18 @@ class ComputationGraph:
         self,
         edges: Tuple[EdgeDelta, ...] = (),
         prefixes: Tuple[Prefix, ...] = (),
-        fake_nodes: Tuple[str, ...] = (),
     ) -> None:
         """Bump the version and log one delta step (or add to the open one)."""
         self._version += 1
         if not self._recording:
             return
         if self._step is not None:
-            self._step.append((edges, prefixes, fake_nodes))
+            self._step.append((edges, prefixes))
         else:
-            self._log(edges, prefixes, fake_nodes)
+            self._log(edges, prefixes)
 
-    def _log(
-        self,
-        edges: Tuple[EdgeDelta, ...],
-        prefixes: Tuple[Prefix, ...],
-        fake_nodes: Tuple[str, ...],
-    ) -> None:
-        self._delta_log.append((self._version, edges, prefixes, fake_nodes))
+    def _log(self, edges: Tuple[EdgeDelta, ...], prefixes: Tuple[Prefix, ...]) -> None:
+        self._delta_log.append((self._version, edges, prefixes))
         self._log_edges += len(edges)
         if len(self._delta_log) > _MAX_LOG_STEPS or self._log_edges > _MAX_LOG_EDGES:
             self._trim_log()
@@ -198,7 +189,6 @@ class ComputationGraph:
             self._log(
                 tuple(delta for part in parts for delta in part[0]),
                 tuple(prefix for part in parts for prefix in part[1]),
-                tuple(name for part in parts for name in part[2]),
             )
 
     def drop_history(self) -> None:
@@ -215,7 +205,7 @@ class ComputationGraph:
         while self._delta_log and (
             len(self._delta_log) > _MAX_LOG_STEPS or self._log_edges > _MAX_LOG_EDGES
         ):
-            version, edges, _, _ = self._delta_log.pop(0)
+            version, edges, _ = self._delta_log.pop(0)
             self._log_edges -= len(edges)
             self._history_base = version
 
@@ -233,7 +223,7 @@ class ComputationGraph:
         recompute from scratch).
         """
         # Kept separate from ``changes_since`` so the per-source SPF hot path
-        # does not pay for prefix/fake-node frozensets it never reads.
+        # does not pay for prefix frozensets it never reads.
         if version == self._version:
             return ()
         if version < self._history_base or version > self._version:
@@ -257,17 +247,11 @@ class ComputationGraph:
             return None
         edges: List[EdgeDelta] = []
         prefixes: Set[Prefix] = set()
-        fake_nodes: Set[str] = set()
-        for step_version, step_edges, step_prefixes, step_fake_nodes in self._delta_log:
+        for step_version, step_edges, step_prefixes in self._delta_log:
             if step_version > version:
                 edges.extend(step_edges)
                 prefixes.update(step_prefixes)
-                fake_nodes.update(step_fake_nodes)
-        return GraphChange(
-            edges=tuple(edges),
-            prefixes=frozenset(prefixes),
-            fake_nodes=frozenset(fake_nodes),
-        )
+        return GraphChange(edges=tuple(edges), prefixes=frozenset(prefixes))
 
     def continue_from(self, previous: "ComputationGraph") -> None:
         """Chain this (freshly built) graph to ``previous``'s version history.
@@ -300,18 +284,15 @@ class ComputationGraph:
             for prefix in self._prefix_refs.keys() | previous._prefix_refs.keys()
             if self._prefix_refs.get(prefix) != previous._prefix_refs.get(prefix)
         }
-        fake_deltas: Set[str] = set()
         for name in self._fake_nodes.keys() | previous._fake_nodes.keys():
             mine, theirs = self._fake_nodes.get(name), previous._fake_nodes.get(name)
             if mine != theirs:
-                fake_deltas.add(name)
                 prefix_deltas.update(info.prefix for info in (mine, theirs) if info)
         # Keys are compared too so that an isolated node appearing or
         # vanishing (no edge delta) still gets its own version.
         same_state = (
             not deltas
             and not prefix_deltas
-            and not fake_deltas
             and self._edges.keys() == previous._edges.keys()
         )
         self._history_base = previous._history_base
@@ -321,7 +302,7 @@ class ComputationGraph:
             self._version = previous._version
         else:
             self._version = previous._version + 1
-            self._log(tuple(deltas), tuple(prefix_deltas), tuple(fake_deltas))
+            self._log(tuple(deltas), tuple(prefix_deltas))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -431,7 +412,7 @@ class ComputationGraph:
 
         The fake node becomes an announcer of ``prefix`` with a
         :class:`FakeNodeInfo` attachment, not a node: it adds no edge, so
-        the log step lists its prefix and name but no edge delta.
+        the log step lists its prefix but no edge delta.
         """
         if name in self._fake_nodes:
             raise TopologyError(f"fake node {name!r} already present")
@@ -450,7 +431,7 @@ class ComputationGraph:
             prefix_cost=float(prefix_cost),
             forwarding_address=forwarding_address,
         )
-        self._record(prefixes=(prefix,), fake_nodes=(name,))
+        self._record(prefixes=(prefix,))
 
     def remove_fake_node(self, name: str) -> None:
         """Detach a lie: its attachment and its announcement."""
@@ -460,7 +441,7 @@ class ComputationGraph:
             raise TopologyError(f"{name!r} is not a fake node") from None
         del self._announcements[name]
         self._release_prefix(info.prefix, name)
-        self._record(prefixes=(info.prefix,), fake_nodes=(name,))
+        self._record(prefixes=(info.prefix,))
 
     # ------------------------------------------------------------------ #
     # Builders

@@ -75,6 +75,7 @@ class Timeline:
         # maintained on schedule/cancel/step so `pending` never walks the
         # heap (it is read on every `__repr__` and `converged()` check).
         self._pending_count = 0
+        self._last_scheduled: Optional[ScheduledEvent] = None
 
     @property
     def now(self) -> float:
@@ -91,6 +92,17 @@ class Timeline:
         """Number of events executed so far."""
         return self._fired
 
+    @property
+    def last_scheduled(self) -> Optional[ScheduledEvent]:
+        """The event handed out by the latest :meth:`schedule` call, fired or not.
+
+        Nothing scheduled since means nothing can fire between it and an
+        event scheduled next at the same instant: they are adjacent in the
+        FIFO order.  The flooding fabric relies on that to put same-instant
+        deliveries behind one event.
+        """
+        return self._last_scheduled
+
     def schedule(self, time: float, action: Callable[[], Any], label: str = "") -> ScheduledEvent:
         """Schedule ``action`` to run at absolute simulated ``time``.
 
@@ -105,6 +117,7 @@ class Timeline:
         event = ScheduledEvent(time, action, label, timeline=self)
         heapq.heappush(self._heap, _Entry(time, next(self._counter), event))
         self._pending_count += 1
+        self._last_scheduled = event
         return event
 
     def cancel(self, event: ScheduledEvent) -> bool:

@@ -15,6 +15,10 @@ the fast path starts:
 * :class:`ClearAndReplayBalancer` runs the merger without the controller's
   plan cache, so a reaction never reuses a merged plan.
 
+* :class:`PerMessageFabric` floods one timeline event per LSA-hop, the
+  order the product's delivery runs (:mod:`repro.igp.flooding`) must keep
+  exactly; :func:`flood_per_message` puts it into a network.
+
 Each oracle leaves the fast path's reuse counters at zero
 (``dp_flows_reused``, ``dp_classes_reused``, ``ctl_plan_cache_hits``,
 ``ctl_merge_cache_hits``); the drivers assert that, so an oracle cannot quietly turn into a second
@@ -29,7 +33,7 @@ enumerates the equal-cost paths of an SPF result, which only tests read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import FibbingController
 from repro.core.loadbalancer import OnDemandLoadBalancer
@@ -41,20 +45,24 @@ from repro.dataplane.engine import (
 from repro.dataplane.fairness import max_min_fair_allocation
 from repro.dataplane.forwarding import route_flows_hashed
 from repro.igp.fib import DEFAULT_MAX_ECMP, Fib, FibEntry, PrefixFib, _truncate
+from repro.igp.flooding import FloodingFabric
 from repro.igp.graph import ComputationGraph
-from repro.igp.network import compute_static_fibs
+from repro.igp.lsa import Lsa
+from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.rib import Rib, Route, RouteContribution
 from repro.igp.spf import ShortestPaths, compute_spf, costs_equal
-from repro.util.errors import RoutingError
+from repro.util.errors import RoutingError, TopologyError
 
 __all__ = [
     "ClearAndReplayBalancer",
     "ClearAndReplayController",
     "FromScratchAggregateEngine",
     "FromScratchDataPlaneEngine",
+    "PerMessageFabric",
     "fake_node_fib",
     "fake_node_graph",
     "fake_node_rib",
+    "flood_per_message",
     "paths_to",
 ]
 
@@ -170,6 +178,57 @@ class ClearAndReplayBalancer(OnDemandLoadBalancer):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.merger.plan_cache = None
+
+
+class PerMessageFabric(FloodingFabric):
+    """Flooding fabric that schedules one timeline event per LSA-hop."""
+
+    def send(self, source: str, target: str, lsa: Lsa) -> None:
+        if self._deliver is None:
+            raise TopologyError("flooding fabric is not bound to any router processes")
+        link = self.topology.link(source, target)
+        delay = link.delay + self.processing_delay
+        self.stats.messages_sent += 1
+        self.stats.bytes_sent += lsa.size_bytes
+        if self.loss_rate > 0.0 and self.loss_rng is not None:
+            if self.loss_rng.random() < self.loss_rate:
+                self.stats.messages_dropped += 1
+                if self.on_drop is not None:
+                    self.on_drop(source, target, lsa)
+                return
+        self.timeline.schedule_in(
+            delay,
+            lambda: self._deliver_one(target, lsa, source),
+            label=f"lsa-delivery:{source}->{target}:{lsa.key}",
+        )
+
+    def inject(self, router: str, lsa: Lsa) -> None:
+        if self._deliver is None:
+            raise TopologyError("flooding fabric is not bound to any router processes")
+        if not self.topology.has_router(router):
+            raise TopologyError(f"cannot inject LSAs at unknown router {router!r}")
+        self.stats.messages_sent += 1
+        self.stats.bytes_sent += lsa.size_bytes
+        self.timeline.schedule_in(
+            self.processing_delay,
+            lambda: self._deliver_one(router, lsa, None),
+            label=f"lsa-injection:{router}:{lsa.key}",
+        )
+
+    def _deliver_one(self, target: str, lsa: Lsa, from_neighbor: Optional[str]) -> None:
+        self.stats.deliveries += 1
+        self._deliver(target, lsa, from_neighbor)
+
+
+def flood_per_message(network: IgpNetwork) -> IgpNetwork:
+    """Swap ``network``'s fabric for a :class:`PerMessageFabric` (before ``start``)."""
+    fabric = network.fabric
+    oracle = PerMessageFabric(fabric.topology, fabric.timeline, fabric.processing_delay)
+    oracle.bind(fabric._deliver)
+    network.fabric = oracle
+    for process in network.routers.values():
+        process.fabric = oracle
+    return network
 
 
 def fake_node_graph(graph: ComputationGraph) -> ComputationGraph:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.core.controller import FibbingController
 from repro.experiments.scaling import build_ring_topology, churn_requirement
-from repro.igp.graph import ComputationGraph
+from repro.igp.graph import ComputationGraph, GraphChange
 from repro.igp.lsa import FakeNodeLsa, PrefixLsa, RouterLsa
 from repro.igp.lsdb import LinkStateDatabase
 from repro.igp.network import IgpNetwork, compute_static_fibs
@@ -397,17 +397,20 @@ class TestLogCountsLsas:
             origin="ctl", fake_node="f0", anchor="A", prefix=PREFIXES[0],
             forwarding_address="B",
         )
+        before = graph.version
         lsdb.install(lie)
         assert len(graph._delta_log) == 1
         # Replaced in place: out and back in with new content, still one step.
         lsdb.install(replace(lie, sequence=2, forwarding_address="C", link_cost=2.0))
         assert len(graph._delta_log) == 2
+        # A lie is not an SPF node: its steps name its prefix and no edge.
+        assert graph.changes_since(before) == GraphChange(prefixes=frozenset({PREFIXES[0]}))
         # A router LSA that drops an adjacency and the lie that rode on it.
         lsdb.install(RouterLsa(origin="C", links=(), sequence=2))
         assert len(graph._delta_log) == 3
         assert not graph.is_fake("f0")
         change = graph.changes_since(0)
-        assert change.fake_nodes == {"f0"} and change.prefixes == {PREFIXES[0]}
+        assert change.prefixes == {PREFIXES[0]} and len(change.edges) == 2
         assert_matches_oracle(lsdb)
 
     def test_hundred_lie_wave_needs_no_full_spf(self):

@@ -191,3 +191,55 @@ class TestRunUntil:
 
     def test_step_returns_none_when_empty(self):
         assert Timeline().step() is None
+
+
+class TestLastScheduled:
+    def test_none_before_anything_is_scheduled(self):
+        assert Timeline().last_scheduled is None
+
+    def test_set_by_schedule_and_schedule_in(self):
+        timeline = Timeline()
+        first = timeline.schedule(2.0, lambda: None)
+        assert timeline.last_scheduled is first
+        # An earlier event scheduled later is still the last one scheduled.
+        second = timeline.schedule_in(1.0, lambda: None)
+        assert timeline.last_scheduled is second
+
+    def test_unchanged_by_step_and_cancel(self):
+        timeline = Timeline()
+        first = timeline.schedule(1.0, lambda: None)
+        last = timeline.schedule(2.0, lambda: None)
+        assert timeline.step() is first
+        assert timeline.last_scheduled is last
+        last.cancel()
+        assert timeline.last_scheduled is last
+        timeline.cancel(last)
+        assert timeline.last_scheduled is last
+
+    def test_still_the_last_once_fired(self):
+        timeline = Timeline()
+        event = timeline.schedule(1.0, lambda: None)
+        timeline.run_all()
+        assert event.fired and timeline.last_scheduled is event
+
+    def test_events_scheduled_by_an_action_become_the_last(self):
+        timeline = Timeline()
+        spawned = []
+        timeline.schedule(1.0, lambda: spawned.append(timeline.schedule_in(0.0, lambda: None)))
+        timeline.step()
+        assert timeline.last_scheduled is spawned[0]
+
+    def test_correct_under_the_tracing_schedule_wrapper(self):
+        from perf.trace import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        try:
+            timeline = Timeline()
+            event = timeline.schedule_in(1.0, lambda: None, label="spf:R1")
+            assert timeline.last_scheduled is event
+            timeline.run_all()
+            assert event.fired and timeline.last_scheduled is event
+        finally:
+            tracer.uninstall()
+        assert "event:spf" in [span[4] for span in tracer.spans]

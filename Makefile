@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast examples bench bench-quick bench-record golden perf-ab
+.PHONY: test test-fast examples bench bench-quick bench-record golden perf-ab census
 
 ## Tier-1 verification: the full test suite plus benchmarks-as-tests.
 test:
@@ -37,6 +37,11 @@ bench-record:
 ## to alter experiment numbers — say so in the commit message).
 golden:
 	$(PYTHON) tests/golden/generate.py
+
+## Which src/repro functions the product runs, which only tests reach, and
+## which nothing reaches (stdout); runs the whole test pass under a profile hook.
+census:
+	$(PYTHON) scripts/census.py
 
 ## A/B the working tree against HEAD on one perf/ workload: PAIRS alternating
 ## same-session pairs of perf/run.py, seeds SEED0, SEED0+1, ...

@@ -81,11 +81,6 @@ class LieShape:
     link_cost: float
     prefix_cost: float
 
-    @property
-    def total_cost(self) -> float:
-        """Cost of the fake path as seen from the anchor router."""
-        return self.link_cost + self.prefix_cost
-
 
 def _default_name_factory(prefix: Prefix) -> Callable[[str], str]:
     counters: Dict[str, int] = {}

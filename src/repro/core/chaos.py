@@ -20,8 +20,7 @@ that claim:
   poller), schedules the events on the shared timeline, wires the loss and
   timeout knobs, and accounts for everything in :class:`FaultCounters`
   (``fault_*`` keys), which ride along the other layers in
-  ``IgpNetwork.spf_stats`` and
-  :func:`~repro.monitoring.counters.collect_counters`.
+  ``IgpNetwork.spf_stats``.
 
 The degenerate point costs nothing: an empty plan schedules no events,
 draws no random numbers, and leaves every knob at its byte-identical
@@ -31,7 +30,7 @@ default — runs without a fault plan are unchanged down to the goldens.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.counters import Counters, counter
@@ -249,9 +248,9 @@ class FaultInjector:
     """Executes a :class:`FaultPlan` against a live network.
 
     Construction wires nothing; :meth:`start` registers the injector with
-    the network (so its counters surface through ``spf_stats`` /
-    ``collect_counters``), installs the continuous degradation knobs and
-    schedules every discrete event on the shared timeline.  Events then
+    the network (so its counters surface through ``spf_stats``), installs
+    the continuous degradation knobs and schedules every discrete event on
+    the shared timeline.  Events then
     fire as the timeline advances — interleaved with polls, reactions and
     flooding exactly as a real outage would be.
     """

@@ -100,11 +100,6 @@ class Lie:
         return self.lsa.prefix
 
     @property
-    def anchor(self) -> str:
-        """Router the fake node is attached to."""
-        return self.lsa.anchor
-
-    @property
     def signature(self) -> LieSignature:
         """Behavioural identity used for diffing (see module docstring)."""
         return lsa_signature(self.lsa)

@@ -64,10 +64,10 @@ class OptimizationResult:
     def link_loads(self) -> LinkLoads:
         """Aggregate optimised load per link (all optimised prefixes combined)."""
         loads = LinkLoads()
-        for prefix, per_link in self.flows.items():
+        for per_link in self.flows.values():
             for (source, target), value in per_link.items():
                 if value > 0:
-                    loads.add(source, target, value, prefix=prefix)
+                    loads.add(source, target, value)
         return loads
 
     def to_fractions(

@@ -99,10 +99,6 @@ class DestinationRequirement:
                 f"router {router!r} is not constrained for {self.prefix}"
             ) from None
 
-    def constrains(self, router: str) -> bool:
-        """Whether this requirement says anything about ``router``."""
-        return router in self.next_hops
-
     def total_entries(self) -> int:
         """Total number of ECMP entries required across all routers."""
         return sum(sum(hops.values()) for hops in self.next_hops.values())

@@ -69,7 +69,7 @@ class ControlLoopScheduler:
     :class:`~repro.core.reconciler.CtlCounters`
     (``ctl_reactions_deferred``, ``ctl_supersessions``), so it surfaces
     through every existing counter channel (``ControllerStats``,
-    ``collect_counters``, per-action snapshots).
+    ``IgpNetwork.spf_stats``, per-action snapshots).
     """
 
     def __init__(

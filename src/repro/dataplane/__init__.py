@@ -27,11 +27,8 @@ per-flow rates, congestion) with a fluid, flow-level model:
 ``engine``
     The event-driven simulation loops tying everything to the shared
     timeline: flow arrivals/departures (``DataPlaneEngine``) or class-level
-    cohort arrivals (``AggregateDemandEngine``), FIB changes, capacity
-    changes, SNMP counters, and the periodic sampling used to draw Fig. 2.
-``events``
-    Typed records of everything that happened during a run (for tracing,
-    tests, and benchmark reporting).
+    cohort arrivals (``AggregateDemandEngine``), FIB changes, SNMP
+    counters, and the periodic sampling used to draw Fig. 2.
 """
 
 from repro.dataplane.flows import Flow, FlowSet, FlowSpec
@@ -62,7 +59,6 @@ from repro.dataplane.path_cache import (
     WarmStartAllocator,
 )
 from repro.dataplane.engine import AggregateDemandEngine, DataPlaneEngine, LinkSample
-from repro.dataplane.events import SimulationEvent, FlowEvent
 
 __all__ = [
     "Flow",
@@ -90,6 +86,4 @@ __all__ = [
     "DataPlaneEngine",
     "AggregateDemandEngine",
     "LinkSample",
-    "SimulationEvent",
-    "FlowEvent",
 ]

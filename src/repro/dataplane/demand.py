@@ -2,9 +2,9 @@
 
 The TE baselines and the Fibbing optimizer reason about aggregate demands
 (how many bit/s enter at router X toward prefix P) rather than individual
-flows.  :class:`TrafficMatrix` is that aggregation; it can be built directly
-(static experiments like Fig. 1) or derived from a set of flows (the
-controller derives it from the servers' new-client notifications).
+flows.  :class:`TrafficMatrix` is that aggregation; it is built directly
+(static experiments like Fig. 1) or from the servers' new-client
+notifications (the controller's view).
 
 :class:`DemandClass` extends the aggregation into the data plane itself: a
 class is an ``(ingress, prefix, per-session rate, session_count)`` bundle —
@@ -18,7 +18,7 @@ equivalence the differential suite pins.
 
 Float discipline: per-key demand contributions are stored individually and
 summed with :func:`math.fsum` (correctly rounded), so the aggregate rate is
-independent of the order in which flows or entries were added, and
+independent of the order in which entries were added, and
 :meth:`TrafficMatrix.entries` sorts by ``(ingress, prefix)``.
 """
 
@@ -29,7 +29,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
 
-from repro.dataplane.flows import Flow
 from repro.util.errors import SimulationError, ValidationError
 from repro.util.prefixes import Prefix
 from repro.util.validation import check_non_negative, check_positive
@@ -63,26 +62,6 @@ class TrafficMatrix:
             self.add(entry.ingress, entry.prefix, entry.rate)
 
     @classmethod
-    def from_flows(cls, flows: Iterable[Flow]) -> "TrafficMatrix":
-        """Aggregate individual flows into a traffic matrix."""
-        matrix = cls()
-        for flow in flows:
-            matrix.add(flow.ingress, flow.prefix, flow.demand)
-        return matrix
-
-    @classmethod
-    def from_classes(cls, classes: Iterable["DemandClass"]) -> "TrafficMatrix":
-        """Aggregate demand classes (rate × session count per class)."""
-        matrix = cls()
-        for demand_class in classes:
-            matrix.add(
-                demand_class.ingress,
-                demand_class.prefix,
-                demand_class.rate * demand_class.count,
-            )
-        return matrix
-
-    @classmethod
     def from_dict(cls, demands: Mapping[Tuple[str, str | Prefix], float]) -> "TrafficMatrix":
         """Build from a ``{(ingress, prefix): rate}`` dictionary (prefixes may be strings)."""
         matrix = cls()
@@ -99,11 +78,6 @@ class TrafficMatrix:
             raise ValidationError("ingress must be a non-empty router name")
         self._contributions.setdefault((ingress, prefix), []).append(float(rate))
 
-    def set(self, ingress: str, prefix: Prefix, rate: float) -> None:
-        """Overwrite the demand from ``ingress`` toward ``prefix``."""
-        check_non_negative(rate, "rate")
-        self._contributions[(ingress, prefix)] = [float(rate)]
-
     def rate(self, ingress: str, prefix: Prefix) -> float:
         """Demand from ``ingress`` toward ``prefix`` (0.0 when absent)."""
         return math.fsum(self._contributions.get((ingress, prefix), ()))
@@ -118,11 +92,6 @@ class TrafficMatrix:
     def prefixes(self) -> List[Prefix]:
         """All destination prefixes with positive demand, sorted."""
         return sorted({prefix for (_, prefix), rate in self._rates().items() if rate > 0})
-
-    @property
-    def ingresses(self) -> List[str]:
-        """All ingress routers with positive demand, sorted."""
-        return sorted({ingress for (ingress, _), rate in self._rates().items() if rate > 0})
 
     def entries(self) -> List[DemandEntry]:
         """All positive demand entries, sorted for determinism."""
@@ -147,21 +116,6 @@ class TrafficMatrix:
         return math.fsum(
             value for values in self._contributions.values() for value in values
         )
-
-    def scaled(self, factor: float) -> "TrafficMatrix":
-        """A copy of this matrix with every demand multiplied by ``factor``.
-
-        Contributions are scaled individually, so the copy stays
-        order-independent in the same way the original is.
-        """
-        check_non_negative(factor, "factor")
-        scaled = TrafficMatrix()
-        for key, values in self._contributions.items():
-            scaled._contributions[key] = [value * factor for value in values]
-        return scaled
-
-    def __iter__(self) -> Iterator[DemandEntry]:
-        return iter(self.entries())
 
     def __len__(self) -> int:
         return sum(1 for rate in self._rates().values() if rate > 0)
@@ -221,17 +175,6 @@ class DemandClass:
     def session_ids(self) -> range:
         """The session ids of this cohort (contiguous, ascending)."""
         return range(self.base_session_id, self.base_session_id + self.count)
-
-    @property
-    def total_demand(self) -> float:
-        """Aggregate offered load of the cohort (bit/s)."""
-        return self.rate * self.count
-
-    def __str__(self) -> str:
-        name = self.label or f"class-{self.class_id}"
-        return (
-            f"{name}({self.count} x {self.ingress}->{self.prefix} @ {self.rate:.0f} bit/s)"
-        )
 
 
 class ClassSet:
@@ -295,9 +238,6 @@ class ClassSet:
                 return demand_class
         raise SimulationError(f"session id {session_id} belongs to no active class")
 
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self._classes
-
     def __iter__(self) -> Iterator[DemandClass]:
         for class_id in sorted(self._classes):
             yield self._classes[class_id]
@@ -308,9 +248,3 @@ class ClassSet:
     def total_sessions(self) -> int:
         """Number of active sessions across all classes."""
         return sum(demand_class.count for demand_class in self._classes.values())
-
-    def total_demand(self) -> float:
-        """Sum of the aggregate demands of all active classes (bit/s)."""
-        return math.fsum(
-            demand_class.total_demand for demand_class in self._classes.values()
-        )

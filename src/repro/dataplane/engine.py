@@ -3,9 +3,9 @@
 Two engines share one timeline/sampling core (:class:`DataPlaneEngineBase`):
 
 * :class:`DataPlaneEngine` owns individual flows.  At every state change
-  (flow arrival or departure, FIB update pushed by the control plane, link
-  capacity change) it refreshes each flow's path over the current FIBs
-  (per-flow ECMP hashing) and the max-min fair rate allocation.
+  (flow arrival or departure, FIB update pushed by the control plane) it
+  refreshes each flow's path over the current FIBs (per-flow ECMP hashing)
+  and the max-min fair rate allocation.
 * :class:`AggregateDemandEngine` owns *demand classes* —
   ``(ingress, prefix, per-session rate, session_count)`` cohorts — and does
   O(classes × path groups) work per event instead of O(sessions), which is
@@ -13,10 +13,11 @@ Two engines share one timeline/sampling core (:class:`DataPlaneEngineBase`):
   is routed by walking the whole session population down the per-prefix
   forwarding DAG, hashing individual session ids only at genuine ECMP
   branch points; rates come from the same progressive filling with the
-  entity ``count`` multiplicity of :mod:`repro.dataplane.fairness`.  The
-  per-flow engine is retained as the differential oracle: on the same
-  arrival sequence both engines produce bit-identical session rates, link
-  rates, byte counters and samples (``tests/test_dataplane_classes.py``).
+  entity ``count`` multiplicity of :mod:`repro.dataplane.fairness`.  It
+  runs the flash crowds; the per-flow engine runs Fig. 2 and the ISP
+  worlds.  On the same arrival sequence both engines produce bit-identical
+  session rates, link rates, byte counters and samples
+  (``tests/test_dataplane_classes.py``).
 
 Between state changes rates are constant, so byte counters (the quantities
 SNMP exposes and Fig. 2 plots) are advanced analytically — no per-packet or
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataplane.demand import ClassSpec, ClassSet, DemandClass
-from repro.dataplane.events import EventLog, SimulationEvent
 from repro.dataplane.flows import Flow, FlowSet, FlowSpec
 from repro.dataplane.forwarding import (
     ClassPathGroup,
@@ -125,11 +125,11 @@ def _canonical_link_total(contributions: Iterable[Tuple[float, int]]) -> float:
 class DataPlaneEngineBase:
     """Timeline, sampling and byte-counter core shared by both engines.
 
-    Subclasses implement ``_recompute(arrivals=..., departures=...,
-    dirty_links=...)`` (refresh routing and rates after one event) and
+    Subclasses implement ``_recompute(arrivals=..., departures=...)``
+    (refresh routing and rates after one event) and
     ``_advance_entity_bytes(elapsed)`` (integrate per-entity byte counters);
-    everything else — periodic sampling, link byte integration, capacity
-    changes, network binding, listeners — lives here.
+    everything else — periodic sampling, link byte integration, network
+    binding, listeners — lives here.
     """
 
     def __init__(
@@ -146,7 +146,6 @@ class DataPlaneEngineBase:
         self.sample_interval = check_positive(sample_interval, "sample_interval")
         self.hash_salt = hash_salt
 
-        self.events = EventLog()
         self.samples: List[LinkSample] = []
         self.counters = DataPlaneCounters()
 
@@ -190,32 +189,7 @@ class DataPlaneEngineBase:
         re-walked.
         """
         self._advance_counters()
-        self.events.record(
-            SimulationEvent(time=self.timeline.now, kind="routing-change", details="FIB update")
-        )
         self._recompute()
-
-    def set_link_capacity(self, source: str, target: str, capacity: float) -> None:
-        """Change the capacity of the directed link ``source -> target``.
-
-        Models a bandwidth change at the allocation level (e.g. a rate
-        limiter or a LAG member failure): paths are untouched, but the
-        max-min fair shares of the link's connected component are repaired.
-        """
-        key = (source, target)
-        if key not in self._capacities:
-            raise SimulationError(f"unknown link {source!r} -> {target!r}")
-        check_positive(capacity, "capacity")
-        self._advance_counters()
-        self._capacities[key] = capacity
-        self.events.record(
-            SimulationEvent(
-                time=self.timeline.now,
-                kind="capacity-change",
-                details=f"{source}->{target} = {capacity:.0f} bit/s",
-            )
-        )
-        self._recompute(dirty_links=[key])
 
     def bind_to_network(self, network) -> None:
         """Convenience: recompute paths whenever an IgpNetwork installs a FIB.
@@ -235,13 +209,6 @@ class DataPlaneEngineBase:
     def link_rate(self, source: str, target: str) -> float:
         """Current instantaneous rate on the directed link ``source -> target``."""
         return self._link_rates.get((source, target), 0.0)
-
-    def link_capacity(self, source: str, target: str) -> float:
-        """Current capacity of a directed link (as the allocator sees it)."""
-        try:
-            return self._capacities[(source, target)]
-        except KeyError:
-            raise SimulationError(f"unknown link {source!r} -> {target!r}") from None
 
     def link_transmitted_bytes(self, source: str, target: str) -> float:
         """Cumulative transmitted bytes on a directed link (SNMP-style counter)."""
@@ -269,10 +236,7 @@ class DataPlaneEngineBase:
     # Internals
     # ------------------------------------------------------------------ #
     def _recompute(
-        self,
-        arrivals: Sequence = (),
-        departures: Sequence = (),
-        dirty_links: Sequence[LinkKey] = (),
+        self, arrivals: Sequence = (), departures: Sequence = ()
     ) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -377,13 +341,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
                 ingress=spec.ingress, prefix=spec.prefix, demand=spec.demand, label=spec.label
             )
             self._flow_bytes[flow.flow_id] = 0.0
-            self.events.record(
-                SimulationEvent(
-                    time=self.timeline.now,
-                    kind="flow-arrival",
-                    details=f"{flow}",
-                )
-            )
             flows.append(flow)
         self._recompute(arrivals=flows)
         return flows
@@ -392,13 +349,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
         """Terminate the flow with ``flow_id`` now; rates are recomputed immediately."""
         self._advance_counters()
         flow = self.flows.remove(flow_id)
-        self.events.record(
-            SimulationEvent(
-                time=self.timeline.now,
-                kind="flow-departure",
-                details=f"{flow}",
-            )
-        )
         self._recompute(departures=[flow_id])
         return flow
 
@@ -478,12 +428,7 @@ class DataPlaneEngine(DataPlaneEngineBase):
             return path.links, flow.demand, 1
         return (), 0.0, 1
 
-    def _recompute(
-        self,
-        arrivals: Sequence[Flow] = (),
-        departures: Sequence[int] = (),
-        dirty_links: Sequence[LinkKey] = (),
-    ) -> None:
+    def _recompute(self, arrivals: Sequence[Flow] = (), departures: Sequence[int] = ()) -> None:
         """Re-route only the dirty flows and warm-start the fair allocation."""
         fibs = dict(self.fib_provider())
         for flow_id in departures:
@@ -514,7 +459,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
         repair = self._allocator.update(
             changed=changed_inputs,
             removed=departures,
-            dirty_links=dirty_links,
             capacities=self._capacities,
         )
         if repair.mode == "warm":
@@ -730,13 +674,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 count=spec.count,
                 label=spec.label,
             )
-            self.events.record(
-                SimulationEvent(
-                    time=self.timeline.now,
-                    kind="class-arrival",
-                    details=f"{demand_class}",
-                )
-            )
             classes.append(demand_class)
         self._recompute(arrivals=classes)
         return classes
@@ -745,13 +682,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         """Terminate the whole cohort ``class_id`` now; rates recompute immediately."""
         self._advance_counters()
         demand_class = self.classes.remove(class_id)
-        self.events.record(
-            SimulationEvent(
-                time=self.timeline.now,
-                kind="class-departure",
-                details=f"{demand_class}",
-            )
-        )
         self._recompute(departures=[demand_class])
         return demand_class
 
@@ -834,18 +764,9 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             (cohort.bytes_per_session, cohort.count) for cohort in cohorts
         ) / sessions
 
-    @property
-    def path_cache_version(self) -> int:
-        """Version stamped on the FIB entries dirtied by the latest change."""
-        return self._path_cache.version
-
     def cached_class_valid(self, class_id: int) -> bool:
         """Whether the class's cached walk key still matches the FIB versions."""
         return self._path_cache.valid(class_id)
-
-    def allocation_components(self) -> int:
-        """Connected components currently tracked by the warm-start allocator."""
-        return self._allocator.component_count()
 
     @staticmethod
     def _population_contains(ids: Sequence[int], session_id: int) -> bool:
@@ -963,10 +884,7 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 del self._link_members[link]
 
     def _recompute(
-        self,
-        arrivals: Sequence[DemandClass] = (),
-        departures: Sequence[DemandClass] = (),
-        dirty_links: Sequence[LinkKey] = (),
+        self, arrivals: Sequence[DemandClass] = (), departures: Sequence[DemandClass] = ()
     ) -> None:
         """Re-walk only the dirty classes and warm-start the fair allocation."""
         fibs = dict(self.fib_provider())
@@ -1011,7 +929,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         repair = self._allocator.update(
             changed=changed_inputs,
             removed=removed_entities,
-            dirty_links=dirty_links,
             capacities=self._capacities,
         )
         if repair.mode == "warm":

@@ -10,12 +10,12 @@ send, and how much it actually gets (its allocated rate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator
 
 from repro.util.errors import SimulationError, ValidationError
 from repro.util.prefixes import Prefix
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["Flow", "FlowSpec", "FlowSet"]
 
@@ -73,13 +73,6 @@ class FlowSet:
         self._next_id += 1
         return flow
 
-    def add(self, flow: Flow) -> None:
-        """Register an externally built flow (its id must be unused)."""
-        if flow.flow_id in self._flows:
-            raise SimulationError(f"flow id {flow.flow_id} is already active")
-        self._flows[flow.flow_id] = flow
-        self._next_id = max(self._next_id, flow.flow_id + 1)
-
     def remove(self, flow_id: int) -> Flow:
         """Deregister and return the flow with ``flow_id``."""
         try:
@@ -103,15 +96,3 @@ class FlowSet:
 
     def __len__(self) -> int:
         return len(self._flows)
-
-    def by_prefix(self, prefix: Prefix) -> List[Flow]:
-        """All active flows heading to ``prefix``, sorted by id."""
-        return [flow for flow in self if flow.prefix == prefix]
-
-    def by_ingress(self, ingress: str) -> List[Flow]:
-        """All active flows entering at ``ingress``, sorted by id."""
-        return [flow for flow in self if flow.ingress == ingress]
-
-    def total_demand(self) -> float:
-        """Sum of the demands of all active flows (bit/s)."""
-        return sum(flow.demand for flow in self._flows.values())

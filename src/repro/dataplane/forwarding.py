@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -163,7 +163,7 @@ def route_fractional(
                 share = carried * fraction
                 if share <= 0.0:
                     continue
-                outcome.loads.add(router, next_hop, share, prefix=prefix)
+                outcome.loads.add(router, next_hop, share)
                 if next_hop in incoming:
                     incoming[next_hop] += share
                 else:
@@ -420,7 +420,7 @@ def route_flows_hashed(
             if not split:
                 break
             next_hop = _pick_next_hop(split, _hash_fraction(flow.flow_id, current, salt))
-            outcome.loads.add(current, next_hop, flow.demand, prefix=flow.prefix)
+            outcome.loads.add(current, next_hop, flow.demand)
             hops.append(next_hop)
             if next_hop in visited:
                 looped = True

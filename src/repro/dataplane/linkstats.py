@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.igp.topology import Topology
-from repro.util.errors import TopologyError
-from repro.util.prefixes import Prefix
 from repro.util.validation import check_non_negative
 
 __all__ = ["LinkLoads", "LinkUtilization"]
@@ -28,69 +26,22 @@ class LinkUtilization:
         """Fraction of the capacity in use (may exceed 1.0 when oversubscribed)."""
         return self.load / self.capacity if self.capacity > 0 else 0.0
 
-    @property
-    def overloaded(self) -> bool:
-        """Whether the offered load exceeds the link capacity."""
-        return self.load > self.capacity
-
 
 class LinkLoads:
-    """Accumulated per-link (and optionally per-prefix) offered load in bit/s."""
+    """Accumulated per-link offered load in bit/s."""
 
     def __init__(self) -> None:
         self._loads: Dict[LinkKey, float] = {}
-        self._per_prefix: Dict[LinkKey, Dict[Prefix, float]] = {}
 
-    def add(self, source: str, target: str, rate: float, prefix: Optional[Prefix] = None) -> None:
+    def add(self, source: str, target: str, rate: float) -> None:
         """Add ``rate`` bit/s of load on the directed link ``source -> target``."""
         check_non_negative(rate, "rate")
         key = (source, target)
         self._loads[key] = self._loads.get(key, 0.0) + rate
-        if prefix is not None:
-            breakdown = self._per_prefix.setdefault(key, {})
-            breakdown[prefix] = breakdown.get(prefix, 0.0) + rate
 
     def load(self, source: str, target: str) -> float:
         """Current load on ``source -> target`` (0.0 when untouched)."""
         return self._loads.get((source, target), 0.0)
-
-    def per_prefix(self, source: str, target: str) -> Dict[Prefix, float]:
-        """Per-destination-prefix breakdown of the load on one link."""
-        return dict(self._per_prefix.get((source, target), {}))
-
-    def links(self) -> List[LinkKey]:
-        """All links that carry a non-zero load, sorted."""
-        return sorted(key for key, load in self._loads.items() if load > 0)
-
-    def total(self) -> float:
-        """Sum of the loads over all links (bit/s x hops)."""
-        return sum(self._loads.values())
-
-    def merge(self, other: "LinkLoads") -> "LinkLoads":
-        """Return a new :class:`LinkLoads` combining this one and ``other``.
-
-        Every contribution is routed through :meth:`add`: the per-prefix
-        breakdown of each link is re-added prefix by prefix (sorted, for
-        determinism) and whatever part of the link total no prefix accounts
-        for is re-added unattributed.  The old implementation added totals
-        via :meth:`add` but hand-merged ``_per_prefix`` behind its back,
-        skipping the validation and total/breakdown bookkeeping invariant
-        :meth:`add` maintains — the two views could silently diverge as
-        soon as either accessor grew new semantics.
-        """
-        combined = LinkLoads()
-        for loads in (self, other):
-            for (source, target), load in sorted(loads._loads.items()):
-                breakdown = loads._per_prefix.get((source, target), {})
-                attributed = 0.0
-                for prefix in sorted(breakdown):
-                    rate = breakdown[prefix]
-                    combined.add(source, target, rate, prefix=prefix)
-                    attributed += rate
-                residual = load - attributed
-                if residual > 0.0:
-                    combined.add(source, target, residual)
-        return combined
 
     # ------------------------------------------------------------------ #
     # Utilisation views (need the topology for capacities)
@@ -118,20 +69,9 @@ class LinkLoads:
         utilizations = self.utilizations(topology)
         return max((entry.utilization for entry in utilizations), default=0.0)
 
-    def overloaded_links(self, topology: Topology, threshold: float = 1.0) -> List[LinkUtilization]:
-        """Links whose utilisation is at or above ``threshold``, sorted by link key."""
-        return [
-            entry
-            for entry in self.utilizations(topology)
-            if entry.utilization >= threshold and entry.load > 0
-        ]
-
     def __iter__(self) -> Iterator[Tuple[LinkKey, float]]:
         for key in sorted(self._loads):
             yield key, self._loads[key]
 
-    def __len__(self) -> int:
-        return len(self._loads)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"LinkLoads(links={len(self._loads)}, total={self.total():.0f})"
+        return f"LinkLoads(links={len(self._loads)}, total={sum(self._loads.values()):.0f})"

@@ -13,17 +13,16 @@ graph's dirty prefixes, the data plane repairs per-flow state from the dirty
   hop-by-hop ECMP walk of a flow depends on nothing else.
 * :class:`WarmStartAllocator` repairs a prior max-min fair allocation by
   re-running progressive filling only on the connected components (of the
-  flow-link hypergraph) whose flow membership or link capacity changed.
+  flow-link hypergraph) whose flow membership changed.
   Components are filled through the exact
   :func:`~repro.dataplane.fairness.fill_component` routine the from-scratch
   allocator uses, so a repaired allocation is bit-identical to a full one.
   A primed allocator always repairs, even when every flow is dirty; the
-  full decomposition runs only on a cold (or invalidated) allocator.
+  full decomposition runs only on a cold allocator.
 
 :class:`DataPlaneCounters` is the accounting mirror of
 :class:`~repro.igp.rib_cache.RibCounters` one layer down the stack; the
-engine surfaces it through ``IgpNetwork.spf_stats``,
-``monitoring.counters.collect_counters`` and ``ControllerStats``.
+engine surfaces it through ``IgpNetwork.spf_stats`` and ``ControllerStats``.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class DataPlaneCounters(Counters):
     ``flows_rerouted`` / ``flows_reused`` split every event's active flows
     into re-walked paths vs. cached paths carried over.  Each allocation
     event increments exactly one of ``alloc_warm_starts`` (per-component
-    repair) or ``alloc_full`` (from-scratch decomposition of a cold or
-    invalidated allocator).
+    repair) or ``alloc_full`` (from-scratch decomposition of a cold
+    allocator).
 
     The ``classes_*`` fields are the aggregate-demand engine's mirror of
     the ``flows_*`` pair: demand classes whose forwarding DAG was re-walked
@@ -110,13 +109,9 @@ class FlowPathCache:
         self.version = 0
         self._fibs: Dict[str, Fib] = {}
         self._entry_versions: Dict[FibEntryKey, int] = {}
-        self._paths: Dict[int, FlowPath] = {}
         self._deps: Dict[int, Tuple[FibEntryKey, ...]] = {}
         self._dep_versions: Dict[int, Tuple[int, ...]] = {}
         self._watchers: Dict[FibEntryKey, Set[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self._paths)
 
     # ------------------------------------------------------------------ #
     # FIB versioning
@@ -157,15 +152,9 @@ class FlowPathCache:
         # The walk consulted the FIB entry for the flow's prefix at every
         # router it visited (the last hop's entry decided termination), so
         # those entries are exactly the path's version dependencies.
-        self.store_entity(flow.flow_id, flow.prefix, path.hops, path=path)
+        self.store_entity(flow.flow_id, flow.prefix, path.hops)
 
-    def store_entity(
-        self,
-        entity_id: int,
-        prefix: Prefix,
-        hops: Iterable[str],
-        path: Optional[FlowPath] = None,
-    ) -> None:
+    def store_entity(self, entity_id: int, prefix: Prefix, hops: Iterable[str]) -> None:
         """Cache the routing of one entity (flow or demand class).
 
         ``hops`` is every router the forwarding walk visited — for a demand
@@ -175,8 +164,6 @@ class FlowPathCache:
         """
         self.drop(entity_id)
         deps = tuple((hop, prefix) for hop in dict.fromkeys(hops))
-        if path is not None:
-            self._paths[entity_id] = path
         self._deps[entity_id] = deps
         self._dep_versions[entity_id] = tuple(
             self._entry_versions.get(dep, 0) for dep in deps
@@ -189,7 +176,6 @@ class FlowPathCache:
         deps = self._deps.pop(flow_id, None)
         if deps is None:
             return
-        self._paths.pop(flow_id, None)
         self._dep_versions.pop(flow_id, None)
         for dep in deps:
             watchers = self._watchers.get(dep)
@@ -197,10 +183,6 @@ class FlowPathCache:
                 watchers.discard(flow_id)
                 if not watchers:
                     del self._watchers[dep]
-
-    def get(self, flow_id: int) -> Optional[FlowPath]:
-        """The cached path of ``flow_id`` (``None`` when never routed)."""
-        return self._paths.get(flow_id)
 
     def valid(self, flow_id: int) -> bool:
         """Whether the cached path's entry-version key still matches."""
@@ -219,17 +201,9 @@ class FlowPathCache:
                 flows.update(watchers)
         return flows
 
-    def invalidate(self) -> None:
-        """Drop every cached path and the FIB snapshot (versions keep counting)."""
-        self._fibs.clear()
-        self._paths.clear()
-        self._deps.clear()
-        self._dep_versions.clear()
-        self._watchers.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"FlowPathCache(paths={len(self._paths)}, version={self.version}, "
+            f"FlowPathCache(entities={len(self._deps)}, version={self.version}, "
             f"entries={len(self._entry_versions)})"
         )
 
@@ -268,9 +242,6 @@ class WarmStartAllocator:
         self._next_component = 0
         self._primed = False
 
-    def __len__(self) -> int:
-        return len(self._inputs)
-
     def component_count(self) -> int:
         """Number of connected components in the current partition."""
         return len(self._components)
@@ -282,22 +253,20 @@ class WarmStartAllocator:
         self,
         changed: Mapping[int, FlowInput],
         removed: Iterable[int],
-        dirty_links: Iterable[LinkKey],
         capacities: Mapping[LinkKey, float],
     ) -> AllocationRepair:
         """Repair the allocation after one event.
 
         ``changed`` carries the new (links, demand) input of every arrived or
         re-routed flow whose input actually moved; ``removed`` the departed
-        flow ids; ``dirty_links`` the links whose capacity changed.  Flows
-        and links not mentioned are trusted to be untouched.
+        flow ids.  Flows not mentioned are trusted to be untouched.
         """
         removed = [flow_id for flow_id in removed if flow_id in self._inputs]
 
         # Seed the dirty component set from the *previous* partition before
         # the inputs are mutated: the old component of every changed/removed
-        # flow, the current component of every link a changed flow now
-        # touches, and the component of every capacity-dirty link.
+        # flow and the current component of every link a changed flow now
+        # touches.
         affected: Set[int] = set()
         for flow_id in removed:
             component = self._flow_component.get(flow_id)
@@ -311,16 +280,11 @@ class WarmStartAllocator:
                 component = self._link_component.get(link)
                 if component is not None:
                     affected.add(component)
-        for link in dirty_links:
-            component = self._link_component.get(link)
-            if component is not None:
-                affected.add(component)
 
-        if not changed and not removed and not affected:
+        if not changed and not removed:
             if not self._primed:
                 return self._full(capacities)
-            # A capacity change on an unused link (or a pure no-op event)
-            # cannot move any rate.
+            # A pure no-op event cannot move any rate.
             return AllocationRepair(mode=None, rate_changed=frozenset())
 
         for flow_id in removed:
@@ -335,15 +299,6 @@ class WarmStartAllocator:
             recompute.update(self._components[component].flow_ids)
         recompute &= self._inputs.keys()
         return self._warm(recompute, affected, removed, capacities)
-
-    def invalidate(self) -> None:
-        """Drop all allocation state; the next update is a counted full run."""
-        self.rates.clear()
-        self._inputs.clear()
-        self._components.clear()
-        self._flow_component.clear()
-        self._link_component.clear()
-        self._primed = False
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -160,9 +160,6 @@ class Fib:
         for prefix in self.prefixes:
             yield self._prefix_fibs[prefix]
 
-    def __len__(self) -> int:
-        return len(self._prefix_fibs)
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Fib(router={self.router!r}, prefixes={len(self._prefix_fibs)})"
 

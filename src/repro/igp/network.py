@@ -18,18 +18,16 @@ computes the converged FIBs of every router directly from the global view.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.igp.fib import DEFAULT_MAX_ECMP, Fib, resolve_rib_to_fib
+from repro.igp.fib import DEFAULT_MAX_ECMP, Fib
 from repro.igp.flooding import FloodingFabric
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa, Lsa, PrefixLsa, RouterLsa
 from repro.igp.topology import Link
-from repro.igp.rib import compute_rib
 from repro.igp.rib_cache import RibCache, RibCounters
 from repro.igp.router import RouterProcess, RouterTimers
-from repro.igp.spf import compute_spf
-from repro.igp.spf_cache import SpfCache, SpfCounters
+from repro.igp.spf_cache import SpfCounters
 from repro.igp.topology import Topology
 from repro.util.counters import Counters, merge_snapshots
 from repro.util.errors import TopologyError
@@ -133,8 +131,7 @@ class IgpNetwork:
 
         :meth:`~repro.core.chaos.FaultInjector.start` calls this; the
         scheduled link/LSA/poll/controller fault counts then ride along the
-        other layers in :attr:`spf_stats` and
-        :func:`~repro.monitoring.counters.collect_counters`.
+        other layers in :attr:`spf_stats`.
         """
         if injector not in self._fault_injectors:
             self._fault_injectors.append(injector)
@@ -326,9 +323,8 @@ class IgpNetwork:
     def spf_stats(self) -> Dict[str, int]:
         """Every family of :meth:`counter_sets` as one flat snapshot.
 
-        ``spf_*`` / ``fib_cache_hits``, ``rib_*``, ``dp_*``, ``ctl_*`` and
-        ``fault_*`` keys; the README's Counters table says
-        what each family counts.
+        ``spf_*``, ``rib_*``, ``dp_*``, ``ctl_*`` and ``fault_*`` keys; the
+        README's Counters table says what each family counts.
         """
         return merge_snapshots(
             counters.snapshot() for counters in self.counter_sets().values()
@@ -345,7 +341,6 @@ def compute_static_fibs(
     topology: Topology,
     lies: Iterable[FakeNodeLsa] = (),
     max_ecmp: int = DEFAULT_MAX_ECMP,
-    cache: Optional[SpfCache] = None,
     rib_cache: Optional[RibCache] = None,
 ) -> Dict[str, Fib]:
     """Compute the converged FIB of every router without event simulation.
@@ -355,46 +350,17 @@ def compute_static_fibs(
     control plane converges to.  Baselines and static benchmarks use it to
     avoid paying the flooding simulation cost.
 
-    When a :class:`~repro.igp.rib_cache.RibCache` is supplied, successive
+    Every call goes through a :class:`~repro.igp.rib_cache.RibCache`; without
+    one, a fresh cache runs the plain ``compute_spf`` → ``compute_rib`` →
+    ``resolve_rib_to_fib`` per router.  A supplied cache makes successive
     calls pay only for what changed: the rebuilt graph is chained to the
     cache's version lineage, per-source SPF runs are repaired incrementally
     from the dirty-edge deltas, per-router RIBs/FIBs are repaired per dirty
-    prefix, and a call at an unchanged version returns the previously
-    resolved FIB set outright.  A bare
-    :class:`~repro.igp.spf_cache.SpfCache` (``cache``) still gives the SPF
-    half of that; ``rib_cache`` supersedes it when both are given.
+    prefix, and a router at an unchanged version is a cache hit.
     """
-    lies = list(lies)
-    graph = ComputationGraph.from_topology(topology, lies)
-    if rib_cache is not None:
-        spf_cache = rib_cache.spf_cache
-        graph = rib_cache.observe(graph)
-        cached = spf_cache.cached_fibs(graph.version, max_ecmp)
-        if cached is not None:
-            return dict(cached)
-        fibs = {
-            router: rib_cache.fib(graph, router, max_ecmp=max_ecmp)
-            for router in topology.routers
-        }
-        spf_cache.store_fibs(graph.version, max_ecmp, fibs)
-        return dict(fibs)
-
-    if cache is None:
-        fibs = {}
-        for router in topology.routers:
-            spf = compute_spf(graph, router)
-            rib = compute_rib(graph, router, spf)
-            fibs[router] = resolve_rib_to_fib(graph, rib, max_ecmp=max_ecmp)
-        return fibs
-
-    graph = cache.observe(graph)
-    cached = cache.cached_fibs(graph.version, max_ecmp)
-    if cached is not None:
-        return dict(cached)
-    fibs = {}
-    for router in topology.routers:
-        spf = cache.spf(graph, router)
-        rib = compute_rib(graph, router, spf)
-        fibs[router] = resolve_rib_to_fib(graph, rib, max_ecmp=max_ecmp)
-    cache.store_fibs(graph.version, max_ecmp, fibs)
-    return dict(fibs)
+    if rib_cache is None:
+        rib_cache = RibCache()
+    graph = rib_cache.observe(ComputationGraph.from_topology(topology, list(lies)))
+    return {
+        router: rib_cache.fib(graph, router, max_ecmp=max_ecmp) for router in topology.routers
+    }

@@ -21,23 +21,16 @@ to :meth:`SpfCache.observe`, which chains it to the previously observed build
 via :meth:`~repro.igp.graph.ComputationGraph.continue_from` — identical
 states keep their version (pure hits), changed states get exactly one delta
 step appended.
-
-On top of the per-source SPF entries the cache keeps the most recent full
-FIB set per ECMP limit, so repeated static computations at an unchanged
-version pay zero recomputation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.igp.graph import ComputationGraph
 from repro.igp.spf import ShortestPaths, compute_spf, update_spf
 from repro.util.counters import Counters, counter
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.igp.fib import Fib
 
 __all__ = ["SpfCounters", "SpfCache"]
 
@@ -50,14 +43,11 @@ class SpfCounters(Counters):
     the cached version: same version, or only announcements and lies
     changed), ``incremental_updates`` (edge-delta replay) or
     ``full_recomputes`` (no usable cache entry or delta history).
-    ``fib_cache_hits`` counts whole FIB-set reuses, which skip the SPF
-    lookups entirely and are therefore *not* part of ``spf_lookups``.
     """
 
     hits: int = counter("spf_cache_hits")
     incremental_updates: int = counter("spf_incremental_updates")
     full_recomputes: int = counter("spf_full_recomputes")
-    fib_cache_hits: int = counter("fib_cache_hits")
 
     @property
     def spf_lookups(self) -> int:
@@ -72,8 +62,6 @@ class SpfCache:
         self.counters = SpfCounters()
         self._graph: Optional[ComputationGraph] = None
         self._entries: Dict[str, Tuple[int, ShortestPaths]] = {}
-        # Latest complete FIB set per max_ecmp: {max_ecmp: (version, fibs)}.
-        self._fibs: Dict[int, Tuple[int, Dict[str, "Fib"]]] = {}
 
     # ------------------------------------------------------------------ #
     # Graph lineage
@@ -93,7 +81,6 @@ class SpfCache:
         """Drop every cached entry and the graph lineage (counters survive)."""
         self._graph = None
         self._entries.clear()
-        self._fibs.clear()
 
     @property
     def version(self) -> Optional[int]:
@@ -127,21 +114,6 @@ class SpfCache:
         result = compute_spf(graph, source)
         self._entries[source] = (version, result)
         return result
-
-    # ------------------------------------------------------------------ #
-    # Whole-FIB-set caching (static computations)
-    # ------------------------------------------------------------------ #
-    def cached_fibs(self, version: int, max_ecmp: int) -> Optional[Dict[str, "Fib"]]:
-        """The FIB set stored for ``(version, max_ecmp)``, if still current."""
-        entry = self._fibs.get(max_ecmp)
-        if entry is not None and entry[0] == version:
-            self.counters.fib_cache_hits += 1
-            return entry[1]
-        return None
-
-    def store_fibs(self, version: int, max_ecmp: int, fibs: Dict[str, "Fib"]) -> None:
-        """Remember the complete FIB set computed at ``version``."""
-        self._fibs[max_ecmp] = (version, dict(fibs))
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         version = self._graph.version if self._graph is not None else None

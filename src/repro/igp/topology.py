@@ -14,7 +14,7 @@ fabric respectively, while SPF only looks at the weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.util.errors import TopologyError
@@ -155,10 +155,10 @@ class Topology:
         """Monotone mutation counter, bumped by every topology change.
 
         A cheap change-detection handle: two reads returning the same value
-        guarantee that no router, link, weight, capacity or prefix
-        attachment moved in between (through the public API).  The
-        incremental controller uses it to skip rebuilding and re-diffing
-        the baseline computation graph on unchanged topologies.
+        guarantee that no router, link, weight or prefix attachment moved in
+        between (through the public API).  The incremental controller uses
+        it to skip rebuilding and re-diffing the baseline computation graph
+        on unchanged topologies.
         """
         return self._revision
 
@@ -171,22 +171,6 @@ class Topology:
     def num_routers(self) -> int:
         """Number of routers in the topology."""
         return len(self._routers)
-
-    def remove_router(self, name: str) -> None:
-        """Remove a router together with its links and prefix attachments."""
-        self.router(name)  # raise if unknown
-        for key in [key for key in self._links if name in key]:
-            del self._links[key]
-        for neighbor in self._neighbors.pop(name, set()):
-            self._neighbors[neighbor].discard(name)
-        for prefix in list(self._prefixes):
-            remaining = [att for att in self._prefixes[prefix] if att.router != name]
-            if remaining:
-                self._prefixes[prefix] = remaining
-            else:
-                del self._prefixes[prefix]
-        del self._routers[name]
-        self._revision += 1
 
     # ------------------------------------------------------------------ #
     # Links
@@ -276,11 +260,6 @@ class Topology:
             seen.add(pair)  # type: ignore[arg-type]
         return sorted(seen)
 
-    @property
-    def num_links(self) -> int:
-        """Number of *directed* links."""
-        return len(self._links)
-
     def neighbors(self, router: str) -> List[str]:
         """Sorted list of routers reachable over one directed link from ``router``."""
         self.router(router)
@@ -305,34 +284,6 @@ class Topology:
             )
         self._revision += 1
 
-    def set_capacity(
-        self, source: str, target: str, capacity: float, both_directions: bool = True
-    ) -> None:
-        """Change the capacity of an existing link (a provisioning event).
-
-        Capacity does not enter the IGP computation graph — routing is
-        unaffected — but it does change what the min-max optimizer may place
-        on the link, so the controller's plan cache keys on a capacity
-        digest alongside the graph version (see
-        :meth:`~repro.core.optimizer.MinMaxLoadOptimizer.optimize`).
-        """
-        check_positive(capacity, "capacity")
-        keys = [(source, target)]
-        if both_directions:
-            keys.append((target, source))
-        for key in keys:
-            if key not in self._links:
-                raise TopologyError(f"unknown link {key[0]}->{key[1]}")
-            old = self._links[key]
-            self._links[key] = Link(
-                source=old.source,
-                target=old.target,
-                weight=old.weight,
-                capacity=capacity,
-                delay=old.delay,
-            )
-        self._revision += 1
-
     # ------------------------------------------------------------------ #
     # Prefixes
     # ------------------------------------------------------------------ #
@@ -348,20 +299,6 @@ class Topology:
         attachments.append(attachment)
         self._revision += 1
         return attachment
-
-    def detach_prefix(self, router: str, prefix: Prefix | str) -> None:
-        """Remove the attachment of ``prefix`` at ``router``."""
-        if isinstance(prefix, str):
-            prefix = Prefix.parse(prefix)
-        attachments = self._prefixes.get(prefix, [])
-        remaining = [att for att in attachments if att.router != router]
-        if len(remaining) == len(attachments):
-            raise TopologyError(f"prefix {prefix} is not attached to {router!r}")
-        if remaining:
-            self._prefixes[prefix] = remaining
-        else:
-            del self._prefixes[prefix]
-        self._revision += 1
 
     @property
     def prefixes(self) -> List[Prefix]:
@@ -404,28 +341,6 @@ class Topology:
                 clone.attach_prefix(attachment.router, prefix, attachment.cost)
         return clone
 
-    def is_connected(self) -> bool:
-        """Whether every router can reach every other router over directed links."""
-        routers = self.routers
-        if len(routers) <= 1:
-            return True
-        for start in routers:
-            reached = {start}
-            frontier = [start]
-            while frontier:
-                current = frontier.pop()
-                for neighbor in self._neighbors[current]:
-                    if neighbor not in reached:
-                        reached.add(neighbor)
-                        frontier.append(neighbor)
-            if len(reached) != len(routers):
-                return False
-        return True
-
-    def total_capacity(self) -> float:
-        """Sum of the capacities of all directed links (bit/s)."""
-        return sum(link.capacity for link in self._links.values())
-
     def validate(self) -> None:
         """Check internal invariants; raises :class:`TopologyError` on violation."""
         for (source, target), link in self._links.items():
@@ -449,5 +364,5 @@ class Topology:
     def __repr__(self) -> str:
         return (
             f"Topology(name={self.name!r}, routers={self.num_routers}, "
-            f"links={self.num_links}, prefixes={len(self._prefixes)})"
+            f"links={len(self._links)}, prefixes={len(self._prefixes)})"
         )

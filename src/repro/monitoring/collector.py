@@ -49,8 +49,8 @@ class LoadCollector:
             link.key: Ewma(alpha=self.alpha) for link in topology.links
         }
         # Capacities are read through the topology, keyed on its revision:
-        # a Topology.set_capacity event (a degraded link) must reach the
-        # alarm utilisation at the next read, not stay frozen at the
+        # a link re-added at another capacity must reach the alarm
+        # utilisation at the next read, not stay frozen at the
         # construction-time value.
         self._capacities: Dict[LinkKey, float] = {}
         self._capacity_revision: Optional[int] = None

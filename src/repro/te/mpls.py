@@ -79,7 +79,7 @@ class MplsRsvpTe(TrafficEngineeringScheme):
         for tunnel in self.tunnels:
             delivered += tunnel.rate
             for source, target in tunnel.links:
-                loads.add(source, target, tunnel.rate, prefix=tunnel.prefix)
+                loads.add(source, target, tunnel.rate)
         # Demands entering at a router that announces the prefix are
         # delivered locally without a tunnel.
         local = self._locally_delivered(topology, demands)

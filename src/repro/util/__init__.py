@@ -5,16 +5,16 @@ other package (IGP substrate, data plane, controller, ...) can rely on them
 without creating import cycles:
 
 ``repro.util.prefixes``
-    Minimal IPv4 prefix arithmetic (parsing, containment, supernetting) used
-    to model announced destination prefixes.
+    Minimal IPv4 prefixes (parsing, formatting, ordering) used to model
+    announced destination prefixes.
 ``repro.util.units``
-    Conversion helpers between bits, bytes, and human-readable rates.
+    ``mbps``: megabits per second in the library's bit/s.
 ``repro.util.timeline``
     A sorted event timeline used by the data-plane engine and the monitors.
 ``repro.util.validation``
     Argument-checking helpers that raise consistent error types.
 ``repro.util.stats``
-    Small statistics helpers (EWMA, percentiles, time-weighted averages).
+    Small statistics helpers (EWMA, count-weighted mean and percentile).
 ``repro.util.errors``
     The exception hierarchy shared by every sub-package.
 """
@@ -28,14 +28,7 @@ from repro.util.errors import (
     ValidationError,
 )
 from repro.util.prefixes import Prefix
-from repro.util.units import (
-    bits_to_bytes,
-    bytes_to_bits,
-    mbps,
-    gbps,
-    kbps,
-    format_rate,
-)
+from repro.util.units import mbps
 
 __all__ = [
     "ReproError",
@@ -45,10 +38,5 @@ __all__ = [
     "SimulationError",
     "ValidationError",
     "Prefix",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "mbps",
-    "gbps",
-    "kbps",
-    "format_rate",
 ]

@@ -1,17 +1,16 @@
-"""Minimal IPv4 prefix arithmetic.
+"""Minimal IPv4 prefixes.
 
 The IGP substrate announces destination *prefixes* (like OSPF type-5 external
 LSAs do), and the Fibbing controller programs paths on a per-prefix basis.
 The standard library ``ipaddress`` module could be used, but it is noticeably
-slow when millions of containment checks are performed inside the data-plane
-simulation loop, and it does not intern equal prefixes.  This module provides
-a tiny, hashable, interned :class:`Prefix` value type with just the operations
-the library needs.
+slow on the data-plane hot path, and it does not intern equal prefixes.  This
+module provides a tiny, hashable, interned :class:`Prefix` value type with
+just the operations the library needs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.util.errors import ValidationError
 
@@ -60,9 +59,9 @@ class Prefix:
     cheap; this matters because prefixes are used as dictionary keys on the
     hot path of the forwarding simulation.
 
-    >>> p = Prefix.parse("10.0.0.0/8")
-    >>> p.contains_address(parse_ipv4("10.1.2.3"))
-    True
+    >>> p = Prefix.parse("10.1.2.3/8")
+    >>> str(p)
+    '10.0.0.0/8'
     >>> Prefix.parse("10.0.0.0/8") is p
     True
     """
@@ -110,56 +109,6 @@ class Prefix:
             address_text, length = text, 32
         return cls(parse_ipv4(address_text), length)
 
-    @property
-    def mask(self) -> int:
-        """The 32-bit netmask of this prefix."""
-        return self._mask(self.length)
-
-    @property
-    def broadcast(self) -> int:
-        """The highest address covered by this prefix."""
-        return self.network | (~self.mask & _MAX_IPV4)
-
-    @property
-    def num_addresses(self) -> int:
-        """Number of addresses covered by this prefix."""
-        return 1 << (32 - self.length)
-
-    def contains_address(self, address: int) -> bool:
-        """Whether ``address`` (32-bit integer) falls inside this prefix."""
-        return (address & self.mask) == self.network
-
-    def contains(self, other: "Prefix") -> bool:
-        """Whether ``other`` is fully covered by this prefix (or equal)."""
-        return other.length >= self.length and (other.network & self.mask) == self.network
-
-    def overlaps(self, other: "Prefix") -> bool:
-        """Whether the two prefixes share at least one address."""
-        return self.contains(other) or other.contains(self)
-
-    def supernet(self, new_length: Optional[int] = None) -> "Prefix":
-        """Return the covering prefix with ``new_length`` (default: one bit shorter)."""
-        if new_length is None:
-            new_length = self.length - 1
-        if new_length < 0 or new_length > self.length:
-            raise ValidationError(
-                f"cannot supernet /{self.length} prefix to /{new_length}"
-            )
-        return Prefix(self.network, new_length)
-
-    def subnets(self, new_length: Optional[int] = None) -> Iterator["Prefix"]:
-        """Yield the subnets of this prefix at ``new_length`` (default: one bit longer)."""
-        if new_length is None:
-            new_length = self.length + 1
-        if new_length < self.length or new_length > 32:
-            raise ValidationError(
-                f"cannot subnet /{self.length} prefix to /{new_length}"
-            )
-        step = 1 << (32 - new_length)
-        count = 1 << (new_length - self.length)
-        for index in range(count):
-            yield Prefix(self.network + index * step, new_length)
-
     def __reduce__(self) -> Tuple:
         # Route pickling and copying through __new__(network, length): the
         # default slot-state protocol would call __new__ without arguments
@@ -186,18 +135,3 @@ class Prefix:
 
     def __str__(self) -> str:
         return f"{format_ipv4(self.network)}/{self.length}"
-
-
-def longest_match(prefixes: Iterable[Prefix], address: int) -> Optional[Prefix]:
-    """Return the longest prefix in ``prefixes`` containing ``address``.
-
-    Returns ``None`` when no prefix matches.  This is a convenience used by
-    tests and examples; the FIB keeps its own per-prefix structures and does
-    not need longest-prefix matching on the hot path (the simulation routes
-    per announced prefix directly).
-    """
-    best: Optional[Prefix] = None
-    for prefix in prefixes:
-        if prefix.contains_address(address) and (best is None or prefix.length > best.length):
-            best = prefix
-    return best

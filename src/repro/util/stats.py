@@ -1,45 +1,22 @@
-"""Small statistics helpers used by monitors, QoE metrics and benchmarks."""
+"""Small statistics helpers used by the monitoring collector and QoE metrics."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.util.errors import ValidationError
-from repro.util.validation import check_fraction, check_positive
+from repro.util.validation import check_fraction
 
-__all__ = [
-    "Ewma",
-    "RunningStats",
-    "TimeWeightedAverage",
-    "percentile",
-    "weighted_percentile",
-    "mean",
-    "weighted_mean",
-    "maximum",
-]
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; raises on empty input to avoid silent NaN propagation.
-
-    The sum is correctly rounded (``math.fsum``), so the result does not
-    depend on the order of ``values`` — at flash-crowd population sizes a
-    naive left-to-right accumulation loses the low-order bits of the later
-    addends and two orderings of the same sessions could disagree.
-    """
-    if not values:
-        raise ValidationError("cannot compute the mean of an empty sequence")
-    return math.fsum(values) / len(values)
+__all__ = ["Ewma", "weighted_percentile", "weighted_mean"]
 
 
 def weighted_mean(values: Sequence[float], weights: Sequence[int]) -> float:
     """Mean of ``values`` with non-negative integer multiplicities ``weights``.
 
-    Bitwise equivalent to :func:`mean` over the expanded sequence where
-    each value appears ``weight`` times — the per-session view of
+    Bitwise equivalent to the ``math.fsum`` mean of the expanded sequence
+    where each value appears ``weight`` times — the per-session view of
     class-level QoE records that each stand for a whole cohort of identical
     sessions.  The weighted sum is accumulated exactly (float ``value``
     times integer ``weight`` is an exact rational) and rounded once, which
@@ -56,41 +33,16 @@ def weighted_mean(values: Sequence[float], weights: Sequence[int]) -> float:
     return float(exact) / total_weight
 
 
-def maximum(values: Sequence[float], default: float = 0.0) -> float:
-    """Maximum of ``values`` or ``default`` when empty."""
-    return max(values) if values else default
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolated percentile of ``values`` at ``fraction`` in [0, 1].
-
-    >>> percentile([1, 2, 3, 4], 0.5)
-    2.5
-    """
-    check_fraction(fraction, "fraction")
-    if not values:
-        raise ValidationError("cannot compute a percentile of an empty sequence")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = fraction * (len(ordered) - 1)
-    lower = math.floor(position)
-    upper = math.ceil(position)
-    if lower == upper:
-        return float(ordered[lower])
-    weight = position - lower
-    return float(ordered[lower] * (1 - weight) + ordered[upper] * weight)
-
-
 def weighted_percentile(
     values: Sequence[float], weights: Sequence[int], fraction: float
 ) -> float:
     """Percentile of ``values`` repeated with integer multiplicities ``weights``.
 
-    Exactly :func:`percentile` of the expanded sequence (each value appears
-    ``weight`` times), computed without materialising it — a weight-``n``
-    value occupies ``n`` consecutive positions of the conceptual sorted
-    list, and the interpolated position is located by a cumulative scan.
+    The linear-interpolated percentile of the expanded sequence (each value
+    appears ``weight`` times), computed without materialising it — a
+    weight-``n`` value occupies ``n`` consecutive positions of the
+    conceptual sorted list, and the interpolated position is located by a
+    cumulative scan.
     """
     check_fraction(fraction, "fraction")
     if len(values) != len(weights):
@@ -142,11 +94,6 @@ class Ewma:
         """Current smoothed value (0.0 before the first update)."""
         return self._value if self._value is not None else 0.0
 
-    @property
-    def initialized(self) -> bool:
-        """Whether at least one sample has been observed."""
-        return self._value is not None
-
     def update(self, sample: float) -> float:
         """Fold ``sample`` into the average and return the new smoothed value."""
         if self._value is None:
@@ -154,116 +101,3 @@ class Ewma:
         else:
             self._value = self.alpha * float(sample) + (1 - self.alpha) * self._value
         return self._value
-
-    def reset(self) -> None:
-        """Forget all observed samples."""
-        self._value = None
-
-
-@dataclass
-class RunningStats:
-    """Streaming count/mean/min/max/variance (Welford's algorithm)."""
-
-    count: int = 0
-    _mean: float = 0.0
-    _m2: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-
-    def add(self, value: float) -> None:
-        """Fold one observation into the statistics."""
-        value = float(value)
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold many observations into the statistics."""
-        for value in values:
-            self.add(value)
-
-    @property
-    def mean(self) -> float:
-        """Mean of the observations (0.0 when empty)."""
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Population variance of the observations (0.0 for fewer than 2 samples)."""
-        return self._m2 / self.count if self.count >= 2 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(self.variance)
-
-    def as_dict(self) -> Dict[str, float]:
-        """Summary dictionary, convenient for benchmark reporting."""
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-        }
-
-
-@dataclass
-class TimeWeightedAverage:
-    """Average of a piecewise-constant signal, weighted by how long each value held.
-
-    The video client uses this to compute the average playback bitrate, and
-    the link statistics use it for average utilisation over a run.
-    """
-
-    _last_time: float | None = None
-    _last_value: float = 0.0
-    _weighted_sum: float = 0.0
-    _duration: float = 0.0
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-
-    def observe(self, time: float, value: float) -> None:
-        """Record that the signal takes ``value`` from ``time`` onwards."""
-        time = float(time)
-        if self._last_time is not None:
-            if time < self._last_time:
-                raise ValidationError(
-                    f"time went backwards: {time} < {self._last_time}"
-                )
-            span = time - self._last_time
-            self._weighted_sum += self._last_value * span
-            self._duration += span
-        self._last_time = time
-        self._last_value = float(value)
-        self.samples.append((time, float(value)))
-
-    def finish(self, time: float) -> float:
-        """Return the time-weighted average as if the signal closed at ``time``.
-
-        Non-mutating and therefore idempotent: the held value is *not*
-        folded into the running state, so repeated ``finish`` calls with the
-        same ``time`` return the same average, and a later ``observe``
-        continues from the last observation as if ``finish`` had never been
-        called.  (The old implementation routed through :meth:`observe`, so
-        a second ``finish`` silently inflated the duration and a late
-        ``observe`` could raise "time went backwards".)
-        """
-        time = float(time)
-        if self._last_time is None:
-            return 0.0
-        if time < self._last_time:
-            raise ValidationError(
-                f"time went backwards: {time} < {self._last_time}"
-            )
-        span = time - self._last_time
-        weighted_sum = self._weighted_sum + self._last_value * span
-        duration = self._duration + span
-        return weighted_sum / duration if duration > 0 else 0.0
-
-    @property
-    def average(self) -> float:
-        """Time-weighted average over the observed duration (0.0 if no duration)."""
-        return self._weighted_sum / self._duration if self._duration > 0 else 0.0

@@ -8,77 +8,11 @@ and readable at call sites.
 
 from __future__ import annotations
 
-from repro.util.errors import ValidationError
+__all__ = ["mbps"]
 
-__all__ = [
-    "kbps",
-    "mbps",
-    "gbps",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "format_rate",
-    "format_bytes",
-]
-
-_KILO = 1_000
 _MEGA = 1_000_000
-_GIGA = 1_000_000_000
-
-
-def kbps(value: float) -> float:
-    """Kilobits per second expressed in bits per second."""
-    return float(value) * _KILO
 
 
 def mbps(value: float) -> float:
     """Megabits per second expressed in bits per second."""
     return float(value) * _MEGA
-
-
-def gbps(value: float) -> float:
-    """Gigabits per second expressed in bits per second."""
-    return float(value) * _GIGA
-
-
-def bits_to_bytes(bits: float) -> float:
-    """Convert a bit quantity (or bit rate) to bytes (or bytes per second)."""
-    return float(bits) / 8.0
-
-
-def bytes_to_bits(count: float) -> float:
-    """Convert a byte quantity (or byte rate) to bits (or bits per second)."""
-    return float(count) * 8.0
-
-
-def format_rate(bits_per_second: float) -> str:
-    """Human-readable formatting of a bit rate.
-
-    >>> format_rate(2_500_000)
-    '2.50 Mbit/s'
-    """
-    if bits_per_second < 0:
-        raise ValidationError(f"negative rate {bits_per_second}")
-    if bits_per_second >= _GIGA:
-        return f"{bits_per_second / _GIGA:.2f} Gbit/s"
-    if bits_per_second >= _MEGA:
-        return f"{bits_per_second / _MEGA:.2f} Mbit/s"
-    if bits_per_second >= _KILO:
-        return f"{bits_per_second / _KILO:.2f} kbit/s"
-    return f"{bits_per_second:.0f} bit/s"
-
-
-def format_bytes(count: float) -> str:
-    """Human-readable formatting of a byte quantity.
-
-    >>> format_bytes(1_500_000)
-    '1.50 MB'
-    """
-    if count < 0:
-        raise ValidationError(f"negative byte count {count}")
-    if count >= _GIGA:
-        return f"{count / _GIGA:.2f} GB"
-    if count >= _MEGA:
-        return f"{count / _MEGA:.2f} MB"
-    if count >= _KILO:
-        return f"{count / _KILO:.2f} kB"
-    return f"{count:.0f} B"

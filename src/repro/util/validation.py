@@ -8,25 +8,9 @@ deep inside a simulation loop.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
-
 from repro.util.errors import ValidationError
 
-__all__ = [
-    "require",
-    "check_positive",
-    "check_non_negative",
-    "check_fraction",
-    "check_in",
-    "check_type",
-    "check_not_empty",
-]
-
-
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValidationError` with ``message`` unless ``condition`` holds."""
-    if not condition:
-        raise ValidationError(message)
+__all__ = ["check_positive", "check_non_negative", "check_fraction"]
 
 
 def check_positive(value: float, name: str) -> float:
@@ -53,30 +37,6 @@ def check_fraction(value: float, name: str) -> float:
     return value
 
 
-def check_in(value: Any, allowed: Iterable[Any], name: str) -> Any:
-    """Ensure ``value`` is one of ``allowed`` and return it."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValidationError(f"{name} must be one of {allowed!r}, got {value!r}")
-    return value
-
-
-def check_type(value: Any, expected: type, name: str) -> Any:
-    """Ensure ``value`` is an instance of ``expected`` and return it."""
-    if not isinstance(value, expected):
-        raise ValidationError(
-            f"{name} must be a {expected.__name__}, got {type(value).__name__}"
-        )
-    return value
-
-
-def check_not_empty(value: Sequence, name: str) -> Sequence:
-    """Ensure a sequence is non-empty and return it."""
-    if len(value) == 0:
-        raise ValidationError(f"{name} must not be empty")
-    return value
-
-
 def _check_number(value: float, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {type(value).__name__}")
@@ -84,10 +44,3 @@ def _check_number(value: float, name: str) -> float:
     if value != value or value in (float("inf"), float("-inf")):
         raise ValidationError(f"{name} must be finite, got {value}")
     return value
-
-
-def check_optional_positive(value: Optional[float], name: str) -> Optional[float]:
-    """Like :func:`check_positive` but allows ``None`` (meaning unset)."""
-    if value is None:
-        return None
-    return check_positive(value, name)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from repro.util.errors import ValidationError
 from repro.util.units import mbps
@@ -69,18 +69,3 @@ class VideoCatalog:
             return self._videos[title]
         except KeyError:
             raise ValidationError(f"video {title!r} is not in the catalog") from None
-
-    @property
-    def titles(self) -> List[str]:
-        """Sorted list of the catalog's titles."""
-        return sorted(self._videos)
-
-    def __len__(self) -> int:
-        return len(self._videos)
-
-    def __iter__(self) -> Iterator[Video]:
-        for title in self.titles:
-            yield self._videos[title]
-
-    def __contains__(self, title: str) -> bool:
-        return title in self._videos

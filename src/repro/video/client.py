@@ -42,12 +42,6 @@ class _StallRecord:
     started_at: float
     ended_at: Optional[float] = None
 
-    @property
-    def duration(self) -> float:
-        if self.ended_at is None:
-            raise SimulationError("stall still in progress")
-        return self.ended_at - self.started_at
-
 
 class PlaybackClient:
     """One playback session's buffer state machine."""

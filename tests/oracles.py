@@ -72,7 +72,7 @@ LinkKey = Tuple[str, str]
 class FromScratchDataPlaneEngine(DataPlaneEngine):
     """Per-flow engine that re-routes and re-allocates everything per event."""
 
-    def _recompute(self, arrivals=(), departures=(), dirty_links=()) -> None:
+    def _recompute(self, arrivals=(), departures=()) -> None:
         fibs = dict(self.fib_provider())
         outcome = route_flows_hashed(fibs, self.flows, salt=self.hash_salt)
         self._flow_paths = dict(outcome.flow_paths)
@@ -104,7 +104,7 @@ class FromScratchDataPlaneEngine(DataPlaneEngine):
 class FromScratchAggregateEngine(AggregateDemandEngine):
     """Class-level engine that re-walks and re-allocates everything per event."""
 
-    def _recompute(self, arrivals=(), departures=(), dirty_links=()) -> None:
+    def _recompute(self, arrivals=(), departures=()) -> None:
         fibs = dict(self.fib_provider())
         for demand_class in departures:
             self._drop_class_state(demand_class.class_id)

@@ -1,8 +1,8 @@
 """Differential property tests for the incremental controller reconciler.
 
 Mirror of the PR 1–3 suites at the top of the stack: after an arbitrary
-sequence of requirement additions/updates/removals, link-weight and capacity
-events, and alarm-driven ``react()`` calls through the on-demand load
+sequence of requirement additions/updates/removals, link-weight events, and
+alarm-driven ``react()`` calls through the on-demand load
 balancer, the plan-cache reconciler (:class:`FibbingController`) must be
 indistinguishable from the clear-and-replay oracle of ``tests/oracles.py``:
 the installed lie sets (exact
@@ -161,14 +161,6 @@ class DualControllerDriver:
             source, target = links[rng.randrange(len(links))]
             self.topology.set_weight(source, target, rng.choice([1, 2, 3, 5]))
             self._enforce_wave()
-        elif action == "capacity":
-            links = self.topology.undirected_links
-            source, target = links[rng.randrange(len(links))]
-            capacity = round(rng.uniform(0.5, 4.0) * 1e7, 3)
-            self.topology.set_capacity(source, target, capacity)
-            for engine in self.engines.values():
-                engine.set_link_capacity(source, target, capacity)
-                engine.set_link_capacity(target, source, capacity)
         elif action == "react":
             if rng.random() < 0.5 or not len(self.clients.matrix):
                 matrix = TrafficMatrix()
@@ -247,7 +239,6 @@ ACTIONS = (
     "remove",
     "reenforce",
     "weight",
-    "capacity",
     "react",
 )
 
@@ -441,25 +432,14 @@ class TestReactCaching:
         # The oracle-side balancer never got a plan cache.
         assert driver.oracle.reconciler.counters.merge_cache_hits == 0
 
-    def test_capacity_event_invalidates_the_lp_reuse(self):
-        """Capacities are invisible to the graph version; the reaction must
-        still see them or it would re-install a plan optimised for the old
-        link sizes."""
-        driver = self.build()
-        for balancer in driver.balancers.values():
-            balancer.react(AlarmEvent(time=1.0, hot_links=()))
-        driver.check()
-        assert driver.apply("capacity")
-        for balancer in driver.balancers.values():
-            balancer.react(AlarmEvent(time=2.0, hot_links=()))
-        driver.check(context="react after capacity event")
-
     def test_demand_change_invalidates_the_lp_reuse(self):
         driver = self.build()
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=1.0, hot_links=()))
         driver.check()
-        driver.clients.matrix = driver.clients.matrix.scaled(1.5)
+        driver.clients.matrix = TrafficMatrix.from_dict(
+            {(entry.ingress, entry.prefix): entry.rate * 1.5 for entry in driver.clients.matrix.entries()}
+        )
         for balancer in driver.balancers.values():
             balancer.react(AlarmEvent(time=2.0, hot_links=()))
         driver.check(context="react after demand change")

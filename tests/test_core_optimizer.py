@@ -466,9 +466,6 @@ class TestModelInvalidation:
         self.check(optimizer, demands)
 
         some_link = topology.links[0]
-        topology.set_capacity(some_link.source, some_link.target, some_link.capacity / 8)
-        self.check(optimizer, demands)
-
         topology.set_weight(some_link.source, some_link.target, some_link.weight + 3)
         self.check(optimizer, demands)
 
@@ -478,10 +475,7 @@ class TestModelInvalidation:
         self.check(optimizer, demands)
 
         prefix = demands.prefixes[0]
-        announcing = topology.prefix_attachments(prefix)[0].router
         topology.attach_prefix("Core2", prefix, cost=1.0)
-        self.check(optimizer, demands)
-        topology.detach_prefix(announcing, prefix)
         self.check(optimizer, demands)
 
         topology.add_router("Spare")

@@ -69,7 +69,7 @@ class TestFractionalRouting:
         demands = TrafficMatrix.from_dict({("C", BLUE_PREFIX): 50.0})
         outcome = route_fractional(baseline_fibs, demands)
         assert outcome.delivered == 50.0
-        assert len(outcome.loads) == 0
+        assert list(outcome.loads) == []
 
     def test_unroutable_demand_counted(self, baseline_fibs):
         demands = TrafficMatrix.from_dict({("A", "203.0.113.0/24"): 10.0})

@@ -2,8 +2,8 @@
 
 Mirror of ``tests/test_igp_rib_incremental.py`` one layer down the stack:
 after an arbitrary sequence of flow arrivals (single and batched),
-departures, mid-stream FIB swaps (weight changes, lie injections and
-withdrawals) and link capacity changes, the incremental engine — versioned
+departures and mid-stream FIB swaps (weight changes, lie injections and
+withdrawals), the incremental engine — versioned
 flow-path caching plus warm-start max-min repair — must be indistinguishable
 from the from-scratch engine of ``tests/oracles.py``: flow paths, allocated
 rates, instantaneous link rates, cumulative byte counters and periodic link
@@ -24,7 +24,6 @@ from repro.igp.rib_cache import RibCache
 from repro.igp.topology import Topology
 from repro.topologies.demo import BLUE_PREFIX, build_demo_topology, demo_lies
 from repro.topologies.random import random_topology
-from repro.util.errors import SimulationError
 from repro.util.prefixes import Prefix
 from repro.util.timeline import Timeline
 from repro.util.units import mbps
@@ -168,13 +167,6 @@ class DualEngineDriver:
         elif action == "noop_routing":
             for engine in self.engines:
                 engine.notify_routing_change()
-        elif action == "capacity":
-            links = self.topology.links
-            link = links[rng.randrange(len(links))]
-            capacity = self.incremental.link_capacity(link.source, link.target)
-            factor = rng.choice([0.5, 0.75, 1.5, 2.0])
-            for engine in self.engines:
-                engine.set_link_capacity(link.source, link.target, capacity * factor)
         elif action == "advance":
             delta = rng.choice([0.5, 1.0, 2.5])
             target = self.timeline_inc.now + delta
@@ -223,7 +215,6 @@ ACTIONS = (
     "depart",
     "fib_swap",
     "noop_routing",
-    "capacity",
     "advance",
 )
 
@@ -278,8 +269,8 @@ class TestDifferentialRandomized:
         assert counters.flows_reused > 0
         assert counters.alloc_events == counters.alloc_warm_starts + counters.alloc_full
         # The reference engine never reuses anything: every event is a full
-        # reroute + full allocation (no-op routing changes and unused-link
-        # capacity changes skip the allocator on the incremental side only).
+        # reroute + full allocation (no-op routing changes skip the
+        # allocator on the incremental side only).
         reference = driver.reference.counters
         assert reference.flows_reused == 0
         assert reference.alloc_warm_starts == 0
@@ -351,7 +342,6 @@ class TestBatchArrivals:
             with pytest.raises(Exception):
                 engine.add_flows([good, bad])
         assert len(engine.flows) == 0
-        assert len(engine.events) == 0
 
 
 class TestCacheBehaviour:
@@ -397,8 +387,8 @@ class TestCacheBehaviour:
             assert engine.flow_rate(flow_id) == old_rate
 
     def test_event_dirtying_every_flow_is_a_warm_repair(self):
-        """A capacity change on the bottleneck every flow shares dirties 100 %
-        of the flows; the repair is still warm and bitwise equal to the
+        """An arrival on the bottleneck every flow shares dirties 100 % of
+        the flows; the repair is still warm and bitwise equal to the
         oracle's from-scratch ``max_min_fair_allocation``."""
         driver = DualEngineDriver(seed=3, topology=build_pod_topology(pods=2))
         engine = driver.incremental
@@ -409,28 +399,11 @@ class TestCacheBehaviour:
         assert engine.allocation_components() == 1
         assert engine.counters.alloc_full == 1  # the cold start only
         warm_before = engine.counters.alloc_warm_starts
-        for each in driver.engines:
-            each.set_link_capacity("M0", "C0", mbps(7))
+        flows = [each.add_flow("S0", prefix, mbps(7)) for each in driver.engines]
+        driver.active.append(flows[0].flow_id)
         assert engine.counters.alloc_warm_starts == warm_before + 1
         assert engine.counters.alloc_full == 1
         driver.check_equivalent("every flow dirty")
-
-    def test_capacity_change_on_unused_link_skips_allocation(self):
-        topology, engine = self.build()
-        engine.add_flow("S0", pod_prefix(topology, 0), mbps(2))
-        events_before = engine.counters.alloc_events
-        engine.set_link_capacity("S3", "M3", mbps(64))  # no flow crosses pod 3
-        assert engine.counters.alloc_events == events_before
-        engine.set_link_capacity("M0", "C0", mbps(1))  # pod 0's bottleneck
-        assert engine.counters.alloc_events == events_before + 1
-        assert engine.flow_rate(0) == pytest.approx(mbps(1))
-
-    def test_capacity_change_validation(self):
-        topology, engine = self.build()
-        with pytest.raises(SimulationError):
-            engine.set_link_capacity("S0", "C0", mbps(1))  # not a link
-        with pytest.raises(Exception):
-            engine.set_link_capacity("S0", "M0", 0.0)
 
     def test_fib_swap_invalidates_only_crossing_flows(self):
         """A FIB entry change re-routes the flows through it, nobody else."""

@@ -4,9 +4,8 @@ import pytest
 
 from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.router import RouterTimers
-from repro.igp.spf_cache import SpfCache
+from repro.igp.rib_cache import RibCache
 from repro.igp.topology import Topology
-from repro.monitoring.counters import collect_counters
 from repro.topologies.demo import BLUE_PREFIX, build_demo_topology, demo_lies
 from repro.util.errors import TopologyError
 from repro.util.timeline import Timeline
@@ -193,26 +192,6 @@ class TestSpfCacheInvalidation:
         lsdb_changes = sum(len(p.lsdb) for p in converged_network.routers.values())
         assert flooding["deliveries"] >= lookups - lsdb_changes
 
-    def test_monitoring_view_matches_network_aggregate(self, converged_network):
-        converged_network.inject(demo_lies(), at_router="R3")
-        converged_network.converge()
-        per_router = collect_counters(converged_network)
-        aggregate = converged_network.spf_stats
-        assert per_router["total"] == aggregate
-        # The per-layer aggregates are exactly their slice of spf_stats.
-        sets = converged_network.counter_sets()
-        assert per_router["dataplane"] == sets["dataplane"].snapshot()
-        assert per_router["controller"] == sets["controller"].snapshot()
-        assert sets["controller"].snapshot().items() <= aggregate.items()
-        for key, value in aggregate.items():
-            # Router entries carry the spf_*/rib_* keys, the "dataplane"
-            # entry the dp_* keys; .get() lets one sum span both layers.
-            assert value == sum(
-                counters.get(key, 0)
-                for name, counters in per_router.items()
-                if name != "total"
-            )
-
     def test_refresh_without_graph_change_is_a_pure_hit(self, converged_network):
         router = converged_network.routers["A"]
         hits_before = router.spf_cache.counters.hits
@@ -226,22 +205,22 @@ class TestSpfCacheInvalidation:
 
     def test_static_cache_serves_fib_set_without_recompute(self):
         topology = build_demo_topology()
-        cache = SpfCache()
-        first = compute_static_fibs(topology, cache=cache)
+        cache = RibCache()
+        first = compute_static_fibs(topology, rib_cache=cache)
         full_after_first = cache.counters.full_recomputes
-        second = compute_static_fibs(topology, cache=cache)
-        assert cache.counters.fib_cache_hits == 1
+        hits_before = cache.counters.hits
+        second = compute_static_fibs(topology, rib_cache=cache)
+        assert cache.counters.hits == hits_before + len(topology.routers)
         assert cache.counters.full_recomputes == full_after_first
         for router in topology.routers:
-            for prefix in first[router].prefixes:
-                assert first[router].split_ratios(prefix) == second[router].split_ratios(prefix)
+            assert second[router] is first[router]
 
     def test_static_cache_never_serves_stale_results(self):
         topology = build_demo_topology()
-        cache = SpfCache()
-        compute_static_fibs(topology, cache=cache)
+        cache = RibCache()
+        compute_static_fibs(topology, rib_cache=cache)
         topology.set_weight("A", "B", 50)
-        cached = compute_static_fibs(topology, cache=cache)
+        cached = compute_static_fibs(topology, rib_cache=cache)
         fresh = compute_static_fibs(topology)
         for router in topology.routers:
             for prefix in fresh[router].prefixes:

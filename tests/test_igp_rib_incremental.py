@@ -2,7 +2,7 @@
 
 Mirror of ``tests/test_igp_spf_incremental.py`` one layer up the stack: after
 an arbitrary sequence of weight changes, link failures/additions, prefix
-attachments/detachments and fake-LSA injections/withdrawals, the per-prefix
+attachments and fake-LSA injections/withdrawals, the per-prefix
 dirty repair served by :class:`~repro.igp.rib_cache.RibCache` must be
 indistinguishable from a from-scratch :func:`~repro.igp.rib.compute_rib` —
 contributions, costs and fake-node flags bit-identical — and the repaired
@@ -100,13 +100,6 @@ class MutationDriver:
                 topology.attach_prefix(router, prefix, cost=rng.choice([0, 1, 2]))
             except TopologyError:
                 return False  # already attached there
-        elif action == "detach":
-            prefixes = topology.prefixes
-            if not prefixes:
-                return False
-            prefix = rng.choice(prefixes)
-            attachment = rng.choice(topology.prefix_attachments(prefix))
-            topology.detach_prefix(attachment.router, prefix)
         elif action == "inject":
             anchor = rng.choice(topology.routers)
             neighbors = topology.neighbors(anchor)
@@ -148,7 +141,6 @@ ACTIONS = (
     "fail",
     "add_link",
     "attach",
-    "detach",
     "inject",
     "withdraw",
 )
@@ -248,7 +240,7 @@ class TestCacheStaleness:
     def test_change_dirtying_every_prefix_is_repaired(self):
         """A change dirtying every announced prefix is still a repair.
 
-        Re-attaching every prefix at a new cost moves every announcer map,
+        Announcing every prefix at one more router moves every announcer map,
         so each router re-resolves 100 % of its prefixes through
         ``update_rib`` — and must land on ``compute_rib`` and
         ``resolve_rib_to_fib`` exactly.
@@ -263,9 +255,9 @@ class TestCacheStaleness:
         full_before = counters.full_recomputes
         repaired_before = counters.prefixes_repaired
         for prefix in prefixes:
-            for attachment in topology.prefix_attachments(prefix):
-                topology.detach_prefix(attachment.router, prefix)
-                topology.attach_prefix(attachment.router, prefix, attachment.cost + 1)
+            announcers = {attachment.router for attachment in topology.prefix_attachments(prefix)}
+            extra = next(router for router in routers if router not in announcers)
+            topology.attach_prefix(extra, prefix, cost=1)
         driver.check_all_routers(context="every prefix dirty")
         assert counters.incremental_updates == incremental_before + len(routers)
         assert counters.full_recomputes == full_before

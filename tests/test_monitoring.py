@@ -274,7 +274,7 @@ class TestCollectorAndAlarm:
             UtilizationAlarm(collector, raise_threshold=0.9, clear_threshold=-0.1)
 
     def test_collector_sees_capacity_changes_immediately(self, monitored_engine):
-        # A provisioning event (Topology.set_capacity) must reach the alarm
+        # A link re-provisioned at another capacity must reach the alarm
         # utilisation at the very next read — the historical collector cached
         # capacities at construction time forever.
         topology, timeline, engine, collector, _ = self.wire(monitored_engine)
@@ -282,8 +282,9 @@ class TestCollectorAndAlarm:
         timeline.run_until(3.0)
         before = collector.utilization("B", "R2")
         assert before == pytest.approx(0.5, rel=0.05)
-        capacity = topology.link("B", "R2").capacity
-        topology.set_capacity("B", "R2", capacity * 2.0)
+        link = topology.link("B", "R2")
+        topology.remove_link("B", "R2")
+        topology.add_link("B", "R2", weight=link.weight, capacity=link.capacity * 2.0)
         assert collector.utilization("B", "R2") == pytest.approx(before / 2.0)
         assert collector.max_utilization() == pytest.approx(
             max(view.utilization for view in collector.views())
@@ -376,7 +377,7 @@ class TestNotifications:
 
 
 class TestCounterCollection:
-    """Aggregation of spf_*/rib_*/dp_* counters through collect_counters."""
+    """Aggregation of spf_*/rib_*/dp_* counters through ``IgpNetwork.spf_stats``."""
 
     def build_network_with_engine(self):
         from repro.igp.network import IgpNetwork
@@ -397,27 +398,16 @@ class TestCounterCollection:
         engine.notify_routing_change()  # a no-op refresh: pure cache reuse
         return network, engine
 
-    def test_collect_counters_merges_all_three_layers(self):
-        from repro.monitoring.counters import collect_counters
-
+    def test_spf_stats_merges_all_three_layers(self):
         network, engine = self.build_network_with_engine()
-        per_router = collect_counters(network)
-        total = per_router["total"]
-        assert total == network.spf_stats
-        # The dataplane entry mirrors the bound engine's counters exactly.
-        assert per_router["dataplane"] == engine.counters.snapshot()
+        total = network.spf_stats
+        # The dataplane family mirrors the bound engine's counters exactly.
+        assert network.counter_sets()["dataplane"].snapshot() == engine.counters.snapshot()
         assert total["dp_flows_rerouted"] == engine.counters.flows_rerouted
         assert total["dp_flows_reused"] == engine.counters.flows_reused > 0
         # Every layer's keys are present in the merged total.
         for key in ("spf_cache_hits", "rib_cache_hits", "dp_alloc_warm_starts"):
             assert key in total
-        # Per-key reconciliation across the router + dataplane entries.
-        for key, value in total.items():
-            assert value == sum(
-                counters.get(key, 0)
-                for name, counters in per_router.items()
-                if name != "total"
-            )
 
     def test_network_merges_multiple_engines(self):
         from repro.dataplane.path_cache import DataPlaneCounters
@@ -454,7 +444,6 @@ class TestCounterCollection:
         """Two controllers on one network: ctl_* counters merge — the last
         registration must not overwrite (or double-count) earlier ones."""
         from repro.core.controller import FibbingController
-        from repro.monitoring.counters import collect_counters
 
         network, _engine = self.build_network_with_engine()
         first = FibbingController(
@@ -471,15 +460,11 @@ class TestCounterCollection:
         assert merged.plans_recomputed == 12
         assert merged.lies_injected == 2
         assert network.spf_stats["ctl_plans_recomputed"] == 12
-        per_router = collect_counters(network)
-        assert per_router["controller"]["ctl_plans_recomputed"] == 12
-        assert per_router["total"]["ctl_plans_recomputed"] == 12
 
     def test_single_controller_registers_once_and_reports_no_shard_keys(self):
         """One controller is the whole control plane: registering it again
         counts nothing twice, and no ``shard_*`` key reaches any surface."""
         from repro.core.controller import FibbingController
-        from repro.monitoring.counters import collect_counters
 
         network, _engine = self.build_network_with_engine()
         controller = FibbingController(
@@ -488,14 +473,7 @@ class TestCounterCollection:
         controller.reconciler.counters.plans_recomputed += 4
         network.register_controller(controller)
         assert network.counter_sets()["controller"].plans_recomputed == 4
-        per_router = collect_counters(network)
-        assert per_router["controller"]["ctl_plans_recomputed"] == 4
-        surfaces = (
-            network.spf_stats,
-            per_router["controller"],
-            per_router["total"],
-            controller.stats.snapshot(),
-        )
+        surfaces = (network.spf_stats, controller.stats.snapshot())
         for surface in surfaces:
             assert not [key for key in surface if key.startswith("shard_")]
         assert "shard" not in network.counter_sets()

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
-import math
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,7 +15,7 @@ from repro.igp.spf import compute_spf
 from repro.topologies.demo import BLUE_PREFIX, build_demo_topology, demo_lies
 from repro.topologies.random import random_topology
 from repro.util.prefixes import Prefix, format_ipv4, parse_ipv4
-from repro.util.stats import percentile
+from repro.util.stats import weighted_percentile
 
 # ----------------------------------------------------------------------- #
 # Prefix arithmetic
@@ -33,30 +31,16 @@ def test_ipv4_parse_format_round_trip(address):
 
 
 @given(addresses, lengths)
-def test_prefix_contains_its_own_network_and_broadcast(address, length):
+def test_prefix_network_is_masked(address, length):
     prefix = Prefix(address, length)
-    assert prefix.contains_address(prefix.network)
-    assert prefix.contains_address(prefix.broadcast)
+    assert prefix.network % (1 << (32 - length)) == 0
+    assert address - prefix.network < 1 << (32 - length)
+    assert Prefix(prefix.network, length) is prefix
 
 
 @given(addresses, lengths)
 def test_prefix_interning_means_equality_is_identity(address, length):
     assert Prefix(address, length) is Prefix(address, length)
-
-
-@given(addresses, st.integers(min_value=1, max_value=32))
-def test_supernet_contains_prefix(address, length):
-    prefix = Prefix(address, length)
-    assert prefix.supernet().contains(prefix)
-
-
-@given(addresses, st.integers(min_value=0, max_value=31))
-def test_subnets_partition_the_prefix(address, length):
-    prefix = Prefix(address, length)
-    subnets = list(prefix.subnets())
-    assert len(subnets) == 2
-    assert sum(subnet.num_addresses for subnet in subnets) == prefix.num_addresses
-    assert all(prefix.contains(subnet) for subnet in subnets)
 
 
 # ----------------------------------------------------------------------- #
@@ -194,6 +178,5 @@ def test_hashed_routing_follows_fib_next_hops(salt):
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50),
        st.floats(min_value=0.0, max_value=1.0))
 def test_percentile_is_bounded_by_min_and_max(values, fraction):
-    result = percentile(values, fraction)
+    result = weighted_percentile(values, [1] * len(values), fraction)
     assert min(values) - 1e-9 <= result <= max(values) + 1e-9
-

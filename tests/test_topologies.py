@@ -24,6 +24,15 @@ from repro.util.errors import ValidationError
 from oracles import paths_to
 
 
+def connected(topology):
+    """Whether every router reaches every other router over directed links."""
+    graph = ComputationGraph.from_topology(topology)
+    routers = topology.routers
+    return all(
+        all(compute_spf(graph, root).reachable(router) for router in routers) for root in routers
+    )
+
+
 class TestDemoTopology:
     def test_paper_weights(self):
         topo = build_demo_topology()
@@ -79,14 +88,14 @@ class TestZooTopologies:
     def test_abilene_shape(self):
         topo = abilene()
         assert topo.num_routers == 11
-        assert topo.is_connected()
+        assert connected(topo)
         assert len(topo.prefixes) == 11
 
     def test_ring_size_and_connectivity(self):
         topo = ring(6)
         assert topo.num_routers == 6
-        assert topo.num_links == 12
-        assert topo.is_connected()
+        assert len(topo.links) == 12
+        assert connected(topo)
 
     def test_ring_minimum_size(self):
         with pytest.raises(ValidationError):
@@ -95,7 +104,7 @@ class TestZooTopologies:
     def test_grid_shape(self):
         topo = grid(3, 4, with_loopbacks=False)
         assert topo.num_routers == 12
-        assert topo.is_connected()
+        assert connected(topo)
 
     def test_grid_rejects_degenerate_dimensions(self):
         with pytest.raises(ValidationError):
@@ -130,7 +139,7 @@ class TestRandomTopologies:
 
     def test_always_connected(self):
         for seed in range(5):
-            assert random_topology(15, edge_probability=0.05, seed=seed).is_connected()
+            assert connected(random_topology(15, edge_probability=0.05, seed=seed))
 
     def test_prefix_attachment_mapping(self):
         topo = random_topology(5, seed=0, with_prefixes=False)
@@ -141,7 +150,7 @@ class TestRandomTopologies:
     def test_waxman_connected_and_deterministic(self):
         a = waxman_topology(12, seed=3)
         b = waxman_topology(12, seed=3)
-        assert a.is_connected()
+        assert connected(a)
         assert [link.key for link in a.links] == [link.key for link in b.links]
 
     def test_minimum_size_enforced(self):
@@ -159,7 +168,7 @@ class TestSyntheticIsp:
     def test_structure(self):
         topo = synthetic_isp(core_size=6, pops=3, prefixes_per_pop=2, seed=0)
         assert topo.num_routers == 6 + 3 * 2
-        assert topo.is_connected()
+        assert connected(topo)
         assert len(topo.prefixes) == 6
 
     def test_core_links_have_higher_capacity(self):

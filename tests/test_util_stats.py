@@ -3,47 +3,53 @@
 import pytest
 
 from repro.util.errors import ValidationError
-from repro.util.stats import Ewma, RunningStats, TimeWeightedAverage, maximum, mean, percentile
+from repro.util.stats import Ewma, weighted_mean, weighted_percentile
 
 
-class TestMeanMaxPercentile:
+def unit_weights(values):
+    return [1] * len(values)
+
+
+class TestWeightedMeanAndPercentile:
     def test_mean_of_values(self):
-        assert mean([1, 2, 3, 4]) == 2.5
+        assert weighted_mean([1, 2, 3, 4], unit_weights([1, 2, 3, 4])) == 2.5
 
-    def test_mean_rejects_empty(self):
+    def test_mean_counts_each_weight(self):
+        assert weighted_mean([1.0, 4.0], [2, 1]) == 2.0
+
+    def test_mean_rejects_zero_total_weight(self):
         with pytest.raises(ValidationError):
-            mean([])
-
-    def test_maximum_with_default(self):
-        assert maximum([], default=7.0) == 7.0
-        assert maximum([1, 9, 3]) == 9
+            weighted_mean([], [])
 
     def test_percentile_median(self):
-        assert percentile([1, 2, 3, 4], 0.5) == 2.5
+        assert weighted_percentile([1, 2, 3, 4], unit_weights([1, 2, 3, 4]), 0.5) == 2.5
 
     def test_percentile_extremes(self):
         values = [5, 1, 9]
-        assert percentile(values, 0.0) == 1
-        assert percentile(values, 1.0) == 9
+        assert weighted_percentile(values, unit_weights(values), 0.0) == 1
+        assert weighted_percentile(values, unit_weights(values), 1.0) == 9
 
     def test_percentile_single_value(self):
-        assert percentile([42], 0.3) == 42
+        assert weighted_percentile([42], [1], 0.3) == 42
+
+    def test_percentile_of_a_weighted_value(self):
+        # [1, 1, 1, 5]: position 1.5 falls between two copies of 1.
+        assert weighted_percentile([5, 1], [1, 3], 0.5) == 1
 
     def test_percentile_rejects_empty(self):
         with pytest.raises(ValidationError):
-            percentile([], 0.5)
+            weighted_percentile([], [], 0.5)
 
     def test_percentile_rejects_bad_fraction(self):
         with pytest.raises(ValidationError):
-            percentile([1, 2], 1.5)
+            weighted_percentile([1, 2], [1, 1], 1.5)
 
 
 class TestEwma:
     def test_first_sample_sets_value(self):
         ewma = Ewma(alpha=0.5)
-        assert not ewma.initialized
+        assert ewma.value == 0.0
         assert ewma.update(10.0) == 10.0
-        assert ewma.initialized
 
     def test_smoothing_behaviour(self):
         ewma = Ewma(alpha=0.5, initial=0.0)
@@ -58,103 +64,3 @@ class TestEwma:
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValidationError):
             Ewma(alpha=0.0)
-
-    def test_reset_forgets_history(self):
-        ewma = Ewma(alpha=0.5)
-        ewma.update(10.0)
-        ewma.reset()
-        assert not ewma.initialized
-        assert ewma.value == 0.0
-
-
-class TestRunningStats:
-    def test_count_mean_minmax(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 6.0])
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(4.0)
-        assert stats.minimum == 2.0
-        assert stats.maximum == 6.0
-
-    def test_variance_and_stddev(self):
-        stats = RunningStats()
-        stats.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert stats.variance == pytest.approx(4.0)
-        assert stats.stddev == pytest.approx(2.0)
-
-    def test_empty_stats_are_safe(self):
-        stats = RunningStats()
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-        summary = stats.as_dict()
-        assert summary["count"] == 0
-        assert summary["min"] == 0.0
-
-    def test_as_dict_round_trip(self):
-        stats = RunningStats()
-        stats.add(3.0)
-        summary = stats.as_dict()
-        assert summary["count"] == 1
-        assert summary["mean"] == 3.0
-
-
-class TestTimeWeightedAverage:
-    def test_piecewise_constant_average(self):
-        twa = TimeWeightedAverage()
-        twa.observe(0.0, 10.0)
-        twa.observe(5.0, 0.0)  # 10.0 held for 5 seconds
-        average = twa.finish(10.0)  # 0.0 held for 5 seconds
-        assert average == pytest.approx(5.0)
-
-    def test_rejects_time_going_backwards(self):
-        twa = TimeWeightedAverage()
-        twa.observe(5.0, 1.0)
-        with pytest.raises(ValidationError):
-            twa.observe(4.0, 1.0)
-
-    def test_zero_duration_average_is_zero(self):
-        twa = TimeWeightedAverage()
-        twa.observe(1.0, 3.0)
-        assert twa.average == 0.0
-
-    def test_samples_are_recorded(self):
-        twa = TimeWeightedAverage()
-        twa.observe(0.0, 1.0)
-        twa.observe(1.0, 2.0)
-        assert twa.samples == [(0.0, 1.0), (1.0, 2.0)]
-
-    def test_finish_is_idempotent(self):
-        # Regression: finish used to route through observe, so a second
-        # finish at the same instant silently inflated the duration.
-        twa = TimeWeightedAverage()
-        twa.observe(0.0, 10.0)
-        twa.observe(5.0, 0.0)
-        first = twa.finish(10.0)
-        second = twa.finish(10.0)
-        assert first == second == pytest.approx(5.0)
-
-    def test_finish_does_not_mutate_state(self):
-        twa = TimeWeightedAverage()
-        twa.observe(0.0, 4.0)
-        twa.finish(2.0)
-        # The closing sample must not be recorded or folded into the state:
-        # a later observe continues from the last real observation.
-        assert twa.samples == [(0.0, 4.0)]
-        assert twa.average == 0.0
-        twa.observe(1.0, 8.0)  # before the finish time; legal after the fix
-        assert twa.finish(2.0) == pytest.approx((4.0 * 1.0 + 8.0 * 1.0) / 2.0)
-
-    def test_finish_before_last_observation_raises(self):
-        twa = TimeWeightedAverage()
-        twa.observe(5.0, 1.0)
-        with pytest.raises(ValidationError):
-            twa.finish(4.0)
-
-    def test_finish_without_observations_is_zero(self):
-        assert TimeWeightedAverage().finish(10.0) == 0.0
-
-    def test_finish_at_last_observation_time(self):
-        twa = TimeWeightedAverage()
-        twa.observe(0.0, 2.0)
-        twa.observe(4.0, 6.0)
-        assert twa.finish(4.0) == pytest.approx(2.0)

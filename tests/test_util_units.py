@@ -1,67 +1,11 @@
 """Tests for repro.util.units."""
 
-import pytest
-
-from repro.util.errors import ValidationError
-from repro.util.units import (
-    bits_to_bytes,
-    bytes_to_bits,
-    format_bytes,
-    format_rate,
-    gbps,
-    kbps,
-    mbps,
-)
+from repro.util.units import mbps
 
 
 class TestRateConstructors:
-    def test_kbps(self):
-        assert kbps(64) == 64_000
-
     def test_mbps(self):
         assert mbps(32) == 32_000_000
 
-    def test_gbps(self):
-        assert gbps(1.5) == 1_500_000_000
-
     def test_rates_accept_floats(self):
         assert mbps(0.5) == 500_000
-
-
-class TestConversions:
-    def test_bits_to_bytes(self):
-        assert bits_to_bytes(8_000_000) == 1_000_000
-
-    def test_bytes_to_bits(self):
-        assert bytes_to_bits(1_000_000) == 8_000_000
-
-    def test_round_trip(self):
-        assert bytes_to_bits(bits_to_bytes(12_345)) == pytest.approx(12_345)
-
-
-class TestFormatting:
-    def test_format_rate_mbit(self):
-        assert format_rate(2_500_000) == "2.50 Mbit/s"
-
-    def test_format_rate_gbit(self):
-        assert format_rate(3_200_000_000) == "3.20 Gbit/s"
-
-    def test_format_rate_kbit(self):
-        assert format_rate(64_000) == "64.00 kbit/s"
-
-    def test_format_rate_bit(self):
-        assert format_rate(500) == "500 bit/s"
-
-    def test_format_rate_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            format_rate(-1)
-
-    def test_format_bytes_mb(self):
-        assert format_bytes(1_500_000) == "1.50 MB"
-
-    def test_format_bytes_small(self):
-        assert format_bytes(42) == "42 B"
-
-    def test_format_bytes_rejects_negative(self):
-        with pytest.raises(ValidationError):
-            format_bytes(-5)

@@ -5,25 +5,7 @@ import math
 import pytest
 
 from repro.util.errors import ValidationError
-from repro.util.validation import (
-    check_fraction,
-    check_in,
-    check_non_negative,
-    check_not_empty,
-    check_optional_positive,
-    check_positive,
-    check_type,
-    require,
-)
-
-
-class TestRequire:
-    def test_passes_when_true(self):
-        require(True, "never shown")
-
-    def test_raises_with_message(self):
-        with pytest.raises(ValidationError, match="boom"):
-            require(False, "boom")
+from repro.util.validation import check_fraction, check_non_negative, check_positive
 
 
 class TestNumericChecks:
@@ -66,33 +48,3 @@ class TestNumericChecks:
         assert check_fraction(1.0, "x") == 1.0
         with pytest.raises(ValidationError):
             check_fraction(1.2, "x")
-
-    def test_optional_positive_allows_none(self):
-        assert check_optional_positive(None, "x") is None
-
-    def test_optional_positive_checks_value(self):
-        with pytest.raises(ValidationError):
-            check_optional_positive(-1, "x")
-
-
-class TestContainerChecks:
-    def test_check_in_accepts_member(self):
-        assert check_in("b", ["a", "b"], "mode") == "b"
-
-    def test_check_in_rejects_non_member(self):
-        with pytest.raises(ValidationError, match="mode"):
-            check_in("c", ["a", "b"], "mode")
-
-    def test_check_type_accepts_instance(self):
-        assert check_type(3, int, "x") == 3
-
-    def test_check_type_rejects_wrong_type(self):
-        with pytest.raises(ValidationError, match="int"):
-            check_type("3", int, "x")
-
-    def test_check_not_empty_accepts_non_empty(self):
-        assert check_not_empty([1], "items") == [1]
-
-    def test_check_not_empty_rejects_empty(self):
-        with pytest.raises(ValidationError, match="items"):
-            check_not_empty([], "items")

@@ -30,7 +30,7 @@ def parse_ipv4(text: str) -> int:
         raise ValidationError(f"invalid IPv4 address {text!r}: expected 4 octets")
     value = 0
     for part in parts:
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ValidationError(f"invalid IPv4 address {text!r}: octet {part!r} is not a number")
         octet = int(part)
         if octet > 255:
@@ -102,7 +102,7 @@ class Prefix:
         """Parse ``"a.b.c.d/len"`` (or a bare address, implying ``/32``)."""
         if "/" in text:
             address_text, _, length_text = text.partition("/")
-            if not length_text.isdigit():
+            if not (length_text.isascii() and length_text.isdigit()):
                 raise ValidationError(f"invalid prefix {text!r}: bad length {length_text!r}")
             length = int(length_text)
         else:

@@ -65,6 +65,14 @@ class TestCommands:
         assert "B-R2" in output
         assert "QoE" in output
 
+    def test_qoe_compares_with_and_without_the_controller(self, capsys):
+        # 40 s covers the flash crowd: half the sessions stall without lies.
+        assert main(["qoe", "--duration", "40"]) == 0
+        output = capsys.readouterr().out
+        assert "with controller" in output
+        smooth = next(line for line in output.splitlines() if line.startswith("smooth sessions"))
+        assert smooth.split()[2:] == ["62/62", "31/62"]
+
     def test_optimality_small_instance(self, capsys):
         assert main(["optimality", "--seeds", "1", "--routers", "8", "--destinations", "2"]) == 0
         output = capsys.readouterr().out

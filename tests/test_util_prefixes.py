@@ -39,6 +39,18 @@ class TestParseFormat:
         with pytest.raises(ValidationError):
             format_ipv4(1 << 32)
 
+    # Non-ASCII digits pass str.isdigit(), but an octet is ASCII only:
+    # int() raises ValueError on "\u00b2" (superscript two) and reads
+    # "\u0663" (Arabic-Indic three) as 3.
+    @pytest.mark.parametrize(
+        "text",
+        ["", "10.0.0", "10.0.0.0.0", "10..0.1", "10.0.0.-1", " 10.0.0.1", "10.0.0.1 ",
+         "0x0a.0.0.1", "10.0.0.\u00b2", "10.0.0.\u0663"],
+    )
+    def test_parse_rejects_malformed_address(self, text):
+        with pytest.raises(ValidationError):
+            parse_ipv4(text)
+
 
 class TestPrefixBasics:
     def test_parse_prefix_string(self):
@@ -77,6 +89,14 @@ class TestPrefixBasics:
     def test_invalid_length_string_rejected(self):
         with pytest.raises(ValidationError):
             Prefix.parse("10.0.0.0/abc")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["10.0.0.0/", "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/8/8", "/8", "10.0.0.0/\u0663"],
+    )
+    def test_parse_rejects_malformed_prefix(self, text):
+        with pytest.raises(ValidationError):
+            Prefix.parse(text)
 
     def test_ordering_is_by_network_then_length(self):
         a = Prefix.parse("10.0.0.0/8")

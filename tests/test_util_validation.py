@@ -7,6 +7,8 @@ import pytest
 from repro.util.errors import ValidationError
 from repro.util.validation import check_fraction, check_non_negative, check_positive
 
+CHECKS = [check_positive, check_non_negative, check_fraction]
+
 
 class TestNumericChecks:
     def test_positive_accepts_positive(self):
@@ -48,3 +50,20 @@ class TestNumericChecks:
         assert check_fraction(1.0, "x") == 1.0
         with pytest.raises(ValidationError):
             check_fraction(1.2, "x")
+
+
+class TestEveryCheck:
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, True, "1", None],
+        ids=["nan", "inf", "-inf", "bool", "str", "none"],
+    )
+    def test_rejects_non_finite_and_non_numbers(self, check, value):
+        with pytest.raises(ValidationError, match="x"):
+            check(value, "x")
+
+    @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+    def test_returns_a_float(self, check):
+        result = check(1, "x")
+        assert result == 1.0 and type(result) is float

@@ -32,8 +32,8 @@ from repro.igp.fib import DEFAULT_MAX_ECMP, Fib
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa, Lsa
 from repro.igp.network import IgpNetwork, compute_static_fibs
-from repro.igp.rib_cache import RibCache, RibCounters
-from repro.igp.spf_cache import SpfCounters
+from repro.igp.rib_cache import LazyFibs, RibCache
+from repro.igp.spf_cache import SpfCache, SpfCounters
 from repro.igp.topology import Topology
 from repro.util.counters import Counters, Number, counter, merge_snapshots
 from repro.util.errors import ControllerError
@@ -48,10 +48,10 @@ class ControllerStats(Counters):
 
     The five fields are the controller's own.  :meth:`snapshot` appends the
     controller's live SPF/RIB-cache, data-plane and ``ctl_*`` counter sets,
-    read at call time: other components share the
-    controller's caches (the load balancer hands ``baseline_route_cache``
-    to its merger) and advance those counters without going through a
-    controller method.
+    read at call time: other components read through the controller's
+    caches (the load balancer hands the baseline view of
+    :meth:`FibbingController.baseline_fibs` to its merger) and advance those
+    counters without going through a controller method.
     """
 
     lies_injected: int = counter("lies_injected")
@@ -116,15 +116,15 @@ class FibbingController:
         self.stats = ControllerStats()
         self.stats.live_sets = self._live_counter_sets
         self.updates: List[ControllerUpdate] = []
-        # Baseline-FIB memo keyed on the topology revision:
-        # (revision, max_ecmp, fibs).
-        self._baseline_memo: Optional[Tuple[int, int, Dict[str, Fib]]] = None
-        # Two route-cache lineages: the lie-free baseline view (used when
-        # synthesising lies) and the lied-to view (used to predict/verify the
-        # converged FIBs).  Keeping them separate means alternating between
-        # the two states never ping-pongs the delta log.  Each RibCache owns
-        # its SpfCache, so one object covers the SPF -> RIB -> FIB pipeline.
-        self.baseline_route_cache = RibCache()
+        # Baseline view memo keyed on the topology revision:
+        # (revision, max_ecmp, view).
+        self._baseline_memo: Optional[Tuple[int, int, LazyFibs]] = None
+        # Two lineages: the lie-free baseline (read entry by entry when
+        # synthesising lies, so it keeps SPF trees only) and the lied-to view
+        # (whole FIB sets, to predict/verify the converged FIBs).  Keeping
+        # them separate means alternating between the two states never
+        # ping-pongs the delta log.
+        self.baseline_route_cache = SpfCache()
         self._lied_route_cache = RibCache()
         if network is not None and attachment is None:
             raise ControllerError(
@@ -165,8 +165,8 @@ class FibbingController:
     def enforce(self, requirements: RequirementSet | Iterable[DestinationRequirement]) -> List[ControllerUpdate]:
         """Enforce several requirements as one batched update wave.
 
-        The baseline FIBs are computed once (served from the controller's
-        SPF cache when nothing changed), the per-prefix lie diffs are planned
+        The baseline view is fetched once (memoised while the topology does
+        not change; see :meth:`baseline_fibs`), the per-prefix lie diffs are planned
         against the registry, and every resulting LSA is shipped to the
         network in a single injection so the IGP routers see one burst and
         run one SPF/FIB recomputation wave instead of one per requirement.
@@ -218,21 +218,26 @@ class FibbingController:
         )
         return self.reconciler.reconcile(requirement.prefix, desired)
 
-    def baseline_fibs(self, max_ecmp: int = DEFAULT_MAX_ECMP) -> Dict[str, Fib]:
-        """Lie-free FIBs of the current topology, served from the route cache.
+    def baseline_fibs(self, max_ecmp: int = DEFAULT_MAX_ECMP) -> LazyFibs:
+        """Lie-free FIBs of the current topology, resolved only where read.
 
-        The result is additionally memoised on the topology's
+        A read-only :class:`~repro.igp.rib_cache.LazyFibs` view: a router's
+        SPF tree comes from :attr:`baseline_route_cache` on its first read,
+        and each ``(router, prefix)`` entry is resolved on its first read, so
+        a reaction pays for the routers its requirements name and nothing
+        else.  The view is memoised on the topology's
         :attr:`~repro.igp.topology.Topology.revision`: while the topology
-        does not change, repeated calls return the same mapping without even
-        rebuilding and re-diffing the computation graph.  Callers must treat
-        the mapping as read-only.
+        does not change, repeated calls return the same view (and its
+        already resolved entries) without rebuilding the graph.
         """
         revision = self.topology.revision
         memo = self._baseline_memo
         if memo is not None and memo[0] == revision and memo[1] == max_ecmp:
             return memo[2]
-        fibs = compute_static_fibs(
-            self.topology, max_ecmp=max_ecmp, rib_cache=self.baseline_route_cache
+        fibs = LazyFibs(
+            ComputationGraph.from_topology(self.topology),
+            self.baseline_route_cache,
+            max_ecmp=max_ecmp,
         )
         self._baseline_memo = (revision, max_ecmp, fibs)
         return fibs
@@ -466,10 +471,14 @@ class FibbingController:
 
     def _live_counter_sets(self) -> List[Counters]:
         """The counter sets :attr:`stats` reports besides its own fields."""
-        route_caches = (self.baseline_route_cache, self._lied_route_cache)
         return [
-            SpfCounters.total(cache.spf_cache.counters for cache in route_caches),
-            RibCounters.total(cache.counters for cache in route_caches),
+            SpfCounters.total(
+                (
+                    self.baseline_route_cache.counters,
+                    self._lied_route_cache.spf_cache.counters,
+                )
+            ),
+            self._lied_route_cache.counters,
             # The data plane hangs off the live network; its counters are
             # part of the controller's end-to-end reaction accounting.
             self.network.counter_sets()["dataplane"]

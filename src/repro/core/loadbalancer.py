@@ -113,7 +113,6 @@ class OnDemandLoadBalancer:
             controller.topology,
             tolerance=policy.merge_tolerance,
             max_entries=policy.max_ecmp_entries,
-            rib_cache=controller.baseline_route_cache,
             plan_cache=controller.plan_cache,
         )
         self.actions: List[RebalanceAction] = []
@@ -182,7 +181,11 @@ class OnDemandLoadBalancer:
             return action
         result = self.optimizer.optimize(demands, prefixes)
         requirements = self.build_requirements(result)
-        optimized, merge_report = self.merger.optimize(requirements)
+        optimized, merge_report = self.merger.optimize(
+            requirements,
+            self.controller.baseline_fibs(),
+            plan_version=self.controller.baseline_version(),
+        )
         updates = list(self.controller.enforce(optimized))
         # Prefixes that used to carry lies but need none anymore (either no
         # demand or the IGP default already suffices) are cleaned up so lies

@@ -28,7 +28,6 @@ from repro.core.requirements import DestinationRequirement, RequirementSet
 from repro.core.splitting import approximate_ratios, split_error, weights_to_fractions
 from repro.igp.fib import Fib
 from repro.igp.network import compute_static_fibs
-from repro.igp.rib_cache import RibCache
 from repro.igp.topology import Topology
 from repro.util.errors import ControllerError
 from repro.util.validation import check_non_negative
@@ -75,7 +74,6 @@ class LieMerger:
         topology: Topology,
         tolerance: float = 0.0,
         max_entries: int = 16,
-        rib_cache: Optional[RibCache] = None,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
         self.topology = topology
@@ -83,14 +81,10 @@ class LieMerger:
         if max_entries < 1:
             raise ControllerError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        # Baseline (lie-free) FIBs are recomputed on every optimisation pass;
-        # sharing a versioned route cache (e.g. the controller's) makes the
-        # repeated passes of a reactive control loop nearly free.
-        self.rib_cache = rib_cache if rib_cache is not None else RibCache()
         # Optional: the controller's plan cache.  When present, the merged
         # weight map of a requirement is reused wholesale as long as neither
-        # the requirement (digest) nor the baseline graph (version of the
-        # shared route-cache lineage) changed.
+        # the requirement (digest) nor the baseline graph (its version in the
+        # controller's baseline lineage) changed.
         self.plan_cache = plan_cache
 
     # ------------------------------------------------------------------ #
@@ -99,7 +93,7 @@ class LieMerger:
     def optimize_requirement(
         self,
         requirement: DestinationRequirement,
-        baseline_fibs: Optional[Mapping[str, Fib]] = None,
+        baseline_fibs: Mapping[str, Fib],
         report: Optional[MergeReport] = None,
         plan_version: Optional[int] = None,
     ) -> DestinationRequirement:
@@ -110,8 +104,6 @@ class LieMerger:
         its exact report accounting — is replayed from the cache when the
         requirement was already merged at that version.
         """
-        if baseline_fibs is None:
-            baseline_fibs = compute_static_fibs(self.topology, rib_cache=self.rib_cache)
         if report is None:
             report = MergeReport()
 
@@ -169,13 +161,21 @@ class LieMerger:
     # Whole requirement sets
     # ------------------------------------------------------------------ #
     def optimize(
-        self, requirements: RequirementSet
+        self,
+        requirements: RequirementSet,
+        baseline_fibs: Optional[Mapping[str, Fib]] = None,
+        plan_version: Optional[int] = None,
     ) -> Tuple[RequirementSet, MergeReport]:
-        """Optimise every requirement of a set; returns the new set and a report."""
-        baseline_fibs = compute_static_fibs(self.topology, rib_cache=self.rib_cache)
-        plan_version = (
-            self.rib_cache.version if self.plan_cache is not None else None
-        )
+        """Optimise every requirement of a set; returns the new set and a report.
+
+        ``baseline_fibs`` is the lie-free view to prune against (the load
+        balancer hands over its controller's
+        :meth:`~repro.core.controller.FibbingController.baseline_fibs` with
+        its graph version as ``plan_version``); without one, the
+        topology's lie-free FIBs are computed once for this call.
+        """
+        if baseline_fibs is None:
+            baseline_fibs = compute_static_fibs(self.topology)
         report = MergeReport()
         optimized = RequirementSet()
         for requirement in requirements:

@@ -149,9 +149,11 @@ class DataPlaneEngineBase:
         self.samples: List[LinkSample] = []
         self.counters = DataPlaneCounters()
 
-        self._capacities: Dict[LinkKey, float] = {
-            link.key: link.capacity for link in topology.links
-        }
+        self._allocator = WarmStartAllocator()
+        # Read through _current_capacities(), which follows the topology's
+        # revision.
+        self._capacities: Dict[LinkKey, float] = topology.capacities()
+        self._capacity_revision = topology.revision
         # Current (instantaneous) per-link rates, valid since _last_advance.
         self._link_rates: Dict[LinkKey, float] = {}
         # Cumulative transmitted bytes (what SNMP interface counters expose).
@@ -243,6 +245,26 @@ class DataPlaneEngineBase:
     def _advance_entity_bytes(self, elapsed: float) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _current_capacities(self) -> Dict[LinkKey, float]:
+        """Link capacities at the topology's current revision.
+
+        Re-read through :meth:`~repro.igp.topology.Topology.capacities`
+        whenever the revision moved, as the monitoring collector does, so
+        the allocator and the alarm divide by the same capacity.  A link
+        that vanished keeps its last capacity: flows still routed over it
+        until the FIBs reconverge are filled against it.  A capacity that
+        moved makes the next allocation a full one, since a warm repair
+        re-fills only the components of re-routed flows.
+        """
+        revision = self.topology.revision
+        if revision != self._capacity_revision:
+            self._capacity_revision = revision
+            for key, capacity in self.topology.capacities().items():
+                if self._capacities.setdefault(key, capacity) != capacity:
+                    self._capacities[key] = capacity
+                    self._allocator.reset()
+        return self._capacities
+
     def _advance_counters(self) -> None:
         """Integrate the constant rates since the last advance into byte counters."""
         now = self.timeline.now
@@ -297,7 +319,6 @@ class DataPlaneEngine(DataPlaneEngineBase):
         )
         self.flows = FlowSet()
         self._path_cache = FlowPathCache()
-        self._allocator = WarmStartAllocator()
         # Current (instantaneous) state, valid since _last_advance.
         self._flow_rates: Dict[int, float] = {}
         self._flow_paths: Dict[int, FlowPath] = {}
@@ -459,7 +480,7 @@ class DataPlaneEngine(DataPlaneEngineBase):
         repair = self._allocator.update(
             changed=changed_inputs,
             removed=departures,
-            capacities=self._capacities,
+            capacities=self._current_capacities(),
         )
         if repair.mode == "warm":
             self.counters.alloc_warm_starts += 1
@@ -627,7 +648,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         )
         self.classes = ClassSet()
         self._path_cache = FlowPathCache()  # entity ids are class ids here
-        self._allocator = WarmStartAllocator()
         # Path groups and their allocator entities, per class.
         self._class_groups: Dict[int, List[ClassPathGroup]] = {}
         self._class_entities: Dict[int, Tuple[int, ...]] = {}
@@ -929,7 +949,7 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         repair = self._allocator.update(
             changed=changed_inputs,
             removed=removed_entities,
-            capacities=self._capacities,
+            capacities=self._current_capacities(),
         )
         if repair.mode == "warm":
             self.counters.alloc_warm_starts += 1

@@ -242,6 +242,10 @@ class WarmStartAllocator:
         self._next_component = 0
         self._primed = False
 
+    def reset(self) -> None:
+        """Make the next :meth:`update` a full fill (a link capacity moved)."""
+        self._primed = False
+
     def component_count(self) -> int:
         """Number of connected components in the current partition."""
         return len(self._components)

@@ -31,7 +31,6 @@ from repro.core.splitting import approximate_ratios, split_error
 from repro.core.augmentation import synthesize_lies
 from repro.experiments.overhead import build_flash_crowd_demands
 from repro.igp.network import compute_static_fibs
-from repro.igp.rib_cache import RibCache
 from repro.igp.topology import Topology
 from repro.topologies.isp import synthetic_isp
 from repro.util.errors import ValidationError
@@ -96,10 +95,7 @@ def run_lie_scaling(
             DestinationRequirement.from_fractions(prefix, per_router)
             for prefix, per_router in fractions.items()
         )
-        # One versioned route cache per instance: the merger's own baseline
-        # recomputation becomes a pure cache hit.
-        rib_cache = RibCache()
-        baseline_fibs = compute_static_fibs(topology, rib_cache=rib_cache)
+        baseline_fibs = compute_static_fibs(topology)
 
         lies_without = 0
         for requirement in requirements:
@@ -107,8 +103,7 @@ def run_lie_scaling(
                 synthesize_lies(topology, requirement, baseline_fibs=baseline_fibs)
             )
 
-        merger = LieMerger(topology, rib_cache=rib_cache)
-        reduced, _report = merger.optimize(requirements)
+        reduced, _report = LieMerger(topology).optimize(requirements, baseline_fibs)
         lies_with = 0
         for requirement in reduced:
             lies_with += len(

@@ -16,6 +16,12 @@ the whole SPF → RIB → FIB pipeline.  A cached entry is always repaired,
 however many prefixes are dirty; a from-scratch
 :func:`~repro.igp.rib.compute_rib` runs only for a router with no entry or
 one the graph's delta log no longer reaches back to.
+
+:class:`LazyFibs` is the same pipeline for a reader that needs a few
+``(router, prefix)`` entries of one graph, not whole FIBs: it resolves each
+entry on first read through the per-prefix kernels ``compute_rib`` and
+``resolve_rib_to_fib`` loop over, so every entry it serves is the one a
+full resolution would hold.
 """
 
 from __future__ import annotations
@@ -23,15 +29,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
 
-from repro.igp.fib import DEFAULT_MAX_ECMP, Fib, resolve_rib_to_fib, update_fib
+from repro.igp.fib import (
+    DEFAULT_MAX_ECMP,
+    Fib,
+    PrefixFib,
+    _resolve_route,
+    resolve_rib_to_fib,
+    update_fib,
+)
 from repro.igp.graph import ComputationGraph, GraphChange
-from repro.igp.rib import Rib, compute_rib, dirty_prefixes, update_rib
+from repro.igp.rib import Rib, _route_for_prefix, compute_rib, dirty_prefixes, update_rib
 from repro.igp.spf import ShortestPaths
 from repro.igp.spf_cache import SpfCache
 from repro.util.counters import Counters, counter
+from repro.util.errors import RoutingError
 from repro.util.prefixes import Prefix
 
-__all__ = ["RibCounters", "RibCache"]
+__all__ = ["RibCounters", "RibCache", "LazyFibs", "LazyFib"]
 
 
 @dataclass
@@ -202,3 +216,71 @@ class RibCache:
             f"RibCache(routers={len(self._entries)}, "
             f"counters={self.counters.snapshot()})"
         )
+
+
+class LazyFibs:
+    """The FIBs of every router over one graph, resolved entry by entry on read.
+
+    ``get(router)`` hands out a :class:`LazyFib`; its first read of a prefix
+    takes the router's SPF tree from ``spf_cache`` (repaired from whatever
+    version the router was last read at) and resolves that one route.  The
+    view is valid while ``graph`` is the newest graph ``spf_cache`` observed.
+    """
+
+    def __init__(
+        self,
+        graph: ComputationGraph,
+        spf_cache: SpfCache,
+        max_ecmp: int = DEFAULT_MAX_ECMP,
+    ) -> None:
+        self.graph = spf_cache.observe(graph)
+        self.spf_cache = spf_cache
+        self.max_ecmp = max_ecmp
+        self._fibs: Dict[str, LazyFib] = {}
+
+    def get(self, router: str) -> Optional["LazyFib"]:
+        """The FIB of ``router``, or ``None`` if it is not a node of the graph."""
+        fib = self._fibs.get(router)
+        if fib is None and self.graph.has_node(router):
+            fib = self._fibs[router] = LazyFib(self, router)
+        return fib
+
+
+class LazyFib:
+    """One router's FIB in a :class:`LazyFibs` view; ``Fib``'s read API."""
+
+    def __init__(self, view: LazyFibs, router: str) -> None:
+        self.router = router
+        self._view = view
+        self._spf: Optional[ShortestPaths] = None
+        self._entries: Dict[Prefix, Optional[PrefixFib]] = {}
+
+    def has_entry(self, prefix: Prefix) -> bool:
+        """Whether this FIB can forward traffic toward ``prefix``."""
+        return self._entry(prefix) is not None
+
+    def lookup(self, prefix: Prefix) -> PrefixFib:
+        """The forwarding entries toward ``prefix`` (raises if absent)."""
+        entry = self._entry(prefix)
+        if entry is None:
+            raise RoutingError(f"router {self.router!r} has no FIB entry for {prefix}")
+        return entry
+
+    def _entry(self, prefix: Prefix) -> Optional[PrefixFib]:
+        if prefix in self._entries:
+            return self._entries[prefix]
+        view = self._view
+        graph = view.graph
+        if self._spf is None:
+            if view.spf_cache.version != graph.version:
+                raise RoutingError(
+                    f"stale FIB view: graph version {graph.version}, "
+                    f"SPF lineage at {view.spf_cache.version}"
+                )
+            self._spf = view.spf_cache.spf(graph, self.router)
+        route = _route_for_prefix(graph, self.router, self._spf, prefix)
+        entry = None if route is None else _resolve_route(
+            graph, self.router, route, view.max_ecmp
+        )
+        self._entries[prefix] = entry
+        return entry

@@ -251,6 +251,16 @@ class Topology:
         """All directed links, sorted by (source, target)."""
         return [self._links[key] for key in sorted(self._links)]
 
+    def capacities(self) -> Dict[Tuple[str, str], float]:
+        """Capacity of every directed link, keyed by ``(source, target)``.
+
+        The data plane's allocator and the monitoring collector both re-read
+        capacities through here whenever :attr:`revision` moves, so the
+        rates they fill and the utilisation the alarm sees divide by the
+        same figure.
+        """
+        return {link.key: link.capacity for link in self.links}
+
     @property
     def undirected_links(self) -> List[Tuple[str, str]]:
         """Unordered link pairs, each reported once with endpoints sorted."""

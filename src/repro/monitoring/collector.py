@@ -72,7 +72,7 @@ class LoadCollector:
         revision = self.topology.revision
         if revision == self._capacity_revision:
             return
-        current = {link.key: link.capacity for link in self.topology.links}
+        current = self.topology.capacities()
         for key in list(self._estimates):
             if key not in current:
                 del self._estimates[key]

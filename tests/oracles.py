@@ -11,7 +11,8 @@ the fast path starts:
   re-run progressive filling from scratch on every event;
 * :class:`ClearAndReplayController` re-plans every requirement of every
   enforce wave through validation, lie synthesis and the registry diff,
-  with no plan cache, no skip bookkeeping and no baseline memo;
+  with no plan cache, no skip bookkeeping, no baseline memo and whole
+  baseline FIB sets instead of the lazy view;
 * :class:`ClearAndReplayBalancer` runs the merger without the controller's
   plan cache, so a reaction never reuses a merged plan.
 
@@ -50,6 +51,7 @@ from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import Lsa
 from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.rib import Rib, Route, RouteContribution
+from repro.igp.rib_cache import RibCache
 from repro.igp.spf import ShortestPaths, compute_spf, costs_equal
 from repro.util.errors import RoutingError, TopologyError
 
@@ -85,7 +87,7 @@ class FromScratchDataPlaneEngine(DataPlaneEngine):
             path = self._flow_paths[flow.flow_id]
             flow_links[flow.flow_id], demands[flow.flow_id], _ = self._effective_input(flow, path)
 
-        rates = max_min_fair_allocation(flow_links, demands, self._capacities)
+        rates = max_min_fair_allocation(flow_links, demands, self._current_capacities())
         self._flow_rates = rates
 
         contributions: Dict[LinkKey, List[Tuple[float, int]]] = {}
@@ -129,7 +131,7 @@ class FromScratchAggregateEngine(AggregateDemandEngine):
                 counts[entity_id] = group.count
 
         rates = max_min_fair_allocation(
-            entity_links, demands, self._capacities, counts=counts
+            entity_links, demands, self._current_capacities(), counts=counts
         )
         self._entity_rates = rates
 
@@ -166,9 +168,14 @@ class ClearAndReplayController(FibbingController):
             plans.append(plan)
         return self._apply_batch(plans, already_committed=True)
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # Whole lie-free FIB sets, on the controller's baseline SPF lineage.
+        self._baseline_rib_cache = RibCache(self.baseline_route_cache)
+
     def baseline_fibs(self, max_ecmp: int = DEFAULT_MAX_ECMP):
         return compute_static_fibs(
-            self.topology, max_ecmp=max_ecmp, rib_cache=self.baseline_route_cache
+            self.topology, max_ecmp=max_ecmp, rib_cache=self._baseline_rib_cache
         )
 
 

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.dataplane.engine import DataPlaneEngine
+from repro.dataplane.engine import AggregateDemandEngine, DataPlaneEngine
 from repro.igp.network import compute_static_fibs
 from repro.monitoring.alarms import UtilizationAlarm
 from repro.monitoring.collector import LoadCollector
 from repro.monitoring.counters import SnmpAgent, build_agents
 from repro.monitoring.notifications import ClientNotification, ClientRegistry, NotificationBus
-from repro.monitoring.poller import SnmpPoller
-from repro.topologies.demo import BLUE_PREFIX, build_demo_topology
+from repro.monitoring.poller import PollSample, SnmpPoller
+from repro.topologies.demo import BLUE_PREFIX, SOURCE_PREFIXES, build_demo_topology
 from repro.util.errors import MonitoringError
 from repro.util.timeline import Timeline
 from repro.util.units import mbps
@@ -324,6 +324,59 @@ class TestCollectorAndAlarm:
             )
         assert collector.utilization("B", "R3") == 0.0
         assert collector.rate("B", "R3") == 0.0
+
+
+class TestCapacityAgreement:
+    """The engine's allocator and the collector's alarm divide by one capacity.
+
+    On the demo, R2 reaches the S1 prefix (announced at B) over the one-hop
+    link R2->B.  A 48 Mbit/s flow there is capped at the 32 Mbit/s link;
+    once B-R2 is re-added at 64 Mbit/s it must get its full demand, and the
+    collector must divide its rate by the same 64 Mbit/s.
+    """
+
+    def start(self, aggregate):
+        topology = build_demo_topology()
+        timeline = Timeline()
+        engine_class = AggregateDemandEngine if aggregate else DataPlaneEngine
+        engine = engine_class(topology, lambda: compute_static_fibs(topology), timeline)
+        engine.start()
+        if aggregate:
+            engine.add_class("R2", SOURCE_PREFIXES["S1"], mbps(48), 1)
+        else:
+            engine.add_flow("R2", SOURCE_PREFIXES["S1"], mbps(48))
+        assert engine.link_rate("R2", "B") == mbps(32)
+        return topology, timeline, engine, LoadCollector(topology)
+
+    def assert_agreement(self, timeline, engine, collector):
+        assert engine.link_rate("R2", "B") == mbps(48)
+        timeline.run_until(1.0)
+        collector.ingest(PollSample(time=1.0, interval=1.0, rates=engine.samples[-1].rates))
+        capacity = {view.link: view.capacity for view in collector.views()}[("R2", "B")]
+        assert capacity == engine._current_capacities()[("R2", "B")] == mbps(64)
+        assert collector.utilization("R2", "B") == pytest.approx(
+            collector.rate("R2", "B") / mbps(64)
+        )
+
+    @pytest.mark.parametrize("aggregate", [False, True], ids=["flows", "classes"])
+    def test_link_readded_at_another_capacity(self, aggregate):
+        topology, timeline, engine, collector = self.start(aggregate)
+        topology.remove_link("B", "R2")
+        engine.notify_routing_change()
+        assert engine.link_rate("R2", "B") == 0.0
+        topology.add_link("B", "R2", weight=1, capacity=mbps(64))
+        engine.notify_routing_change()
+        self.assert_agreement(timeline, engine, collector)
+
+    @pytest.mark.parametrize("aggregate", [False, True], ids=["flows", "classes"])
+    def test_capacity_moved_under_an_unchanged_path(self, aggregate):
+        # Removed and re-added before any FIB moved: no flow is re-routed,
+        # so only the capacity change itself can lift the rate.
+        topology, timeline, engine, collector = self.start(aggregate)
+        topology.remove_link("B", "R2")
+        topology.add_link("B", "R2", weight=1, capacity=mbps(64))
+        engine.notify_routing_change()
+        self.assert_agreement(timeline, engine, collector)
 
 
 class TestNotifications:

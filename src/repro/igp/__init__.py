@@ -31,7 +31,8 @@ the demo depends on:
 ``rib_cache``
     Per-router RIBs and resolved FIBs keyed by computation-graph version,
     repaired per dirty prefix from the same delta log (the incremental-SPF
-    pattern lifted to the route layer).
+    pattern lifted to the route layer), and ``LazyFibs``, which resolves
+    single ``(router, prefix)`` entries on first read.
 ``flooding``
     Reliable LSA flooding between adjacent routers with propagation delays.
 ``router``

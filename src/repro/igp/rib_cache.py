@@ -103,11 +103,6 @@ class RibCache:
         self._entries.clear()
         self.spf_cache.invalidate()
 
-    @property
-    def version(self) -> Optional[int]:
-        """Version of the lineage's most recently observed graph."""
-        return self.spf_cache.version
-
     # ------------------------------------------------------------------ #
     # Lookups
     # ------------------------------------------------------------------ #

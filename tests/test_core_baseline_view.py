@@ -40,7 +40,7 @@ def make_topology(kind, seed):
     return random_topology(9, edge_probability=0.3, seed=seed)
 
 
-class ViewDriver:
+class ViewProbe:
     """Mutates one topology and reads the controller's baseline view sparsely."""
 
     def __init__(self, topology, seed=0):
@@ -103,26 +103,26 @@ class TestMatchesStaticFibs:
     )
     @settings(max_examples=60, deadline=None)
     def test_sparse_reads_after_random_events(self, seed, kind, actions):
-        driver = ViewDriver(make_topology(kind, seed), seed)
-        driver.read_random()
+        probe = ViewProbe(make_topology(kind, seed), seed)
+        probe.read_random()
         for action in actions:
-            driver.apply(action)
-            driver.read_random()
-        driver.read_all()
+            probe.apply(action)
+            probe.read_random()
+        probe.read_all()
 
     def test_router_read_past_the_delta_log_is_recomputed_cold(self):
-        driver = ViewDriver(make_topology("isp", 3), 3)
-        driver.read_all()
-        cache = driver.controller.baseline_route_cache
+        probe = ViewProbe(make_topology("isp", 3), 3)
+        probe.read_all()
+        cache = probe.controller.baseline_route_cache
         before, version = cache.counters.full_recomputes, cache.version
         # One observed graph a step, until the log no longer reaches back.
         steps = 0
-        while driver.controller.baseline_fibs().graph.deltas_since(version) is not None:
-            driver.apply(driver.rng.choice(ACTIONS))
+        while probe.controller.baseline_fibs().graph.deltas_since(version) is not None:
+            probe.apply(probe.rng.choice(ACTIONS))
             steps += 1
         assert steps > graph_module._MAX_LOG_STEPS // 2
-        driver.read_all()
-        assert cache.counters.full_recomputes - before == driver.topology.num_routers
+        probe.read_all()
+        assert cache.counters.full_recomputes - before == probe.topology.num_routers
 
     def test_float_tie_keeps_the_smallest_sum(self):
         # N5 reaches N4 over N6 either directly (0.876 + 4) or through N1
@@ -134,37 +134,37 @@ class TestMatchesStaticFibs:
         topology.add_link("N6", "N1", weight=5.0)
         topology.add_link("N1", "N4", weight=3.0)
         topology.attach_prefix("N4", "172.16.4.0/24")
-        driver = ViewDriver(topology)
-        driver.read_all()
+        probe = ViewProbe(topology)
+        probe.read_all()
         topology.set_weight("N6", "N1", 1.0)
-        driver.read(["N5"], topology.prefixes)
-        route = driver.controller.baseline_fibs().get("N5").lookup(topology.prefixes[0])
+        probe.read(["N5"], topology.prefixes)
+        route = probe.controller.baseline_fibs().get("N5").lookup(topology.prefixes[0])
         assert route.cost == min(0.876 + 4.0, 0.876 + 1.0 + 3.0)
         assert route.next_hops() == ("N6",)
 
 
 class TestViewContract:
     def test_unknown_router_has_no_fib(self):
-        driver = ViewDriver(make_topology("isp", 1))
-        assert driver.controller.baseline_fibs().get("ghost") is None
+        probe = ViewProbe(make_topology("isp", 1))
+        assert probe.controller.baseline_fibs().get("ghost") is None
 
     def test_view_is_memoised_per_revision(self):
-        driver = ViewDriver(make_topology("isp", 1))
-        view = driver.controller.baseline_fibs()
-        assert driver.controller.baseline_fibs() is view
-        driver.apply("weight")
-        assert driver.controller.baseline_fibs() is not view
+        probe = ViewProbe(make_topology("isp", 1))
+        view = probe.controller.baseline_fibs()
+        assert probe.controller.baseline_fibs() is view
+        probe.apply("weight")
+        assert probe.controller.baseline_fibs() is not view
 
     def test_stale_view_refuses_to_resolve(self):
         # A view read after a newer, different graph was observed would
         # chain the lineage backwards; it raises instead.
-        driver = ViewDriver(make_topology("isp", 1))
-        stale = driver.controller.baseline_fibs()
-        links = driver.topology.undirected_links
-        driver.topology.set_weight(*links[0], 17)
-        driver.controller.baseline_fibs()
+        probe = ViewProbe(make_topology("isp", 1))
+        stale = probe.controller.baseline_fibs()
+        links = probe.topology.undirected_links
+        probe.topology.set_weight(*links[0], 17)
+        probe.controller.baseline_fibs()
         with pytest.raises(RoutingError):
-            stale.get(driver.topology.routers[0]).has_entry(driver.topology.prefixes[0])
+            stale.get(probe.topology.routers[0]).has_entry(probe.topology.prefixes[0])
 
 
 class StubClients:

@@ -1,13 +1,13 @@
-"""Benchmark: the aggregate-demand data plane under flash-crowd scale.
+"""Benchmark: cohort demand classes under flash-crowd scale.
 
-PR 3 made the flow-level data plane incremental, but its cost per event
-still grew with the *session count*: a million-viewer flash crowd means a
-million flow entities to route, rate and advance.  The aggregate engine
-replaces them with demand classes — ``(ingress, prefix, per-session rate,
-session count)`` — so per-event cost is O(classes x path groups) while
-every externally observable number stays bit-identical to the per-flow
-engine.  This benchmark runs the same scaled Fig. 2 closed loop through
-both engines, asserting the bit-identity first and the >= 10x speedup
+The data plane's cost per event grows with the number of demand classes it
+routes, rates and advances.  Run per viewer — one single-session class
+per flow, as ``DataPlaneEngine`` does — a million-viewer flash crowd means
+a million classes.  Cohort classes — ``(ingress, prefix, per-session rate,
+session count)``, one per arrival batch — make per-event cost O(classes x
+path groups) while every externally observable number stays bit-identical
+to the per-viewer run.  This benchmark runs the same scaled Fig. 2 closed
+loop both ways, asserting the bit-identity first and the >= 10x speedup
 second, then drives the full million-session run and asserts the paper's
 interactive-scale claim: the whole closed loop (controller, monitoring,
 QoE and all) in under 60 s on one core.
@@ -26,14 +26,15 @@ from repro.experiments.flashcrowd_classes import (
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Session count of the engine-vs-engine comparison (per-flow side included).
+#: Session count of the per-viewer vs cohort comparison.
 COMPARE_SESSIONS = 6_200 if QUICK else 10_000
 #: Session count of the aggregate-only scale run.
 CROWD_SESSIONS = 62_000 if QUICK else 1_000_000
 
 
 def run_engine_comparison():
-    """The same scaled demo run through both engines; times and results."""
+    """The same scaled demo run with cohort classes and with one class per
+    viewer; times and results."""
     scenario = build_scaled_demo_scenario(COMPARE_SESSIONS)
 
     start = time.perf_counter()
@@ -50,8 +51,8 @@ def run_engine_comparison():
     )
     per_flow_time = time.perf_counter() - start
 
-    # Equivalence first, speed second: an aggregate engine that dropped
-    # sessions or drifted rates would also "win" this benchmark.
+    # Equivalence first, speed second: cohorts that dropped sessions or
+    # drifted rates would also "win" this benchmark.
     assert aggregate.sessions_started == per_flow.sessions_started
     assert aggregate.link_counters == per_flow.link_counters
     assert aggregate.qoe == per_flow.qoe
@@ -66,15 +67,15 @@ def test_aggregate_engine_speedup_over_per_flow(benchmark, report):
     speedup = per_flow_time / aggregate_time
 
     report.add_line(
-        f"Aggregate-demand data plane — scaled Fig. 2 flash crowd "
+        f"Cohort demand classes — scaled Fig. 2 flash crowd "
         f"({result.sessions_started} sessions, full closed loop, "
-        f"bit-identical QoE/counters/lies across engines)"
+        f"bit-identical QoE/counters/lies both ways)"
     )
     report.add_table(
-        ["engine", "closed-loop run time [s]"],
+        ["demand classes", "closed-loop run time [s]"],
         [
-            ("per-flow (one entity per session)", f"{per_flow_time:.4f}"),
-            ("aggregate (demand classes)", f"{aggregate_time:.4f}"),
+            ("one per viewer (DataPlaneEngine flows)", f"{per_flow_time:.4f}"),
+            ("one per arrival batch (cohorts)", f"{aggregate_time:.4f}"),
             ("speedup", f"{speedup:.1f}x"),
         ],
     )

@@ -49,8 +49,8 @@ def main() -> None:
     print(f"  control-plane cost: {enabled.controller_messages} fake LSAs "
           f"({enabled.lies_active} active at the end)")
     dp = enabled.dataplane_stats
-    print(f"  data-plane cache: {dp['dp_flows_reused']} cached paths reused, "
-          f"{dp['dp_flows_rerouted']} flows re-routed, "
+    print(f"  data-plane cache: {dp['dp_classes_reused']} cached paths reused, "
+          f"{dp['dp_classes_rewalked']} flows re-routed, "
           f"{dp['dp_alloc_warm_starts']} warm-started allocations "
           f"({dp['dp_alloc_full']} from scratch)")
 

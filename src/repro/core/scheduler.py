@@ -171,8 +171,8 @@ class ConvergenceMonitor:
     Register *after* the data-plane engine is bound to the network
     (:meth:`~repro.dataplane.engine.DataPlaneEngine.bind_to_network`): FIB
     listeners fire in registration order, so the engine re-walks its flows
-    over the interim mixed-FIB state first and this monitor then reads the
-    resulting :meth:`routing_flaws` snapshot.
+    or cohorts over the interim mixed-FIB state first and this monitor then
+    reads the resulting :meth:`routing_flaws` snapshot.
 
     Accounting model: every :meth:`~repro.igp.network.IgpNetwork.inject`
     call marks the start (or continuation) of a convergence wave and
@@ -182,8 +182,8 @@ class ConvergenceMonitor:
     ``ctl_converge_seconds`` (so idle time between waves is never charged),
     bumps ``ctl_converge_events``, and charges any *newly observed*
     loop/blackhole key to ``ctl_transient_loops`` /
-    ``ctl_transient_blackholes`` weighted by affected flow (or aggregated
-    session) count.
+    ``ctl_transient_blackholes`` weighted by its session count: 1 for a
+    flow (a one-session class), the path group's population for a cohort.
     """
 
     def __init__(self, network, engine=None, counters: Optional[CtlCounters] = None) -> None:

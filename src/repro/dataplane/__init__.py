@@ -10,10 +10,12 @@ per-flow rates, congestion) with a fluid, flow-level model:
 ``demand``
     Aggregated traffic matrices used by the static analyses and by the
     TE baselines, plus demand classes — ``(ingress, prefix, rate, count)``
-    session cohorts, the unit of the aggregate-demand engine.
+    session cohorts, the unit of the data-plane engine (a flow is a
+    one-session class).
 ``forwarding``
     Routing of traffic over the routers' FIBs: exact fractional splitting
-    (fluid mode) and per-flow ECMP hashing (hash mode), plus loop detection.
+    (fluid mode) and per-session ECMP hashing of whole session populations
+    (hash mode), plus loop detection.
 ``linkstats``
     Per-link load accounting and utilisation summaries.
 ``fairness``
@@ -21,14 +23,15 @@ per-flow rates, congestion) with a fluid, flow-level model:
     compete on a bottleneck link, decomposed along the connected components
     of the flow-link hypergraph.
 ``path_cache``
-    The incremental machinery: versioned flow-path caching keyed on the FIB
-    entries a path traverses, and warm-start max-min repair per dirty
-    component, with the ``dp_*`` counters.
+    The incremental machinery: path caching keyed on the FIB entries a
+    walk traverses, and warm-start max-min repair per dirty component,
+    with the ``dp_*`` counters.
 ``engine``
-    The event-driven simulation loops tying everything to the shared
-    timeline: flow arrivals/departures (``DataPlaneEngine``) or class-level
-    cohort arrivals (``AggregateDemandEngine``), FIB changes, SNMP
-    counters, and the periodic sampling used to draw Fig. 2.
+    The event-driven simulation engine tying everything to the shared
+    timeline: cohort arrivals and departures (``AggregateDemandEngine``)
+    or, through its per-flow view, flow arrivals and departures
+    (``DataPlaneEngine``), FIB changes, SNMP counters, and the periodic
+    sampling used to draw Fig. 2.
 """
 
 from repro.dataplane.flows import Flow, FlowSet, FlowSpec

@@ -150,8 +150,8 @@ class DemandClass:
 
     The class owns the contiguous session-id block
     ``[base_session_id, base_session_id + count)``; per-session ECMP hashing
-    uses those ids exactly as the per-flow engine uses flow ids, so the two
-    representations route every session identically.
+    uses those ids exactly as it uses a flow's id, so a cohort routes every
+    session as the same sessions would route as flows.
     """
 
     class_id: int
@@ -237,6 +237,9 @@ class ClassSet:
             if base <= session_id < base + demand_class.count:
                 return demand_class
         raise SimulationError(f"session id {session_id} belongs to no active class")
+
+    def __contains__(self, class_id: int) -> bool:
+        return class_id in self._classes
 
     def __iter__(self) -> Iterator[DemandClass]:
         for class_id in sorted(self._classes):

@@ -1,23 +1,19 @@
-"""Event-driven data-plane simulation engines.
+"""Event-driven data-plane simulation engine.
 
-Two engines share one timeline/sampling core (:class:`DataPlaneEngineBase`):
+One engine, :class:`AggregateDemandEngine`, owns *demand classes* —
+``(ingress, prefix, per-session rate, session_count)`` cohorts — and does
+O(classes × path groups) work per event instead of O(sessions), which is
+what makes million-session flash crowds simulable on one core.  A class is
+routed by walking the whole session population down the per-prefix
+forwarding DAG, hashing individual session ids only at genuine ECMP branch
+points; rates come from progressive filling with the entity ``count``
+multiplicity of :mod:`repro.dataplane.fairness`.
 
-* :class:`DataPlaneEngine` owns individual flows.  At every state change
-  (flow arrival or departure, FIB update pushed by the control plane) it
-  refreshes each flow's path over the current FIBs (per-flow ECMP hashing)
-  and the max-min fair rate allocation.
-* :class:`AggregateDemandEngine` owns *demand classes* —
-  ``(ingress, prefix, per-session rate, session_count)`` cohorts — and does
-  O(classes × path groups) work per event instead of O(sessions), which is
-  what makes million-session flash crowds simulable on one core.  A class
-  is routed by walking the whole session population down the per-prefix
-  forwarding DAG, hashing individual session ids only at genuine ECMP
-  branch points; rates come from the same progressive filling with the
-  entity ``count`` multiplicity of :mod:`repro.dataplane.fairness`.  It
-  runs the flash crowds; the per-flow engine runs Fig. 2 and the ISP
-  worlds.  On the same arrival sequence both engines produce bit-identical
-  session rates, link rates, byte counters and samples
-  (``tests/test_dataplane_classes.py``).
+:class:`DataPlaneEngine` is its per-flow view: every flow is a one-session
+class, hashed at every branch as a session of a cohort would be.  Fig. 2
+and the ISP worlds run flows, the flash crowds run cohorts; on the same
+arrival sequence both produce bit-identical session rates, link rates,
+byte counters and samples (``tests/test_dataplane_classes.py``).
 
 Between state changes rates are constant, so byte counters (the quantities
 SNMP exposes and Fig. 2 plots) are advanced analytically — no per-packet or
@@ -25,24 +21,24 @@ per-session work is ever done.
 
 The refresh is **incremental**, mirroring the control plane's SPF/RIB
 caches one layer down the stack: a
-:class:`~repro.dataplane.path_cache.FlowPathCache` stamps the FIB entries
-with versions and re-routes only the flows (or classes) whose cached walk
-crosses a changed *(router, prefix)* entry, and a
+:class:`~repro.dataplane.path_cache.FlowPathCache` diffs the FIBs and
+re-walks only the classes whose cached walk crosses a changed *(router,
+prefix)* entry, and a
 :class:`~repro.dataplane.path_cache.WarmStartAllocator` re-runs progressive
 filling only on the connected components of the entity-link hypergraph that
 the event dirtied, however many that is; only the first allocation of an
 engine runs from scratch.  Both repairs are bit-identical to a from-scratch
-re-route and re-allocation; the from-scratch engines live in
-``tests/oracles.py``, and the differential suites
+re-walk and re-allocation; the from-scratch engines (per flow and per
+class) live in ``tests/oracles.py``, and the differential suites
 ``tests/test_dataplane_incremental.py`` / ``tests/test_dataplane_classes.py``
 hold the product to them.
 
 Per-link totals are computed *canonically*: member contributions are
 grouped by exact rate value and summed in ascending rate order, multiplied
 by the integer session count per group.  The grouping makes the totals a
-function of the (rate → session count) multiset only, so the flow and
-aggregate representations of the same traffic produce bitwise-equal link
-rates (and hence byte counters and samples).
+function of the (rate → session count) multiset only, so ``n`` flows and
+one cohort of ``n`` sessions produce bitwise-equal link rates (and hence
+byte counters and samples).
 
 Periodic sampling events record the average per-link throughput since the
 previous sample; the Fig. 2 benchmark plots exactly those samples.
@@ -59,12 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataplane.demand import ClassSpec, ClassSet, DemandClass
-from repro.dataplane.flows import Flow, FlowSet, FlowSpec
+from repro.dataplane.flows import Flow, FlowSpec
 from repro.dataplane.forwarding import (
     ClassPathGroup,
     FlowPath,
     route_class_sessions,
-    route_flows_hashed,
 )
 from repro.dataplane.linkstats import LinkLoads
 from repro.dataplane.path_cache import (
@@ -109,7 +104,7 @@ def _canonical_link_total(contributions: Iterable[Tuple[float, int]]) -> float:
     exact integers) and folded in ascending rate order, so the result
     depends only on the (rate → session count) multiset.  ``n`` flows at
     rate ``r`` and one class group of count ``n`` at rate ``r`` therefore
-    total bitwise-identically — the keystone of the flow/aggregate engine
+    total bitwise-identically — the keystone of the flow/cohort
     equivalence.
     """
     groups: Dict[float, int] = {}
@@ -123,13 +118,14 @@ def _canonical_link_total(contributions: Iterable[Tuple[float, int]]) -> float:
 
 
 class DataPlaneEngineBase:
-    """Timeline, sampling and byte-counter core shared by both engines.
+    """Timeline, sampling and byte-counter core of a data-plane engine.
 
-    Subclasses implement ``_recompute(arrivals=..., departures=...)``
-    (refresh routing and rates after one event) and
-    ``_advance_entity_bytes(elapsed)`` (integrate per-entity byte counters);
-    everything else — periodic sampling, link byte integration, network
-    binding, listeners — lives here.
+    Subclasses (the class engine here, the from-scratch per-flow oracle in
+    ``tests/oracles.py``) implement ``_recompute(arrivals=...,
+    departures=...)`` (refresh routing and rates after one event) and
+    ``_advance_entity_bytes(elapsed)`` (integrate per-entity byte
+    counters); everything else — periodic sampling, link byte integration,
+    network binding, listeners — lives here.
     """
 
     def __init__(
@@ -299,245 +295,6 @@ class DataPlaneEngineBase:
         self.timeline.schedule_in(self.sample_interval, self._sample, label="dataplane-sample")
 
 
-class DataPlaneEngine(DataPlaneEngineBase):
-    """Flow-level data plane driven by the shared simulation timeline."""
-
-    def __init__(
-        self,
-        topology: Topology,
-        fib_provider: FibProvider,
-        timeline: Timeline,
-        sample_interval: float = 1.0,
-        hash_salt: int = 0,
-    ) -> None:
-        super().__init__(
-            topology,
-            fib_provider,
-            timeline,
-            sample_interval=sample_interval,
-            hash_salt=hash_salt,
-        )
-        self.flows = FlowSet()
-        self._path_cache = FlowPathCache()
-        # Current (instantaneous) state, valid since _last_advance.
-        self._flow_rates: Dict[int, float] = {}
-        self._flow_paths: Dict[int, FlowPath] = {}
-        # Effective links per flow (empty for undeliverable flows) and the
-        # inverse index, used to repair per-link totals without rescanning
-        # every flow.
-        self._flow_links: Dict[int, Tuple[LinkKey, ...]] = {}
-        self._link_members: Dict[LinkKey, Set[int]] = {}
-        self._flow_bytes: Dict[int, float] = {}
-
-    # ------------------------------------------------------------------ #
-    # Flow management
-    # ------------------------------------------------------------------ #
-    def add_flow(self, ingress: str, prefix: Prefix, demand: float, label: str = "") -> Flow:
-        """Start a new flow now; rates are recomputed immediately."""
-        return self.add_flows([FlowSpec(ingress=ingress, prefix=prefix, demand=demand, label=label)])[0]
-
-    def add_flows(self, specs: Sequence[FlowSpec]) -> List[Flow]:
-        """Start a batch of flows now, paying for a single recomputation.
-
-        An arrival wave of ``n`` flows (a flash-crowd batch) triggers one
-        path/allocation refresh instead of ``n`` — the rates between the
-        individual arrivals of a same-instant batch would never integrate
-        into any byte counter anyway.
-        """
-        # Validate every spec up front: a failure mid-batch would leave the
-        # earlier flows registered but never routed (they are only treated
-        # as arrivals once), so the batch must be all-or-nothing.
-        for spec in specs:
-            if not self.topology.has_router(spec.ingress):
-                raise SimulationError(
-                    f"flow ingress {spec.ingress!r} is not a router of the topology"
-                )
-            check_positive(spec.demand, "demand")
-        if not specs:
-            return []
-        self._advance_counters()
-        flows: List[Flow] = []
-        for spec in specs:
-            flow = self.flows.create(
-                ingress=spec.ingress, prefix=spec.prefix, demand=spec.demand, label=spec.label
-            )
-            self._flow_bytes[flow.flow_id] = 0.0
-            flows.append(flow)
-        self._recompute(arrivals=flows)
-        return flows
-
-    def remove_flow(self, flow_id: int) -> Flow:
-        """Terminate the flow with ``flow_id`` now; rates are recomputed immediately."""
-        self._advance_counters()
-        flow = self.flows.remove(flow_id)
-        self._recompute(departures=[flow_id])
-        return flow
-
-    # ------------------------------------------------------------------ #
-    # State inspection
-    # ------------------------------------------------------------------ #
-    def flow_rate(self, flow_id: int) -> float:
-        """Current allocated rate of a flow (bit/s)."""
-        return self._flow_rates.get(flow_id, 0.0)
-
-    def flow_path(self, flow_id: int) -> Optional[FlowPath]:
-        """Current path of a flow (``None`` before the first recomputation)."""
-        return self._flow_paths.get(flow_id)
-
-    def flow_transmitted_bytes(self, flow_id: int) -> float:
-        """Bytes delivered so far for a flow (advanced to the current instant).
-
-        Reads advance the byte counters first, like the link counters and
-        the aggregate engine's per-session view do — a mid-interval read
-        must not lag the timeline by up to one sample period.
-        """
-        self._advance_counters()
-        return self._flow_bytes.get(flow_id, 0.0)
-
-    @property
-    def path_cache_version(self) -> int:
-        """Version stamped on the FIB entries dirtied by the latest change."""
-        return self._path_cache.version
-
-    def cached_path_valid(self, flow_id: int) -> bool:
-        """Whether the flow's cached path key still matches the FIB versions."""
-        return self._path_cache.valid(flow_id)
-
-    def allocation_components(self) -> int:
-        """Connected components currently tracked by the warm-start allocator."""
-        return self._allocator.component_count()
-
-    def routing_flaws(self) -> Tuple[Dict[object, int], Dict[object, int]]:
-        """Flows currently looping / blackholed on the installed FIBs.
-
-        Returns ``(looping, blackholed)`` maps of opaque observation keys
-        (here ``(flow_id, hops)``) to affected session counts (always 1 per
-        flow; the aggregate engine's override reports whole path groups).
-        A *blackholed* flow is one whose walk ended without reaching the
-        destination and without looping — typically a missing FIB entry on
-        a mixed-FIB interim state.  Pure read: no counter advance, no
-        recomputation — safe to call from FIB-change listeners
-        mid-convergence.
-        """
-        looping: Dict[object, int] = {}
-        blackholed: Dict[object, int] = {}
-        for flow_id, path in self._flow_paths.items():
-            if path.looped:
-                looping[(flow_id, path.hops)] = 1
-            elif not path.delivered:
-                blackholed[(flow_id, path.hops)] = 1
-        return looping, blackholed
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _advance_entity_bytes(self, elapsed: float) -> None:
-        for flow_id, rate in self._flow_rates.items():
-            if rate > 0:
-                self._flow_bytes[flow_id] = (
-                    self._flow_bytes.get(flow_id, 0.0) + rate * elapsed / 8.0
-                )
-
-    def _effective_input(self, flow: Flow, path: FlowPath) -> FlowInput:
-        """The (links, demand, count) the allocator sees for one routed flow.
-
-        Undeliverable flows send nothing (their TCP connection would never
-        establish); looping flows are included in the path so tests can
-        detect them, but they get no rate either.
-        """
-        if path.delivered:
-            return path.links, flow.demand, 1
-        return (), 0.0, 1
-
-    def _recompute(self, arrivals: Sequence[Flow] = (), departures: Sequence[int] = ()) -> None:
-        """Re-route only the dirty flows and warm-start the fair allocation."""
-        fibs = dict(self.fib_provider())
-        for flow_id in departures:
-            self._path_cache.drop(flow_id)
-            self._flow_paths.pop(flow_id, None)
-
-        dirty_entries = self._path_cache.observe(fibs)
-        to_route = sorted(
-            self._path_cache.dirty_flows(dirty_entries).union(
-                flow.flow_id for flow in arrivals
-            )
-        )
-        outcome = route_flows_hashed(
-            fibs, [self.flows.get(flow_id) for flow_id in to_route], salt=self.hash_salt
-        )
-        self.counters.flows_rerouted += len(to_route)
-        self.counters.flows_reused += len(self.flows) - len(to_route)
-
-        changed_inputs: Dict[int, FlowInput] = {}
-        for flow_id in to_route:
-            path = outcome.flow_paths[flow_id]
-            previous = self._flow_paths.get(flow_id)
-            self._path_cache.store(self.flows.get(flow_id), path)
-            self._flow_paths[flow_id] = path
-            if previous is None or path != previous:
-                changed_inputs[flow_id] = self._effective_input(self.flows.get(flow_id), path)
-
-        repair = self._allocator.update(
-            changed=changed_inputs,
-            removed=departures,
-            capacities=self._current_capacities(),
-        )
-        if repair.mode == "warm":
-            self.counters.alloc_warm_starts += 1
-        elif repair.mode == "full":
-            self.counters.alloc_full += 1
-        self._flow_rates = self._allocator.rates
-
-        # Repair the per-link totals: only the links whose flow membership
-        # or member rates moved are re-summed (canonically, so the totals
-        # are bit-identical to a from-scratch rebuild).
-        affected_links: Set[LinkKey] = set()
-        for flow_id in departures:
-            old_links = self._flow_links.pop(flow_id, ())
-            affected_links.update(old_links)
-            for link in old_links:
-                self._discard_member(link, flow_id)
-        for flow_id, (links, _demand, _count) in changed_inputs.items():
-            old_links = self._flow_links.get(flow_id, ())
-            affected_links.update(old_links)
-            affected_links.update(links)
-            for link in old_links:
-                if link not in links:
-                    self._discard_member(link, flow_id)
-            for link in links:
-                self._link_members.setdefault(link, set()).add(flow_id)
-            self._flow_links[flow_id] = links
-        for flow_id in repair.rate_changed:
-            if flow_id not in changed_inputs:
-                affected_links.update(self._flow_links.get(flow_id, ()))
-        for link in affected_links:
-            self._retotal_link(link)
-
-    def _discard_member(self, link: LinkKey, flow_id: int) -> None:
-        members = self._link_members.get(link)
-        if members is not None:
-            members.discard(flow_id)
-            if not members:
-                del self._link_members[link]
-
-    def _retotal_link(self, link: LinkKey) -> None:
-        """Re-sum one link's carried rate over its member flows, canonically."""
-        total = _canonical_link_total(
-            (self._flow_rates.get(flow_id, 0.0), 1)
-            for flow_id in self._link_members.get(link, ())
-        )
-        if total > 0:
-            self._link_rates[link] = total
-        else:
-            self._link_rates.pop(link, None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"DataPlaneEngine(flows={len(self.flows)}, t={self.timeline.now:.3f}, "
-            f"samples={len(self.samples)})"
-        )
-
-
 @dataclass
 class _ByteCohort:
     """A maximal session subset with bitwise-identical per-session bytes.
@@ -546,8 +303,8 @@ class _ByteCohort:
     merged) whenever a re-walk regroups the class's sessions, so each
     cohort always lies inside exactly one current path group
     (``entity_id``).  Per-session byte accrual is then the very same
-    ``bytes += rate * elapsed / 8`` the per-flow engine applies to each
-    member flow.
+    ``bytes += rate * elapsed / 8`` a one-session class (a flow) applies
+    to its own counter.
     """
 
     ids: Sequence[int]
@@ -619,39 +376,25 @@ def _ids_intersect(left: Sequence[int], right: Sequence[int]) -> Optional[Sequen
 class AggregateDemandEngine(DataPlaneEngineBase):
     """Class-level data plane: cohorts of identical sessions as one entity.
 
-    The public surface mirrors :class:`DataPlaneEngine` one aggregation
-    level up: :meth:`add_classes` / :meth:`remove_class` instead of
-    ``add_flows`` / ``remove_flow``, :meth:`session_rate` /
-    :meth:`session_transmitted_bytes` for per-session views (exact — each
-    session gets the bitwise rate and byte counter its per-flow twin
-    would), and :meth:`class_transmitted_bytes` for the aggregate the video
-    layer feeds its cohort QoE clients from.  Work per event is
-    O(classes × path groups); individual session ids are only ever touched
-    at ECMP branch partitions (``dp_classes_splits``): one sha256 per
-    session per branch, partitioned in bounded chunks.
+    :meth:`add_classes` / :meth:`remove_class` start and end cohorts,
+    :meth:`session_rate` / :meth:`session_transmitted_bytes` give
+    per-session views (exact — each session gets the bitwise rate and byte
+    counter it would get as a one-session class), and
+    :meth:`class_transmitted_bytes` the aggregate the video layer feeds
+    its cohort QoE clients from.  Work per event is O(classes × path
+    groups); individual session ids are only ever touched at ECMP branch
+    partitions (``dp_classes_splits``): one sha256 per session per branch.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        fib_provider: FibProvider,
-        timeline: Timeline,
-        sample_interval: float = 1.0,
-        hash_salt: int = 0,
-    ) -> None:
-        super().__init__(
-            topology,
-            fib_provider,
-            timeline,
-            sample_interval=sample_interval,
-            hash_salt=hash_salt,
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.classes = ClassSet()
-        self._path_cache = FlowPathCache()  # entity ids are class ids here
+        self._path_cache = FlowPathCache()  # keyed by class id
         # Path groups and their allocator entities, per class.
         self._class_groups: Dict[int, List[ClassPathGroup]] = {}
+        # Classes with an undelivered (blackholed or looping) path group.
+        self._flawed_classes: Set[int] = set()
         self._class_entities: Dict[int, Tuple[int, ...]] = {}
-        self._entity_class: Dict[int, int] = {}
         self._entity_links: Dict[int, Tuple[LinkKey, ...]] = {}
         self._entity_counts: Dict[int, int] = {}
         self._entity_rates: Dict[int, float] = {}
@@ -708,24 +451,21 @@ class AggregateDemandEngine(DataPlaneEngineBase):
     # ------------------------------------------------------------------ #
     # State inspection
     # ------------------------------------------------------------------ #
-    def class_session_rates(self, class_id: int) -> List[Tuple[float, int]]:
-        """Current ``(per-session rate, session count)`` pairs of one class."""
-        return [
-            (self._entity_rates.get(entity_id, 0.0), self._entity_counts[entity_id])
-            for entity_id in self._class_entities.get(class_id, ())
-        ]
-
     def routing_flaws(self) -> Tuple[Dict[object, int], Dict[object, int]]:
-        """Path groups currently looping / blackholed (class-level mirror).
+        """Path groups currently looping / blackholed on the installed FIBs.
 
-        Same contract as :meth:`DataPlaneEngine.routing_flaws`, one
-        aggregation level up: keys are ``(class_id, hops)`` observations and
-        the counts are whole path-group session populations.  Pure read.
+        Returns ``(looping, blackholed)`` maps of opaque observation keys
+        (``(class_id, hops)``) to affected session counts (whole path-group
+        populations; 1 for a flow).  A *blackholed* group is one whose walk
+        ended without reaching the destination and without looping —
+        typically a missing FIB entry on a mixed-FIB interim state.  Pure
+        read: no counter advance, no recomputation — safe to call from
+        FIB-change listeners mid-convergence.
         """
         looping: Dict[object, int] = {}
         blackholed: Dict[object, int] = {}
-        for class_id, groups in self._class_groups.items():
-            for group in groups:
+        for class_id in self._flawed_classes:
+            for group in self._class_groups[class_id]:
                 if group.looped:
                     key = (class_id, group.hops)
                     looping[key] = looping.get(key, 0) + group.count
@@ -768,8 +508,8 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         When every byte cohort of the class carries the same per-session
         counter — the common case, populations only diverge at ECMP
         repartitions — that exact value is returned directly, with no
-        ``* count / count`` round trip that could cost an ulp against the
-        per-flow twin.  Divergent cohorts fall back to the count-weighted
+        ``* count / count`` round trip that could cost an ulp against a
+        one-session class.  Divergent cohorts fall back to the count-weighted
         mean over the canonical grouped total.
         """
         self._advance_counters()
@@ -783,10 +523,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
         return _canonical_link_total(
             (cohort.bytes_per_session, cohort.count) for cohort in cohorts
         ) / sessions
-
-    def cached_class_valid(self, class_id: int) -> bool:
-        """Whether the class's cached walk key still matches the FIB versions."""
-        return self._path_cache.valid(class_id)
 
     @staticmethod
     def _population_contains(ids: Sequence[int], session_id: int) -> bool:
@@ -823,16 +559,7 @@ class AggregateDemandEngine(DataPlaneEngineBase):
     ) -> Tuple[List[int], Set[LinkKey], Dict[int, FlowInput]]:
         """Replace one class's entities; returns (old ids, old links, new inputs)."""
         class_id = demand_class.class_id
-        old_entities = list(self._class_entities.get(class_id, ()))
-        old_links: Set[LinkKey] = set()
-        for entity_id in old_entities:
-            links = self._entity_links.pop(entity_id, ())
-            old_links.update(links)
-            for link in links:
-                self._discard_member(link, entity_id)
-            self._entity_counts.pop(entity_id, None)
-            self._entity_class.pop(entity_id, None)
-
+        old_entities, old_links = self._forget_entities(class_id)
         new_inputs: Dict[int, FlowInput] = {}
         entity_ids: List[int] = []
         for group in groups:
@@ -847,10 +574,13 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             new_inputs[entity_id] = (links, demand, count)
             self._entity_links[entity_id] = links
             self._entity_counts[entity_id] = count
-            self._entity_class[entity_id] = class_id
             for link in links:
                 self._link_members.setdefault(link, set()).add(entity_id)
-        self._class_groups[class_id] = list(groups)
+        self._class_groups[class_id] = groups
+        if all(group.delivered for group in groups):
+            self._flawed_classes.discard(class_id)
+        else:
+            self._flawed_classes.add(class_id)
         self._class_entities[class_id] = tuple(entity_ids)
         self._refine_cohorts(class_id, groups, entity_ids)
         return old_entities, old_links, new_inputs
@@ -865,6 +595,11 @@ class AggregateDemandEngine(DataPlaneEngineBase):
                 _ByteCohort(ids=group.ids, bytes_per_session=0.0, entity_id=entity_id)
                 for group, entity_id in zip(groups, entity_ids)
             ]
+            return
+        if len(entity_ids) == 1:
+            # One group holds every session of the class: no cohort splits.
+            for cohort in previous:
+                cohort.entity_id = entity_ids[0]
             return
         refined: List[_ByteCohort] = []
         for cohort in previous:
@@ -883,7 +618,16 @@ class AggregateDemandEngine(DataPlaneEngineBase):
 
     def _drop_class_state(self, class_id: int) -> Tuple[List[int], Set[LinkKey]]:
         """Forget all entity state of a departed class; returns (ids, links)."""
-        old_entities = list(self._class_entities.pop(class_id, ()))
+        old_entities, old_links = self._forget_entities(class_id)
+        self._class_entities.pop(class_id, None)
+        self._class_groups.pop(class_id, None)
+        self._flawed_classes.discard(class_id)
+        self._byte_cohorts.pop(class_id, None)
+        return old_entities, old_links
+
+    def _forget_entities(self, class_id: int) -> Tuple[List[int], Set[LinkKey]]:
+        """Drop the link state of one class's entities; returns (ids, links)."""
+        old_entities = list(self._class_entities.get(class_id, ()))
         old_links: Set[LinkKey] = set()
         for entity_id in old_entities:
             links = self._entity_links.pop(entity_id, ())
@@ -891,9 +635,6 @@ class AggregateDemandEngine(DataPlaneEngineBase):
             for link in links:
                 self._discard_member(link, entity_id)
             self._entity_counts.pop(entity_id, None)
-            self._entity_class.pop(entity_id, None)
-        self._class_groups.pop(class_id, None)
-        self._byte_cohorts.pop(class_id, None)
         return old_entities, old_links
 
     def _discard_member(self, link: LinkKey, entity_id: int) -> None:
@@ -994,7 +735,86 @@ class AggregateDemandEngine(DataPlaneEngineBase):
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
-            f"AggregateDemandEngine(classes={len(self.classes)}, "
+            f"{type(self).__name__}(classes={len(self.classes)}, "
             f"sessions={self.classes.total_sessions()}, t={self.timeline.now:.3f}, "
             f"samples={len(self.samples)})"
         )
+
+
+class DataPlaneEngine(AggregateDemandEngine):
+    """Flow-level view of the class engine: every flow is a one-session class.
+
+    While every class holds one session, :class:`ClassSet` hands out class
+    and session ids in step, so a flow's id is its class id and its session
+    id: it is hashed by that id at every ECMP branch, and
+    :meth:`routing_flaws` reports it under ``(flow_id, hops)`` with weight 1.
+    """
+
+    @property
+    def flows(self) -> ClassSet:
+        """The active flows: one-session :class:`DemandClass` records whose
+        ``class_id`` is the flow id."""
+        return self.classes
+
+    def add_flow(self, ingress: str, prefix: Prefix, demand: float, label: str = "") -> Flow:
+        """Start a new flow now; rates are recomputed immediately."""
+        return self.add_flows([FlowSpec(ingress=ingress, prefix=prefix, demand=demand, label=label)])[0]
+
+    def add_flows(self, specs: Sequence[FlowSpec]) -> List[Flow]:
+        """Start a batch of flows now, paying for a single recomputation.
+
+        All-or-nothing, like :meth:`add_classes`: one bad spec starts none.
+        """
+        classes = self.add_classes(
+            [
+                ClassSpec(
+                    ingress=spec.ingress, prefix=spec.prefix, rate=spec.demand, count=1,
+                    label=spec.label,
+                )
+                for spec in specs
+            ]
+        )
+        return [_as_flow(demand_class) for demand_class in classes]
+
+    def remove_flow(self, flow_id: int) -> Flow:
+        """Terminate the flow with ``flow_id`` now; rates are recomputed immediately."""
+        return _as_flow(self.remove_class(flow_id))
+
+    def flow_rate(self, flow_id: int) -> float:
+        """Current allocated rate of a flow (bit/s; 0.0 once it ended)."""
+        entities = self._class_entities.get(flow_id)
+        return self._entity_rates.get(entities[0], 0.0) if entities else 0.0
+
+    def flow_path(self, flow_id: int) -> Optional[FlowPath]:
+        """Current path of a flow (``None`` once it ended)."""
+        groups = self._class_groups.get(flow_id)
+        if not groups:
+            return None
+        group = groups[0]
+        return FlowPath(
+            flow_id=flow_id, hops=group.hops, delivered=group.delivered, looped=group.looped
+        )
+
+    def flow_transmitted_bytes(self, flow_id: int) -> float:
+        """Bytes delivered so far for a flow (0.0 once it ended).
+
+        Reads advance the byte counters first, like the link counters do.
+        """
+        self._advance_counters()
+        cohorts = self._byte_cohorts.get(flow_id)
+        return cohorts[0].bytes_per_session if cohorts else 0.0
+
+    # Its own name in this class body, so a tracer patching
+    # ``vars(DataPlaneEngine)`` finds it.
+    routing_flaws = AggregateDemandEngine.routing_flaws
+
+
+
+def _as_flow(demand_class: DemandClass) -> Flow:
+    return Flow(
+        flow_id=demand_class.class_id,
+        ingress=demand_class.ingress,
+        prefix=demand_class.prefix,
+        demand=demand_class.rate,
+        label=demand_class.label,
+    )

@@ -261,18 +261,46 @@ def _id_chunks(ids: Sequence[int]) -> Iterator[np.ndarray]:
             yield view[start:start + _PARTITION_CHUNK]
 
 
+#: Populations of at most this many sessions are partitioned by the scalar
+#: per-id loop.  Below it the numpy round trip's fixed cost (about 30 us a
+#: branch) outweighs its per-id saving; a one-session class, the per-flow
+#: engine's unit, is the common case.
+_SCALAR_PARTITION_MAX = 16
+
+
 def _partition_sessions(
     ids: Sequence[int], split: Mapping[str, float], router: str, salt: int
 ) -> Dict[str, array]:
     """Hash-partition an ascending session population at one ECMP branch.
 
     Each session lands in the bucket ``_pick_next_hop(split,
-    _hash_fraction(id, router, salt))`` names — one sha256 per session,
-    with the weights accumulated once per branch and the bucket choice and
-    id selection done in numpy, ``_PARTITION_CHUNK`` ids at a time.
+    _hash_fraction(id, router, salt))`` names — one sha256 per session.
     Returns ascending ``array('q')`` buckets in sorted next-hop order,
-    empty buckets omitted.
+    empty buckets omitted.  Small populations take the scalar loop that
+    defines the partition, larger ones its bitwise-equal numpy form.
     """
+    if len(ids) <= _SCALAR_PARTITION_MAX:
+        return _partition_scalar(ids, split, router, salt)
+    return _partition_numpy(ids, split, router, salt)
+
+
+def _partition_scalar(
+    ids: Sequence[int], split: Mapping[str, float], router: str, salt: int
+) -> Dict[str, array]:
+    """:func:`_partition_sessions` one id at a time, as the per-flow walk hashes."""
+    buckets: Dict[str, array] = {}
+    for session_id in ids:
+        next_hop = _pick_next_hop(split, _hash_fraction(session_id, router, salt))
+        buckets.setdefault(next_hop, array("q")).append(session_id)
+    return {next_hop: buckets[next_hop] for next_hop in sorted(buckets)}
+
+
+def _partition_numpy(
+    ids: Sequence[int], split: Mapping[str, float], router: str, salt: int
+) -> Dict[str, array]:
+    """:func:`_partition_sessions` with the weights accumulated once per branch
+    and the bucket choice and id selection done in numpy,
+    ``_PARTITION_CHUNK`` ids at a time."""
     next_hops, thresholds = _split_thresholds(split)
     buckets = [array("q") for _ in next_hops]
     for chunk in _id_chunks(ids):
@@ -322,8 +350,8 @@ def route_class_sessions(
     The population walks the per-prefix forwarding DAG as a unit: at every
     router with a single effective next hop the entire group moves together
     (no hashing at all), and only at genuine ECMP branch points is the
-    population partitioned — one sha256 per session per branch,
-    partitioned in bounded chunks (:func:`_partition_sessions`) —
+    population partitioned — one sha256 per session per branch
+    (:func:`_partition_sessions`) —
     mirroring :func:`route_flows_hashed` decision for decision (same
     hash, local-delivery rules, loop detection and ``max_hops`` budget),
     so each session lands on the bit-identical path it would get as an
@@ -331,56 +359,72 @@ def route_class_sessions(
     only O(sessions) work).
     """
     groups: List[ClassPathGroup] = []
+    splits = _walk_population(
+        fibs, prefix, salt, max_hops, groups, session_ids, [ingress], {ingress}
+    )
+    return groups, splits
+
+
+def _walk_population(
+    fibs: Mapping[str, Fib],
+    prefix: Prefix,
+    salt: int,
+    max_hops: int,
+    groups: List[ClassPathGroup],
+    ids: Sequence[int],
+    hops: List[str],
+    visited: Set[str],
+) -> int:
+    """Walk ``ids`` on from ``hops[-1]``, appending their path groups to
+    ``groups``; returns the hash partitions performed."""
     splits = 0
-
-    def finish(ids: Sequence[int], hops: List[str], delivered: bool, looped: bool) -> None:
-        groups.append(
-            ClassPathGroup(hops=tuple(hops), delivered=delivered, looped=looped, ids=ids)
-        )
-
-    def walk(ids: Sequence[int], current: str, hops: List[str], visited: Set[str]) -> None:
-        nonlocal splits
-        while True:
-            if len(hops) - 1 >= max_hops:
-                finish(ids, hops, delivered=False, looped=False)
-                return
-            fib = fibs.get(current)
-            if fib is None or not fib.has_entry(prefix):
-                finish(ids, hops, delivered=False, looped=False)
-                return
-            prefix_fib = fib.lookup(prefix)
-            if prefix_fib.local:
-                # Local delivery wins even for a multi-homed prefix with
-                # equal-cost remote entries, as in route_flows_hashed.
-                finish(ids, hops, delivered=True, looped=False)
-                return
-            split = prefix_fib.split_ratios()
-            if not split:
-                finish(ids, hops, delivered=False, looped=False)
-                return
-            if len(split) == 1:
-                next_hop = next(iter(split))
-            else:
-                # Genuine ECMP branch: hash every session id exactly as the
-                # per-flow walk does and recurse per non-empty bucket in
-                # next-hop order.
-                splits += 1
-                for next_hop, bucket in _partition_sessions(ids, split, current, salt).items():
+    delivered = looped = False
+    while len(hops) - 1 < max_hops:
+        current = hops[-1]
+        fib = fibs.get(current)
+        if fib is None or not fib.has_entry(prefix):
+            break
+        prefix_fib = fib.lookup(prefix)
+        if prefix_fib.local:
+            # Local delivery wins even for a multi-homed prefix with
+            # equal-cost remote entries, as in route_flows_hashed.
+            delivered = True
+            break
+        split = prefix_fib.split_ratios()
+        if not split:
+            break
+        if len(split) == 1:
+            next_hop = next(iter(split))
+        else:
+            # Genuine ECMP branch: hash every session id exactly as the
+            # per-flow walk does and recurse per non-empty bucket in
+            # next-hop order; a population that lands in one bucket (a
+            # single session always does) walks on without recursing.
+            splits += 1
+            buckets = _partition_sessions(ids, split, current, salt)
+            if len(buckets) != 1:
+                for next_hop, bucket in buckets.items():
                     branch_hops = hops + [next_hop]
                     if next_hop in visited:
-                        finish(bucket, branch_hops, delivered=False, looped=True)
+                        groups.append(
+                            ClassPathGroup(
+                                hops=tuple(branch_hops), delivered=False, looped=True, ids=bucket
+                            )
+                        )
                     else:
-                        walk(bucket, next_hop, branch_hops, visited | {next_hop})
-                return
-            hops.append(next_hop)
-            if next_hop in visited:
-                finish(ids, hops, delivered=False, looped=True)
-                return
-            visited.add(next_hop)
-            current = next_hop
-
-    walk(session_ids, ingress, [ingress], {ingress})
-    return groups, splits
+                        splits += _walk_population(
+                            fibs, prefix, salt, max_hops, groups, bucket, branch_hops,
+                            visited | {next_hop},
+                        )
+                return splits
+            ((next_hop, ids),) = buckets.items()
+        hops.append(next_hop)
+        if next_hop in visited:
+            looped = True
+            break
+        visited.add(next_hop)
+    groups.append(ClassPathGroup(hops=tuple(hops), delivered=delivered, looped=looped, ids=ids))
+    return splits
 
 
 def route_flows_hashed(

@@ -1,16 +1,15 @@
-"""Versioned flow-path caching and warm-start max-min fairness.
+"""Path caching keyed on FIB entries and warm-start max-min fairness.
 
 This is the SPF/RIB cache architecture applied to the data plane.  Where
 :class:`~repro.igp.rib_cache.RibCache` repairs per-router routes from the
-graph's dirty prefixes, the data plane repairs per-flow state from the dirty
-*(router, prefix)* FIB entries of an event:
+graph's dirty prefixes, the data plane repairs per-class state from the
+dirty *(router, prefix)* FIB entries of an event:
 
-* :class:`FlowPathCache` stamps every observed FIB with a version and every
-  per-prefix entry with the version at which it last changed.  A cached
-  :class:`~repro.dataplane.forwarding.FlowPath` is keyed on
-  ``(flow id, prefix, versions of the FIB entries its path traverses)`` —
-  a flow only needs re-routing when one of those entries moved, because the
-  hop-by-hop ECMP walk of a flow depends on nothing else.
+* :class:`FlowPathCache` diffs every observed FIB set against the previous
+  one and indexes each cached class walk by the *(router, prefix)* entries
+  it crossed — a class (a flow is a one-session class) only needs
+  re-walking when one of those entries moved, because its hop-by-hop ECMP
+  walk depends on nothing else.
 * :class:`WarmStartAllocator` repairs a prior max-min fair allocation by
   re-running progressive filling only on the connected components (of the
   flow-link hypergraph) whose flow membership changed.
@@ -35,8 +34,6 @@ from repro.dataplane.fairness import (
     fill_component,
     rate_tolerance,
 )
-from repro.dataplane.flows import Flow
-from repro.dataplane.forwarding import FlowPath
 from repro.igp.fib import Fib
 from repro.util.counters import Counters, counter
 from repro.util.prefixes import Prefix
@@ -64,23 +61,17 @@ FlowInput = Tuple[Tuple[LinkKey, ...], float, int]
 
 @dataclass
 class DataPlaneCounters(Counters):
-    """Reroute/reuse and warm-start accounting of one incremental data plane.
+    """Re-walk/reuse and warm-start accounting of one incremental data plane.
 
-    ``flows_rerouted`` / ``flows_reused`` split every event's active flows
-    into re-walked paths vs. cached paths carried over.  Each allocation
-    event increments exactly one of ``alloc_warm_starts`` (per-component
-    repair) or ``alloc_full`` (from-scratch decomposition of a cold
-    allocator).
-
-    The ``classes_*`` fields are the aggregate-demand engine's mirror of
-    the ``flows_*`` pair: demand classes whose forwarding DAG was re-walked
-    vs. served from the class path cache, plus ``class_splits`` — how many
-    per-session ECMP hash partitions the population walks performed (the
-    only place the aggregate engine does O(sessions) work).
+    ``classes_rewalked`` / ``classes_reused`` split every event's active
+    classes (a flow is a one-session class) into re-walked forwarding DAGs
+    vs. walks served from the path cache.  ``class_splits`` counts the
+    per-session ECMP hash partitions the walks performed (the only place
+    the engine does O(sessions) work).  Each allocation event increments
+    exactly one of ``alloc_warm_starts`` (per-component repair) or
+    ``alloc_full`` (from-scratch decomposition of a cold allocator).
     """
 
-    flows_rerouted: int = counter("dp_flows_rerouted")
-    flows_reused: int = counter("dp_flows_reused")
     alloc_warm_starts: int = counter("dp_alloc_warm_starts")
     alloc_full: int = counter("dp_alloc_full")
     classes_rewalked: int = counter("dp_classes_rewalked")
@@ -94,33 +85,29 @@ class DataPlaneCounters(Counters):
 
 
 class FlowPathCache:
-    """Cached flow paths keyed on the versions of the FIB entries they cross.
+    """Which cached class walks cross which FIB entries.
 
     :meth:`observe` diffs each event's FIB snapshot against the previous one
-    and stamps every changed *(router, prefix)* entry with a fresh version.
-    The diff leans on the control plane's own incrementality: routers served
-    by the RIB cache reuse clean :class:`~repro.igp.fib.Fib` and
-    ``PrefixFib`` objects wholesale, so unchanged routers are dismissed by
-    identity without looking at a single prefix.
+    and returns every changed *(router, prefix)* entry; :meth:`dirty_flows`
+    names the classes whose cached walk crossed one of them — the only
+    ones that need re-walking, because the hop-by-hop ECMP walk of a class
+    depends on nothing else.  The diff leans on the control plane's own
+    incrementality: routers served by the RIB cache reuse clean
+    :class:`~repro.igp.fib.Fib` and ``PrefixFib`` objects wholesale, so
+    unchanged routers are dismissed by identity without looking at a
+    single prefix.
     """
 
     def __init__(self) -> None:
-        #: Version stamped onto the entries dirtied by the latest change.
-        self.version = 0
         self._fibs: Dict[str, Fib] = {}
-        self._entry_versions: Dict[FibEntryKey, int] = {}
         self._deps: Dict[int, Tuple[FibEntryKey, ...]] = {}
-        self._dep_versions: Dict[int, Tuple[int, ...]] = {}
         self._watchers: Dict[FibEntryKey, Set[int]] = {}
 
-    # ------------------------------------------------------------------ #
-    # FIB versioning
-    # ------------------------------------------------------------------ #
     def observe(self, fibs: Mapping[str, Fib]) -> Set[FibEntryKey]:
         """Diff ``fibs`` against the previous snapshot; returns the dirty entries.
 
         Every *(router, prefix)* pair whose forwarding entry appeared,
-        disappeared or changed is stamped with a new version and returned.
+        disappeared or changed is returned.
         """
         dirty: Set[FibEntryKey] = set()
         previous = self._fibs
@@ -137,75 +124,46 @@ class FlowPathCache:
                 changed = old.changed_prefixes(new)
             for prefix in changed:
                 dirty.add((router, prefix))
-        if dirty:
-            self.version += 1
-            for key in dirty:
-                self._entry_versions[key] = self.version
         self._fibs = dict(fibs)
         return dirty
 
-    # ------------------------------------------------------------------ #
-    # Path storage
-    # ------------------------------------------------------------------ #
-    def store(self, flow: Flow, path: FlowPath) -> None:
-        """Cache ``path`` for ``flow``, keyed on its current entry versions."""
-        # The walk consulted the FIB entry for the flow's prefix at every
-        # router it visited (the last hop's entry decided termination), so
-        # those entries are exactly the path's version dependencies.
-        self.store_entity(flow.flow_id, flow.prefix, path.hops)
-
     def store_entity(self, entity_id: int, prefix: Prefix, hops: Iterable[str]) -> None:
-        """Cache the routing of one entity (flow or demand class).
+        """Cache the walk of one demand class.
 
-        ``hops`` is every router the forwarding walk visited — for a demand
-        class, the union of all its path groups' hops.  The entity is
-        re-validated against the versions of those routers' entries for
-        ``prefix``, exactly like a per-flow path.
+        ``hops`` is every router the walk visited — the union of all the
+        class's path groups' hops.  The walk consulted the FIB entry for
+        ``prefix`` at each of them (the last hop's entry decided
+        termination), so those entries are exactly what it depends on.
         """
         self.drop(entity_id)
         deps = tuple((hop, prefix) for hop in dict.fromkeys(hops))
         self._deps[entity_id] = deps
-        self._dep_versions[entity_id] = tuple(
-            self._entry_versions.get(dep, 0) for dep in deps
-        )
         for dep in deps:
             self._watchers.setdefault(dep, set()).add(entity_id)
 
-    def drop(self, flow_id: int) -> None:
-        """Forget the cached path of a departed (or about-to-be-rerouted) flow."""
-        deps = self._deps.pop(flow_id, None)
+    def drop(self, entity_id: int) -> None:
+        """Forget the cached walk of a departed (or about-to-be-re-walked) class."""
+        deps = self._deps.pop(entity_id, None)
         if deps is None:
             return
-        self._dep_versions.pop(flow_id, None)
         for dep in deps:
             watchers = self._watchers.get(dep)
             if watchers is not None:
-                watchers.discard(flow_id)
+                watchers.discard(entity_id)
                 if not watchers:
                     del self._watchers[dep]
 
-    def valid(self, flow_id: int) -> bool:
-        """Whether the cached path's entry-version key still matches."""
-        deps = self._deps.get(flow_id)
-        if deps is None:
-            return False
-        current = tuple(self._entry_versions.get(dep, 0) for dep in deps)
-        return current == self._dep_versions[flow_id]
-
     def dirty_flows(self, dirty_entries: Iterable[FibEntryKey]) -> Set[int]:
-        """The cached flows whose path crosses one of ``dirty_entries``."""
-        flows: Set[int] = set()
+        """The cached classes whose walk crosses one of ``dirty_entries``."""
+        entities: Set[int] = set()
         for key in dirty_entries:
             watchers = self._watchers.get(key)
             if watchers:
-                flows.update(watchers)
-        return flows
+                entities.update(watchers)
+        return entities
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"FlowPathCache(entities={len(self._deps)}, version={self.version}, "
-            f"entries={len(self._entry_versions)})"
-        )
+        return f"FlowPathCache(entities={len(self._deps)}, watched={len(self._watchers)})"
 
 
 @dataclass(frozen=True)
@@ -245,10 +203,6 @@ class WarmStartAllocator:
     def reset(self) -> None:
         """Make the next :meth:`update` a full fill (a link capacity moved)."""
         self._primed = False
-
-    def component_count(self) -> int:
-        """Number of connected components in the current partition."""
-        return len(self._components)
 
     # ------------------------------------------------------------------ #
     # Updates

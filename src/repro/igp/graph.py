@@ -366,38 +366,11 @@ class ComputationGraph:
         self._prefix_refs.setdefault(prefix, {})[node] = cost
         return True
 
-    def withdraw_announcement(self, node: str, prefix: Prefix) -> None:
-        """Drop ``node``'s announcement of ``prefix`` (raises if absent)."""
-        try:
-            del self._announcements[node][prefix]
-        except KeyError:
-            raise TopologyError(f"{node!r} does not announce {prefix}") from None
-        if not self._announcements[node]:
-            del self._announcements[node]
-        self._release_prefix(prefix, node)
-        self._record(prefixes=(prefix,))
-
     def _release_prefix(self, prefix: Prefix, node: str) -> None:
         announcers = self._prefix_refs[prefix]
         del announcers[node]
         if not announcers:
             del self._prefix_refs[prefix]
-
-    def discard_node(self, name: str) -> None:
-        """Drop ``name`` if it is isolated and announces nothing (else a no-op).
-
-        The inverse of :meth:`add_node`: like an isolated node appearing, one
-        vanishing gets its own version but no delta step.
-        """
-        if (
-            name in self._edges
-            and not self._edges[name]
-            and not self._redges[name]
-            and name not in self._announcements
-        ):
-            del self._edges[name]
-            del self._redges[name]
-            self._version += 1
 
     def add_fake_node(
         self,

@@ -98,7 +98,14 @@ class LinkStateDatabase:
     # Delta application (one installed LSA = one graph log step)
     # ------------------------------------------------------------------ #
     def _apply(self, old: Optional[Lsa], new: Lsa) -> None:
-        """Move the live graph from ``old`` (the instance replaced) to ``new``."""
+        """Move the live graph from ``old`` (the instance replaced) to ``new``.
+
+        Once the graph exists only lies come and go: a router re-originates
+        its router LSA when an adjacency moves but never withdraws it, and
+        announces each prefix once, at boot.  A live prefix LSA replaced or
+        withdrawn, or a live router LSA withdrawn, raises
+        :class:`TopologyError`.
+        """
         if old is not None and old.withdrawn:
             old = None
         if new.withdrawn:
@@ -107,11 +114,18 @@ class LinkStateDatabase:
             return  # a refresh: the graph, and so its version, must not move
         else:
             live = new
+        if old is not None and (
+            isinstance(new, PrefixLsa) or (live is None and isinstance(new, RouterLsa))
+        ):
+            raise TopologyError(
+                f"{type(new).__name__} of {new.origin!r} replaced or withdrawn in a live graph"
+            )
         with self._graph.one_step():
             if isinstance(new, RouterLsa):
                 self._apply_router(new.origin, old, live)
             elif isinstance(new, PrefixLsa):
-                self._apply_prefix(new.origin, old, live)
+                if live is not None:
+                    self._graph.announce(new.origin, live.prefix, live.metric)
             elif isinstance(new, FakeNodeLsa):
                 self._apply_fake(old, live)
             else:  # pragma: no cover - future LSA kinds
@@ -149,8 +163,6 @@ class LinkStateDatabase:
             if existed != exists:
                 self._recheck_lies(origin, neighbor)
                 self._recheck_lies(neighbor, origin)
-        if new is None:
-            graph.discard_node(origin)
 
     def _live_router_lsa(self, router: str) -> Optional[RouterLsa]:
         lsa = self._lsas.get(LsaKey(kind="router", origin=router))
@@ -165,17 +177,6 @@ class LinkStateDatabase:
                 if name == neighbor:
                     cost = link_cost
         return cost
-
-    def _apply_prefix(
-        self, origin: str, old: Optional[PrefixLsa], new: Optional[PrefixLsa]
-    ) -> None:
-        graph = self._graph
-        if old is not None:
-            graph.withdraw_announcement(origin, old.prefix)
-        if new is not None:
-            graph.announce(origin, new.prefix, new.metric)
-        elif self._live_router_lsa(origin) is None:
-            graph.discard_node(origin)
 
     def _apply_fake(self, old: Optional[FakeNodeLsa], new: Optional[FakeNodeLsa]) -> None:
         if old is not None:

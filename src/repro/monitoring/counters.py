@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.dataplane.engine import DataPlaneEngine
+from repro.dataplane.engine import DataPlaneEngineBase
 from repro.igp.topology import Topology
 from repro.util.errors import MonitoringError
 
@@ -40,7 +40,7 @@ class InterfaceStat:
 class SnmpAgent:
     """The SNMP agent of one router, exposing per-interface octet counters."""
 
-    def __init__(self, router: str, topology: Topology, engine: DataPlaneEngine) -> None:
+    def __init__(self, router: str, topology: Topology, engine: DataPlaneEngineBase) -> None:
         if not topology.has_router(router):
             raise MonitoringError(f"cannot create an SNMP agent for unknown router {router!r}")
         self.router = router
@@ -66,7 +66,7 @@ class SnmpAgent:
         return [self.read_interface(neighbor) for neighbor in self.interfaces]
 
 
-def build_agents(topology: Topology, engine: DataPlaneEngine) -> Dict[str, SnmpAgent]:
+def build_agents(topology: Topology, engine: DataPlaneEngineBase) -> Dict[str, SnmpAgent]:
     """One SNMP agent per router of the topology."""
     return {router: SnmpAgent(router, topology, engine) for router in topology.routers}
 

@@ -3,23 +3,24 @@
 A :class:`VideoServer` sits behind an ingress router and streams videos to
 clients that belong to a destination prefix.  Starting a playback session:
 
-1. creates one flow in the data-plane engine (server router -> client
+1. starts its traffic in the data-plane engine (server router -> client
    prefix, at the video bitrate),
 2. publishes a :class:`~repro.monitoring.notifications.ClientNotification`
    on the notification bus (this is how the demo's controller learns about
    demand), and
-3. registers a :class:`PlaybackClient` whose buffer is fed from the flow's
-   transmitted-byte counter at every data-plane sample.
+3. registers a :class:`PlaybackClient` whose buffer is fed from the
+   session's transmitted-byte counter at every data-plane sample.
 
 The :class:`StreamingService` owns all servers and sessions, performs the
 per-sample updates, and tears sessions down when their video finishes.
 
-The service speaks both data planes.  On a
-:class:`~repro.dataplane.engine.DataPlaneEngine` every viewer is one flow
-and one client.  On an :class:`~repro.dataplane.engine.AggregateDemandEngine`
+The engine's type sets the granularity.  On a
+:class:`~repro.dataplane.engine.DataPlaneEngine` (the per-flow view of the
+class engine) every viewer is one flow — a one-session class — and one
+client.  On a plain :class:`~repro.dataplane.engine.AggregateDemandEngine`
 each same-instant arrival batch becomes ONE demand class, ONE cohort client
 (``session_count = n``, its buffer fed the cohort's mean per-session
-goodput from :meth:`~repro.dataplane.engine.AggregateDemandEngine.class_transmitted_bytes`)
+goodput from :meth:`~repro.dataplane.engine.AggregateDemandEngine.class_mean_transmitted_bytes`)
 and ONE ``delta=+n`` notification — so a million-viewer flash crowd costs
 O(arrival batches) service work, and QoE aggregates weight by the counts.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.dataplane.engine import AggregateDemandEngine, DataPlaneEngine, LinkSample
-from repro.dataplane.flows import Flow, FlowSpec
+from repro.dataplane.flows import FlowSpec
 from repro.monitoring.notifications import ClientNotification, NotificationBus
 from repro.util.errors import SimulationError, ValidationError
 from repro.util.prefixes import Prefix
@@ -88,8 +89,11 @@ class StreamingService:
         resume_buffer: float = 1.0,
     ) -> None:
         self.engine = engine
-        #: Whether sessions are demand-class cohorts rather than flows.
-        self.aggregate = isinstance(engine, AggregateDemandEngine)
+        #: Whether sessions are demand-class cohorts rather than flows: the
+        #: per-flow view is a class engine too, but its unit is the flow.
+        self.aggregate = isinstance(engine, AggregateDemandEngine) and not isinstance(
+            engine, DataPlaneEngine
+        )
         self.bus = bus if bus is not None else NotificationBus()
         self.startup_buffer = startup_buffer
         self.resume_buffer = resume_buffer

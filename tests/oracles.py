@@ -1,14 +1,19 @@
 """From-scratch reference implementations the differential suites judge against.
 
-The product ships one path per layer: the incremental data-plane engines
-(versioned path cache plus warm-start max-min repair) and the plan-cache
-controller.  The from-scratch computations that define what those paths
-must produce live here, as subclasses that override the one method where
-the fast path starts:
+The product ships one path per layer: the incremental class data plane
+(path cache plus warm-start max-min repair, with flows as one-session
+classes) and the plan-cache controller.  The from-scratch computations that
+define what those paths must produce live here:
 
-* :class:`FromScratchDataPlaneEngine` / :class:`FromScratchAggregateEngine`
-  re-route every flow (re-walk every class) over the current FIBs and
-  re-run progressive filling from scratch on every event;
+* :class:`FromScratchDataPlaneEngine` is a self-contained per-flow engine on
+  the product's timeline core: every event re-routes every flow with
+  :func:`~repro.dataplane.forwarding.route_flows_hashed` (one hash per flow
+  per hop) and re-runs
+  :func:`~repro.dataplane.fairness.max_min_fair_allocation` from scratch.
+  It shares no routing, allocation or byte state with the class engine, so
+  it judges both the per-flow view and the cohorts;
+* :class:`FromScratchAggregateEngine` re-walks every class over the
+  current FIBs and re-runs progressive filling on every event;
 * :class:`ClearAndReplayController` re-plans every requirement of every
   enforce wave through validation, lie synthesis and the registry diff,
   with no plan cache, no skip bookkeeping, no baseline memo and whole
@@ -21,7 +26,7 @@ the fast path starts:
   exactly; :func:`flood_per_message` puts it into a network.
 
 Each oracle leaves the fast path's reuse counters at zero
-(``dp_flows_reused``, ``dp_classes_reused``, ``ctl_plan_cache_hits``,
+(``dp_classes_reused``, ``ctl_plan_cache_hits``,
 ``ctl_merge_cache_hits``); the drivers assert that, so an oracle cannot quietly turn into a second
 incremental engine.
 
@@ -40,11 +45,12 @@ from repro.core.controller import FibbingController
 from repro.core.loadbalancer import OnDemandLoadBalancer
 from repro.dataplane.engine import (
     AggregateDemandEngine,
-    DataPlaneEngine,
+    DataPlaneEngineBase,
     _canonical_link_total,
 )
 from repro.dataplane.fairness import max_min_fair_allocation
-from repro.dataplane.forwarding import route_flows_hashed
+from repro.dataplane.flows import Flow, FlowSet, FlowSpec
+from repro.dataplane.forwarding import FlowPath, route_flows_hashed
 from repro.igp.fib import DEFAULT_MAX_ECMP, Fib, FibEntry, PrefixFib, _truncate
 from repro.igp.flooding import FloodingFabric
 from repro.igp.graph import ComputationGraph
@@ -53,7 +59,8 @@ from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.rib import Rib, Route, RouteContribution
 from repro.igp.rib_cache import RibCache
 from repro.igp.spf import ShortestPaths, compute_spf, costs_equal
-from repro.util.errors import RoutingError, TopologyError
+from repro.util.errors import RoutingError, SimulationError, TopologyError
+from repro.util.validation import check_positive
 
 __all__ = [
     "ClearAndReplayBalancer",
@@ -71,21 +78,86 @@ __all__ = [
 LinkKey = Tuple[str, str]
 
 
-class FromScratchDataPlaneEngine(DataPlaneEngine):
-    """Per-flow engine that re-routes and re-allocates everything per event."""
+class FromScratchDataPlaneEngine(DataPlaneEngineBase):
+    """Per-flow engine that re-routes and re-allocates everything per event.
+
+    The per-flow API of :class:`~repro.dataplane.engine.DataPlaneEngine`
+    (flow ids from a :class:`FlowSet`), with one entity per flow.  An
+    undeliverable flow sends nothing; a looping one is kept on its path so
+    :meth:`routing_flaws` reports it, but gets no rate either.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.flows = FlowSet()
+        self._flow_paths: Dict[int, FlowPath] = {}
+        self._flow_rates: Dict[int, float] = {}
+        self._flow_bytes: Dict[int, float] = {}
+
+    def add_flow(self, ingress, prefix, demand, label="") -> Flow:
+        return self.add_flows([FlowSpec(ingress=ingress, prefix=prefix, demand=demand, label=label)])[0]
+
+    def add_flows(self, specs) -> List[Flow]:
+        for spec in specs:
+            if not self.topology.has_router(spec.ingress):
+                raise SimulationError(f"flow ingress {spec.ingress!r} is not a router")
+            check_positive(spec.demand, "demand")
+        if not specs:
+            return []
+        self._advance_counters()
+        flows = [
+            self.flows.create(spec.ingress, spec.prefix, spec.demand, label=spec.label)
+            for spec in specs
+        ]
+        self._recompute()
+        return flows
+
+    def remove_flow(self, flow_id) -> Flow:
+        self._advance_counters()
+        flow = self.flows.remove(flow_id)
+        self._flow_bytes.pop(flow_id, None)
+        self._recompute()
+        return flow
+
+    def flow_rate(self, flow_id) -> float:
+        return self._flow_rates.get(flow_id, 0.0)
+
+    def flow_path(self, flow_id) -> Optional[FlowPath]:
+        return self._flow_paths.get(flow_id)
+
+    def flow_transmitted_bytes(self, flow_id) -> float:
+        self._advance_counters()
+        return self._flow_bytes.get(flow_id, 0.0)
+
+    def routing_flaws(self):
+        looping: Dict[object, int] = {}
+        blackholed: Dict[object, int] = {}
+        for flow_id, path in self._flow_paths.items():
+            if path.looped:
+                looping[(flow_id, path.hops)] = 1
+            elif not path.delivered:
+                blackholed[(flow_id, path.hops)] = 1
+        return looping, blackholed
+
+    def _advance_entity_bytes(self, elapsed) -> None:
+        for flow_id, rate in self._flow_rates.items():
+            if rate > 0:
+                self._flow_bytes[flow_id] = self._flow_bytes.get(flow_id, 0.0) + rate * elapsed / 8.0
 
     def _recompute(self, arrivals=(), departures=()) -> None:
         fibs = dict(self.fib_provider())
         outcome = route_flows_hashed(fibs, self.flows, salt=self.hash_salt)
         self._flow_paths = dict(outcome.flow_paths)
-        self.counters.flows_rerouted += len(self.flows)
+        self.counters.classes_rewalked += len(self.flows)
         self.counters.alloc_full += 1
 
         flow_links: Dict[int, Tuple[LinkKey, ...]] = {}
         demands: Dict[int, float] = {}
         for flow in self.flows:
             path = self._flow_paths[flow.flow_id]
-            flow_links[flow.flow_id], demands[flow.flow_id], _ = self._effective_input(flow, path)
+            delivered = path.delivered
+            flow_links[flow.flow_id] = path.links if delivered else ()
+            demands[flow.flow_id] = flow.demand if delivered else 0.0
 
         rates = max_min_fair_allocation(flow_links, demands, self._current_capacities())
         self._flow_rates = rates

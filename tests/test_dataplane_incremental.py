@@ -3,11 +3,12 @@
 Mirror of ``tests/test_igp_rib_incremental.py`` one layer down the stack:
 after an arbitrary sequence of flow arrivals (single and batched),
 departures and mid-stream FIB swaps (weight changes, lie injections and
-withdrawals), the incremental engine — versioned
-flow-path caching plus warm-start max-min repair — must be indistinguishable
-from the from-scratch engine of ``tests/oracles.py``: flow paths, allocated
-rates, instantaneous link rates, cumulative byte counters and periodic link
-samples all bit-identical.
+withdrawals), :class:`~repro.dataplane.engine.DataPlaneEngine` — flows as
+one-session classes of the class engine, with its path cache and
+warm-start max-min repair — must be indistinguishable from the
+self-contained per-flow engine of ``tests/oracles.py``: flow paths,
+allocated rates, instantaneous link rates, cumulative byte counters and
+periodic link samples all bit-identical.
 """
 
 import random
@@ -205,7 +206,7 @@ class DualEngineDriver:
             assert mine.rates == want.rates, f"{context} sample@{mine.time}"
         # The oracle re-routes everything: any reuse would make it a second
         # incremental engine.
-        assert ref.counters.flows_reused == ref.counters.classes_reused == 0, context
+        assert ref.counters.classes_reused == 0, context
 
 
 ACTIONS = (
@@ -264,18 +265,18 @@ class TestDifferentialRandomized:
                 steps += 1
                 driver.check_equivalent()
         counters = driver.incremental.counters
-        # Every event split the active flows into rerouted + reused.
-        assert counters.flows_rerouted > 0
-        assert counters.flows_reused > 0
+        # Every event split the active flows into re-walked + reused.
+        assert counters.classes_rewalked > 0
+        assert counters.classes_reused > 0
         assert counters.alloc_events == counters.alloc_warm_starts + counters.alloc_full
         # The reference engine never reuses anything: every event is a full
         # reroute + full allocation (no-op routing changes skip the
         # allocator on the incremental side only).
         reference = driver.reference.counters
-        assert reference.flows_reused == 0
+        assert reference.classes_reused == 0
         assert reference.alloc_warm_starts == 0
         assert reference.alloc_full >= counters.alloc_events
-        assert reference.flows_rerouted >= counters.flows_rerouted
+        assert reference.classes_rewalked >= counters.classes_rewalked
 
 
 class TestDifferentialHypothesis:
@@ -357,14 +358,13 @@ class TestCacheBehaviour:
         topology, engine = self.build()
         for pod in range(4):
             engine.add_flow(f"S{pod}", pod_prefix(topology, pod), mbps(2))
-        rerouted_before = engine.counters.flows_rerouted
+        rewalked_before = engine.counters.classes_rewalked
+        reused_before = engine.counters.classes_reused
         alloc_before = engine.counters.alloc_events
         engine.notify_routing_change()  # FIBs identical: nothing is dirty
-        assert engine.counters.flows_rerouted == rerouted_before
-        assert engine.counters.flows_reused >= 4
+        assert engine.counters.classes_rewalked == rewalked_before
+        assert engine.counters.classes_reused == reused_before + 4
         assert engine.counters.alloc_events == alloc_before
-        for flow in engine.flows:
-            assert engine.cached_path_valid(flow.flow_id)
 
     def test_arrival_warm_starts_only_its_component(self):
         topology, engine = self.build()
@@ -374,7 +374,7 @@ class TestCacheBehaviour:
                 f"S{pod}", pod_prefix(topology, pod), mbps(20)
             )
             rates[pod] = (flow.flow_id, engine.flow_rate(flow.flow_id))
-        assert engine.allocation_components() == 4
+        assert engine.counters.alloc_full == 1  # the cold start only
         warm_before = engine.counters.alloc_warm_starts
         # A second flow in pod 0 halves pod 0's share, touches nobody else.
         engine.add_flow("S0", pod_prefix(topology, 0), mbps(20))
@@ -396,7 +396,6 @@ class TestCacheBehaviour:
         for index in range(5):
             flows = [each.add_flow("S0", prefix, mbps(2 + 3 * index)) for each in driver.engines]
             driver.active.append(flows[0].flow_id)
-        assert engine.allocation_components() == 1
         assert engine.counters.alloc_full == 1  # the cold start only
         warm_before = engine.counters.alloc_warm_starts
         flows = [each.add_flow("S0", prefix, mbps(7)) for each in driver.engines]
@@ -414,7 +413,7 @@ class TestCacheBehaviour:
             for each in driver.engines:
                 each.add_flow(f"S{pod}", prefix, mbps(2))
             driver.active.append(pod)
-        rerouted_before = engine.counters.flows_rerouted
+        rewalked_before = engine.counters.classes_rewalked
         # Twiddle pod 1's internal weight: only pod 1's FIB entries change.
         driver.topology.set_weight("S1", "M1", 3)
         driver.fibs = compute_static_fibs(
@@ -422,17 +421,20 @@ class TestCacheBehaviour:
         )
         for e in driver.engines:
             e.notify_routing_change()
-        assert engine.counters.flows_rerouted == rerouted_before + 1
+        assert engine.counters.classes_rewalked == rewalked_before + 1
         driver.check_equivalent("after pod-1 weight change")
 
-    def test_path_cache_version_advances_only_on_real_change(self):
+    def test_noop_change_and_departure_rewalk_nothing(self):
         topology, engine = self.build()
         engine.add_flow("S0", pod_prefix(topology, 0), mbps(2))
-        version = engine.path_cache_version
+        engine.add_flow("S1", pod_prefix(topology, 1), mbps(2))
+        rewalked = engine.counters.classes_rewalked
         engine.notify_routing_change()
-        assert engine.path_cache_version == version
         engine.remove_flow(0)
-        assert engine.path_cache_version == version
+        assert engine.counters.classes_rewalked == rewalked
+        assert engine.flow_path(0) is None
+        assert engine.flow_rate(0) == 0.0
+        assert engine.flow_path(1).delivered
 
     def test_flash_crowd_wave_rewalks_only_the_arrivals(self):
         """An arrival wave round-robin over the pods, then departures of the
@@ -447,8 +449,8 @@ class TestCacheBehaviour:
             engine.remove_flow(flow_id)
         engine.notify_routing_change()
         counters = engine.counters
-        assert counters.flows_rerouted == flows
-        assert counters.flows_reused > 10 * counters.flows_rerouted
+        assert counters.classes_rewalked == flows
+        assert counters.classes_reused > 10 * counters.classes_rewalked
         assert counters.alloc_full == 1  # the cold start only
         assert counters.alloc_warm_starts == flows + churn - 1
 
@@ -462,5 +464,5 @@ class TestCacheBehaviour:
         counters = engine.counters
         assert counters.alloc_full == 4
         assert counters.alloc_warm_starts == 0
-        assert counters.flows_reused == 0
-        assert counters.flows_rerouted == 1 + 2 + 3 + 3
+        assert counters.classes_reused == 0
+        assert counters.classes_rewalked == 1 + 2 + 3 + 3

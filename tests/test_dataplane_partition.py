@@ -6,7 +6,10 @@ aggregate engine refines its byte cohorts with
 :func:`repro.dataplane.engine._ids_intersect`.  Both are pinned here against
 the straightforward per-id loops they replaced, which are kept below as the
 reference implementations, plus guards on the work (one sha256 per session
-per branch) and the memory (bounded chunks) of a partition.
+per branch) and the memory (bounded chunks) of a partition.  The partition
+takes its scalar loop for small populations and its numpy form above
+``_SCALAR_PARTITION_MAX``; the two are pinned bitwise against each other
+on both sides of that size.
 """
 
 from __future__ import annotations
@@ -26,9 +29,12 @@ from repro.dataplane import forwarding
 from repro.dataplane.engine import _INTERSECT_CHUNK, _ids_equal, _ids_intersect
 from repro.dataplane.forwarding import (
     _PARTITION_CHUNK as CHUNK,
+    _SCALAR_PARTITION_MAX as SCALAR_MAX,
     _bucket_indices,
     _hash_fraction,
     _hash_fractions,
+    _partition_numpy,
+    _partition_scalar,
     _partition_sessions,
     _pick_next_hop,
     _split_thresholds,
@@ -151,6 +157,44 @@ def test_hash_fractions_equal_the_scalar_hash(ids, router, salt):
     got = _hash_fractions(ids, router, salt)
     assert got.dtype == np.float64
     assert got.tolist() == [_hash_fraction(session_id, router, salt) for session_id in ids]
+
+
+# 2-, 3-, 4- and 16-way splits, even and skewed.
+WAY_SPLITS = {
+    "2-way": SPLITS["1:2"],
+    "3-way": SPLITS["1:1:1"],
+    "3-way-truncated": SPLITS["truncated"],
+    "4-way": SPLITS["1:1:1:1"],
+    "16-way": prefix_fib(*[1 + index % 3 for index in range(16)]).split_ratios(),
+}
+
+
+def assert_bitwise_same(got, want):
+    assert list(got) == list(want)  # the same next hops, in the same order
+    for next_hop, bucket in got.items():
+        other = want[next_hop]
+        assert type(bucket) is type(other) is array
+        assert bucket.typecode == other.typecode == "q"
+        assert bucket.tobytes() == other.tobytes()
+
+
+@pytest.mark.parametrize("split", sorted(WAY_SPLITS))
+@pytest.mark.parametrize("kind", ["range", "array"])
+def test_scalar_partition_is_bitwise_the_numpy_one(split, kind):
+    for size in range(1, SCALAR_MAX + 2):
+        for salt in SALTS:
+            for router in ROUTERS:
+                ids = population(kind, size, start=7 + 31 * size)
+                args = (ids, WAY_SPLITS[split], router, salt)
+                assert_bitwise_same(_partition_scalar(*args), _partition_numpy(*args))
+
+
+def test_partition_switches_to_numpy_just_past_the_size_constant(monkeypatch):
+    calls = []
+    monkeypatch.setattr(forwarding, "_partition_numpy", lambda *args: calls.append(len(args[0])))
+    for size in (1, SCALAR_MAX, SCALAR_MAX + 1):
+        _partition_sessions(range(size), SPLITS["1:1"], "R1", 0)
+    assert calls == [SCALAR_MAX + 1]
 
 
 def test_partition_of_an_empty_population_is_empty():

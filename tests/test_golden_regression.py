@@ -153,13 +153,14 @@ class TestFig2Golden:
         # run reuses cached paths across its FIB/arrival churn, and with the
         # controller's lie waves most of that churn is served from the cache.
         stats = result.dataplane_stats
-        assert stats["dp_flows_reused"] > 0
+        assert stats["dp_classes_reused"] > 0
         if with_controller:
-            assert stats["dp_flows_reused"] > stats["dp_flows_rerouted"]
+            assert stats["dp_classes_reused"] > stats["dp_classes_rewalked"]
 
     def test_cache_disabled_run_matches_the_same_golden(self, golden, monkeypatch):
-        """The from-scratch data plane of ``tests/oracles.py``: the same run
-        without any caching must land on the same numbers."""
+        """The from-scratch per-flow engine of ``tests/oracles.py``: the same
+        run with one hash per flow per hop and no caching must land on the
+        same numbers."""
         from repro.experiments.fig2 import run_demo_timeseries
 
         monkeypatch.setattr(fig2, "DataPlaneEngine", FromScratchDataPlaneEngine)
@@ -170,7 +171,8 @@ class TestFig2Golden:
             for (source, target), value in result.link_counters.items()
         }
         assert actual_counters == expected["link_counters"]
-        assert result.dataplane_stats["dp_flows_reused"] == 0
+        assert result.dataplane_stats["dp_classes_reused"] == 0
+        assert result.dataplane_stats["dp_classes_rewalked"] > 0
         assert result.dataplane_stats["dp_alloc_warm_starts"] == 0
 
 

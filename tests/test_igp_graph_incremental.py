@@ -34,6 +34,7 @@ from repro.igp.rib import compute_rib, dirty_prefixes, update_rib
 from repro.igp.spf import compute_spf, update_spf
 from repro.topologies.demo import build_demo_topology, demo_lies
 from repro.topologies.random import random_topology
+from repro.util.errors import TopologyError
 from repro.util.prefixes import Prefix
 
 
@@ -320,11 +321,23 @@ class RouteOracle:
         graph.drop_history()  # as RouterProcess does after its SPF run
 
 
+def fixed_once_live(lsdb, lsa):
+    """Whether ``lsa`` would replace a live prefix LSA or withdraw a live
+    router LSA: what a live graph refuses (routers never do either)."""
+    current = lsdb.get(lsa.key)
+    if current is None or current.withdrawn or lsa.sequence <= current.sequence:
+        return False
+    if replace(current, sequence=lsa.sequence) == lsa:
+        return False  # a refresh
+    return isinstance(lsa, PrefixLsa) or (isinstance(lsa, RouterLsa) and lsa.withdrawn)
+
+
 class TestArbitraryLsaSequences:
     @settings(max_examples=300, deadline=None)
     @given(events=events, boot=st.integers(min_value=0, max_value=len(RING) + 8))
     def test_live_graph_equals_oracle_and_repairs_equal_recomputes(self, events, boot):
-        """``boot`` LSAs go in before the graph is first built, the rest are deltas."""
+        """``boot`` LSAs go in before the graph is first built, the rest are
+        deltas; once the graph is live, the deltas it refuses are skipped."""
         lsdb = LinkStateDatabase("R0")
         routes = RouteOracle()
         issued = {}
@@ -336,6 +349,8 @@ class TestArbitraryLsaSequences:
             template, bump = event
             highest = issued.get(template.key, 0)
             lsa = replace(template, sequence=max(1, highest + bump))
+            if index > boot and fixed_once_live(lsdb, lsa):
+                continue
             issued[template.key] = max(lsa.sequence, highest)
             before = lsdb.version
             changed = lsdb.install(lsa)
@@ -364,19 +379,39 @@ class TestArbitraryLsaSequences:
         assert graph.version == version
         assert graph.changes_since(version).is_empty
 
-    def test_node_vanishes_with_its_last_lsa(self):
+    @pytest.mark.parametrize(
+        "change",
+        ["prefix withdrawn", "prefix re-costed", "router withdrawn"],
+    )
+    def test_live_graph_refuses_what_routers_never_originate(self, change):
         lsdb = LinkStateDatabase("A")
         router = RouterLsa(origin="B", links=())
         prefix = PrefixLsa(origin="B", prefix=PREFIXES[0])
-        lsdb.install(RouterLsa(origin="A", links=()))
-        lsdb.install(router)
-        lsdb.install(prefix)
+        for lsa in (RouterLsa(origin="A", links=()), router, prefix):
+            lsdb.install(lsa)
         graph = lsdb.graph()
-        lsdb.install(router.withdraw())
-        assert graph.has_node("B")  # still announces a prefix
-        lsdb.install(prefix.withdraw())
-        assert not graph.has_node("B")
-        assert graph.prefixes == []
+        lsa = {
+            "prefix withdrawn": prefix.withdraw(),
+            "prefix re-costed": replace(prefix, sequence=2, metric=3.0),
+            "router withdrawn": router.withdraw(),
+        }[change]
+        assert fixed_once_live(lsdb, lsa)
+        version = graph.version
+        with pytest.raises(TopologyError):
+            lsdb.install(lsa)
+        assert graph.version == version
+        assert graph.announcers(PREFIXES[0]) == {"B": 0.0}
+
+    def test_first_announcement_and_stale_withdrawal_apply_to_a_live_graph(self):
+        lsdb = LinkStateDatabase("A")
+        lsdb.install(RouterLsa(origin="A", links=(("B", 1.0),)))
+        lsdb.install(RouterLsa(origin="B", links=(("A", 1.0),)))
+        graph = lsdb.graph()
+        late = PrefixLsa(origin="B", prefix=PREFIXES[1], metric=2.0)
+        assert lsdb.install(late)  # boot ordering: the announcement after the graph
+        assert graph.announcers(PREFIXES[1]) == {"B": 2.0}
+        never_live = PrefixLsa(origin="X", prefix=PREFIXES[2]).withdraw()
+        assert lsdb.install(never_live)
         assert_matches_oracle(lsdb)
 
 

@@ -456,8 +456,8 @@ class TestCounterCollection:
         total = network.spf_stats
         # The dataplane family mirrors the bound engine's counters exactly.
         assert network.counter_sets()["dataplane"].snapshot() == engine.counters.snapshot()
-        assert total["dp_flows_rerouted"] == engine.counters.flows_rerouted
-        assert total["dp_flows_reused"] == engine.counters.flows_reused > 0
+        assert total["dp_classes_rewalked"] == engine.counters.classes_rewalked
+        assert total["dp_classes_reused"] == engine.counters.classes_reused > 0
         # Every layer's keys are present in the merged total.
         for key in ("spf_cache_hits", "rib_cache_hits", "dp_alloc_warm_starts"):
             assert key in total
@@ -477,9 +477,9 @@ class TestCounterCollection:
         second.add_flow("A", BLUE_PREFIX, mbps(1))
         merged = network.counter_sets()["dataplane"]
         assert merged == DataPlaneCounters.total([engine.counters, second.counters])
-        assert merged.flows_rerouted == (
-            engine.counters.flows_rerouted + second.counters.flows_rerouted
-        ) > engine.counters.flows_rerouted
+        assert merged.classes_rewalked == (
+            engine.counters.classes_rewalked + second.counters.classes_rewalked
+        ) > engine.counters.classes_rewalked
 
     def test_controller_stats_mirror_dataplane_counters(self):
         from repro.core.controller import FibbingController
@@ -489,8 +489,8 @@ class TestCounterCollection:
             network.topology, network=network, attachment="R3"
         )
         stats = controller.stats.snapshot()
-        assert stats["dp_flows_rerouted"] == engine.counters.flows_rerouted
-        assert stats["dp_flows_reused"] == engine.counters.flows_reused
+        assert stats["dp_classes_rewalked"] == engine.counters.classes_rewalked
+        assert stats["dp_classes_reused"] == engine.counters.classes_reused
         assert stats["dp_alloc_full"] == engine.counters.alloc_full
 
     def test_network_merges_multiple_controllers(self):

@@ -152,13 +152,13 @@ class TestEngineOracles:
             engine.notify_routing_change()
             engine.notify_routing_change()  # a no-op change: the product reuses
 
-        assert oracle.counters.flows_reused == 0
+        assert oracle.counters.classes_reused == 0
         # Six single-flow arrivals (1 + 2 + ... + 6) then two six-flow events.
-        assert oracle.counters.flows_rerouted == 21 + 2 * 6
-        assert product.counters.flows_reused > 0
+        assert oracle.counters.classes_rewalked == 21 + 2 * 6
+        assert product.counters.classes_reused > 0
         for link in topology.links:
             assert product.link_rate(*link.key) == oracle.link_rate(*link.key)
-        for flow in product.flows:
+        for flow in oracle.flows:
             assert product.flow_rate(flow.flow_id) == oracle.flow_rate(flow.flow_id)
 
     def test_aggregate_oracle_rewalks_every_class_on_every_event(self):

@@ -26,8 +26,7 @@ EXPORTED = {
         "rib_prefixes_repaired", "rib_prefixes_reused",
     ],
     DataPlaneCounters: [
-        "dp_flows_rerouted", "dp_flows_reused", "dp_alloc_warm_starts",
-        "dp_alloc_full", "dp_classes_rewalked",
+        "dp_alloc_warm_starts", "dp_alloc_full", "dp_classes_rewalked",
         "dp_classes_reused", "dp_classes_splits",
     ],
     CtlCounters: [

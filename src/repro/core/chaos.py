@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.util.counters import Counters, counter
 from repro.util.errors import ValidationError
@@ -49,6 +49,7 @@ __all__ = [
     "FaultPlan",
     "FaultInjector",
     "build_link_churn",
+    "churn_candidates",
 ]
 
 #: Recognised :class:`FaultEvent` kinds.
@@ -180,15 +181,15 @@ def build_link_churn(
     Generates ``count`` failure/restoration pairs: episode ``k`` fails one
     randomly chosen link at ``start + k * spacing`` and restores it ``hold``
     seconds later.  ``hold`` must stay below ``spacing`` so at most one link
-    is down at any instant, and each candidate is connectivity-checked
-    against the (intact) topology before selection — a failed link never
-    splits the router graph, so SPF stays total and the run exercises
-    *degradation*, not disconnection.  ``exclude_routers`` removes every
-    link incident to the named routers from the candidate pool — the chaos
-    experiments exclude the lie anchors, whose adjacency an installed fake
-    LSA's forwarding address must keep resolving through.  The choice is
-    made on the sorted undirected link list with an explicit ``rng``,
-    independent of ``PYTHONHASHSEED``.
+    is down at any instant, and the links are drawn from
+    :func:`churn_candidates` — a failed link never splits the router graph,
+    so SPF stays total and the run exercises *degradation*, not
+    disconnection.  ``exclude_routers`` removes every link incident to the
+    named routers from the candidate pool — the chaos experiments exclude
+    the lie anchors, whose adjacency an installed fake LSA's forwarding
+    address must keep resolving through.  The choice is made on the sorted
+    candidate list with an explicit ``rng``, independent of
+    ``PYTHONHASHSEED``.
     """
     if count < 0:
         raise ValidationError(f"churn count must be >= 0, got {count}")
@@ -197,18 +198,7 @@ def build_link_churn(
             f"hold ({hold}) must stay below spacing ({spacing}) so episodes "
             "never overlap (at most one link down at a time)"
         )
-    excluded = set(exclude_routers)
-    pairs = sorted(
-        {(min(link.source, link.target), max(link.source, link.target))
-         for link in topology.links}
-    )
-    candidates = [
-        pair
-        for pair in pairs
-        if pair[0] not in excluded
-        and pair[1] not in excluded
-        and _stays_connected(topology, pair[0], pair[1])
-    ]
+    candidates = churn_candidates(topology, exclude_routers)
     if count and not candidates:
         raise ValidationError(
             "no link of the topology can fail without partitioning it"
@@ -222,26 +212,62 @@ def build_link_churn(
     return events
 
 
-def _stays_connected(topology: "Topology", first: str, second: str) -> bool:
-    """Whether the router graph stays connected without link first-second."""
-    routers = sorted(topology.routers)
-    if len(routers) <= 1:
-        return True
+def churn_candidates(
+    topology: "Topology", exclude_routers: Sequence[str] = ()
+) -> List[Tuple[str, str]]:
+    """The links :func:`build_link_churn` may fail, as sorted endpoint pairs.
+
+    A link is a candidate when neither endpoint is excluded and the router
+    graph stays connected without it (every direction and parallel copy of
+    the pair removed): it is not a bridge.  One depth-first pass over the
+    undirected router graph finds the bridges; a graph that is not
+    connected to begin with has no candidate.
+    """
+    excluded = set(exclude_routers)
+    pairs = sorted(
+        {(min(link.source, link.target), max(link.source, link.target))
+         for link in topology.links}
+    )
+    routers = topology.routers
     adjacency: Dict[str, List[str]] = {router: [] for router in routers}
-    removed = {(first, second), (second, first)}
-    for link in topology.links:
-        if (link.source, link.target) in removed:
-            continue
-        adjacency[link.source].append(link.target)
-    seen = {routers[0]}
-    frontier = [routers[0]]
-    while frontier:
-        node = frontier.pop()
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return len(seen) == len(routers)
+    for first, second in pairs:
+        adjacency[first].append(second)
+        adjacency[second].append(first)
+    # Tarjan's bridge search, iterative.  ``pairs`` holds each pair once, so
+    # a node reaches its DFS parent over exactly one entry, the tree edge.
+    order: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    bridges: Set[Tuple[str, str]] = set()
+    if routers:
+        root = routers[0]
+        order[root] = low[root] = 0
+        stack: List[Tuple[str, Optional[str], Iterator[str]]] = [
+            (root, None, iter(adjacency[root]))
+        ]
+        while stack:
+            node, parent, neighbors = stack[-1]
+            for neighbor in neighbors:
+                if neighbor == parent:
+                    continue
+                if neighbor in order:
+                    low[node] = min(low[node], order[neighbor])
+                else:
+                    order[neighbor] = low[neighbor] = len(order)
+                    stack.append((neighbor, node, iter(adjacency[neighbor])))
+                    break
+            else:
+                stack.pop()
+                if parent is not None:
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] > order[parent]:
+                        bridges.add((min(parent, node), max(parent, node)))
+    if len(order) < len(routers):
+        return []
+    return [
+        pair
+        for pair in pairs
+        if pair[0] not in excluded and pair[1] not in excluded and pair not in bridges
+    ]
 
 
 class FaultInjector:

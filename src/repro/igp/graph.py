@@ -502,6 +502,27 @@ class ComputationGraph:
         graph._reset_history()
         return graph
 
+    def copy(self) -> "ComputationGraph":
+        """A structural copy of this graph with fresh history (version 0, empty log).
+
+        The copy owns its edge and announcement dicts, filled in this graph's
+        insertion order (ties iterate in that order), and shares the frozen
+        :class:`FakeNodeInfo` attachments.  This is how routers that boot on
+        the same LSDB content share one :meth:`from_lsdb` build
+        (:class:`~repro.igp.lsdb.GraphBuilds`).
+        """
+        graph = type(self)()
+        graph._edges = {node: dict(targets) for node, targets in self._edges.items()}
+        graph._redges = {node: dict(sources) for node, sources in self._redges.items()}
+        graph._announcements = {
+            node: dict(prefixes) for node, prefixes in self._announcements.items()
+        }
+        graph._prefix_refs = {
+            prefix: dict(announcers) for prefix, announcers in self._prefix_refs.items()
+        }
+        graph._fake_nodes = dict(self._fake_nodes)
+        return graph
+
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

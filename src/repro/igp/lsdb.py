@@ -8,26 +8,65 @@ reported as such so flooding can stop).
 
 The database also owns the router's one live
 :class:`~repro.igp.graph.ComputationGraph`.  The first :meth:`graph` call
-builds it with :meth:`~repro.igp.graph.ComputationGraph.from_lsdb`; from
-then on :meth:`install` applies each accepted LSA to it as one recorded delta
-step, under the rules ``from_lsdb`` builds by (two-way check for edges; a
-lie is in the graph iff its forwarding address is a two-way neighbour of its
-anchor), so SPF and RIB repair read what changed from the graph's own log.
-A lie LSA moves no edge, so it costs the routers a RIB repair of its prefix
-and no SPF.  ``from_lsdb(live_lsas())`` stays the oracle the live graph must equal
+builds it from the live LSAs, through the :class:`GraphBuilds` memo the
+database shares with the other routers of its network: the first database
+to build on a given content calls
+:meth:`~repro.igp.graph.ComputationGraph.from_lsdb`, and every later one
+holding an equal LSA mapping gets a
+:meth:`~repro.igp.graph.ComputationGraph.copy` of that build.  A boot, where
+every router runs its first SPF on the same flooded database, so costs one
+build per distinct content, not one per router; a router whose database
+differs when it builds (it ran SPF early, on a partial database) falls back
+to its own ``from_lsdb``.  From then on :meth:`install` applies each
+accepted LSA to the router's own graph as one recorded delta step, under the
+rules ``from_lsdb`` builds by (two-way check for edges; a lie is in the graph
+iff its forwarding address is a two-way neighbour of its anchor), so SPF and
+RIB repair read what changed from the graph's own log.  A lie LSA moves no
+edge, so it costs the routers a RIB repair of its prefix and no SPF.
+``from_lsdb(live_lsas())`` stays the oracle the live graph must equal
 (``tests/test_igp_graph_incremental.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa, Lsa, LsaKey, PrefixLsa, RouterLsa
 from repro.util.errors import TopologyError
 
-__all__ = ["LinkStateDatabase"]
+__all__ = ["GraphBuilds", "LinkStateDatabase"]
+
+
+class GraphBuilds:
+    """The graphs a set of LSDBs built, by LSDB content.
+
+    An :class:`~repro.igp.network.IgpNetwork` points the databases of all
+    its routers at one instance; a database built on its own has a private
+    one.  Two databases match only on equal LSA mappings (withdrawn
+    instances included).  Flooding hands every router the same LSA objects,
+    so comparing two mappings costs a lookup per key and an identity check
+    per value.  A match only saves the build: the copy equals what
+    ``from_lsdb`` would have built from the same live LSAs.
+    """
+
+    def __init__(self) -> None:
+        # Per distinct content: the mapping as it was at the build, the
+        # graph as built (never mutated), and its live lies in key order.
+        self._builds: List[Tuple[Dict[LsaKey, Lsa], ComputationGraph, List[FakeNodeLsa]]] = []
+
+    def build(self, lsdb: "LinkStateDatabase") -> Tuple[ComputationGraph, List[FakeNodeLsa]]:
+        """A graph of ``lsdb``'s live LSAs that only the caller holds, and its live lies."""
+        lsas = lsdb._lsas
+        for content, graph, lies in self._builds:
+            if content == lsas:
+                return graph.copy(), lies
+        live = lsdb.live_lsas()
+        graph = ComputationGraph.from_lsdb(live)
+        lies = [lsa for lsa in live if isinstance(lsa, FakeNodeLsa)]
+        self._builds.append((dict(lsas), graph.copy(), lies))
+        return graph, lies
 
 
 class LinkStateDatabase:
@@ -38,6 +77,9 @@ class LinkStateDatabase:
         self._lsas: Dict[LsaKey, Lsa] = {}
         self._version = 0
         self._graph: Optional[ComputationGraph] = None
+        #: The memo :meth:`graph` builds through; an ``IgpNetwork`` shares
+        #: one among all its routers.
+        self.builds = GraphBuilds()
         # Live lies by anchor, whether or not they are in the graph right
         # now: the ones to re-check when an adjacency of the anchor comes or
         # goes.  Maintained once the live graph exists.
@@ -83,15 +125,16 @@ class LinkStateDatabase:
     def graph(self) -> ComputationGraph:
         """The live computation graph of this LSDB (read-only for callers).
 
-        Built from the live LSAs on the first call; the same object, kept in
-        step by :meth:`install`, on every later one.
+        Built from the live LSAs on the first call, through :attr:`builds`:
+        a copy of an earlier build when another database of the memo built
+        on an equal LSA mapping, else a ``from_lsdb`` build of its own.
+        Every later call returns the same object, kept in step by
+        :meth:`install` and held by this database alone.
         """
         if self._graph is None:
-            live = self.live_lsas()
-            self._graph = ComputationGraph.from_lsdb(live)
-            for lsa in live:
-                if isinstance(lsa, FakeNodeLsa):
-                    self._lies_at.setdefault(lsa.anchor, {})[lsa.key] = lsa
+            self._graph, lies = self.builds.build(self)
+            for lie in lies:
+                self._lies_at.setdefault(lie.anchor, {})[lie.key] = lie
         return self._graph
 
     # ------------------------------------------------------------------ #

@@ -24,6 +24,7 @@ from repro.igp.fib import DEFAULT_MAX_ECMP, Fib
 from repro.igp.flooding import FloodingFabric
 from repro.igp.graph import ComputationGraph
 from repro.igp.lsa import FakeNodeLsa, Lsa, PrefixLsa, RouterLsa
+from repro.igp.lsdb import GraphBuilds
 from repro.igp.topology import Link
 from repro.igp.rib_cache import RibCache, RibCounters
 from repro.igp.router import RouterProcess, RouterTimers
@@ -62,6 +63,11 @@ class IgpNetwork:
             )
             for name in topology.routers
         }
+        # Routers that run their first SPF on the same LSDB content share
+        # one graph build; the memo lives and dies with this network.
+        builds = GraphBuilds()
+        for process in self.routers.values():
+            process.lsdb.builds = builds
         self.fabric.bind(self._deliver_lsa)
         self._fib_listeners: List[Callable[[str, Fib], None]] = []
         for process in self.routers.values():

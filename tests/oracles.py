@@ -30,6 +30,11 @@ Each oracle leaves the fast path's reuse counters at zero
 ``ctl_merge_cache_hits``); the drivers assert that, so an oracle cannot quietly turn into a second
 incremental engine.
 
+Fault scheduling has an oracle too: :func:`churn_candidates_per_link`
+checks every link for connectivity with a search of its own, the filter
+that :func:`~repro.core.chaos.churn_candidates`' one bridge pass must
+reproduce.
+
 Route resolution has a functional oracle: :func:`fake_node_rib` and
 :func:`fake_node_fib` run Dijkstra with every lie as an SPF node of its own
 (:func:`fake_node_graph`), the resolution that the product's leaf lies
@@ -39,7 +44,7 @@ enumerates the equal-cost paths of an SPF result, which only tests read.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.controller import FibbingController
 from repro.core.loadbalancer import OnDemandLoadBalancer
@@ -59,6 +64,7 @@ from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.rib import Rib, Route, RouteContribution
 from repro.igp.rib_cache import RibCache
 from repro.igp.spf import ShortestPaths, compute_spf, costs_equal
+from repro.igp.topology import Topology
 from repro.util.errors import RoutingError, SimulationError, TopologyError
 from repro.util.validation import check_positive
 
@@ -68,6 +74,7 @@ __all__ = [
     "FromScratchAggregateEngine",
     "FromScratchDataPlaneEngine",
     "PerMessageFabric",
+    "churn_candidates_per_link",
     "fake_node_fib",
     "fake_node_graph",
     "fake_node_rib",
@@ -438,3 +445,43 @@ def paths_to(
             f"{node!r}; raise limit or pass partial=True for a truncated set"
         )
     return sorted(paths)
+
+
+def churn_candidates_per_link(
+    topology: Topology, exclude_routers: Sequence[str] = ()
+) -> List[LinkKey]:
+    """The sorted endpoint pairs churn may fail, one connectivity search per link."""
+    excluded = set(exclude_routers)
+    pairs = sorted(
+        {(min(link.source, link.target), max(link.source, link.target))
+         for link in topology.links}
+    )
+    return [
+        pair
+        for pair in pairs
+        if pair[0] not in excluded
+        and pair[1] not in excluded
+        and _stays_connected(topology, pair[0], pair[1])
+    ]
+
+
+def _stays_connected(topology: Topology, first: str, second: str) -> bool:
+    """Whether the router graph stays connected without link first-second."""
+    routers = sorted(topology.routers)
+    if len(routers) <= 1:
+        return True
+    adjacency: Dict[str, List[str]] = {router: [] for router in routers}
+    removed = {(first, second), (second, first)}
+    for link in topology.links:
+        if (link.source, link.target) in removed:
+            continue
+        adjacency[link.source].append(link.target)
+    seen = {routers[0]}
+    frontier = [routers[0]]
+    while frontier:
+        node = frontier.pop()
+        for neighbor in adjacency[node]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                frontier.append(neighbor)
+    return len(seen) == len(routers)

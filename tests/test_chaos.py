@@ -1,15 +1,20 @@
 """Tests for the fault-injection harness and the degraded monitoring path."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import churn_candidates_per_link
 from repro.core.chaos import (
     FaultCounters,
     FaultEvent,
     FaultInjector,
     FaultPlan,
     build_link_churn,
+    churn_candidates,
 )
 from repro.dataplane.engine import DataPlaneEngine
 from repro.igp.network import IgpNetwork, compute_static_fibs
@@ -17,7 +22,11 @@ from repro.monitoring.alarms import UtilizationAlarm
 from repro.monitoring.collector import LoadCollector
 from repro.monitoring.counters import build_agents
 from repro.monitoring.poller import PollSample, SnmpPoller
+from repro.igp.topology import Topology
 from repro.topologies.demo import build_demo_topology
+from repro.topologies.isp import synthetic_isp
+from repro.topologies.random import random_topology
+from repro.topologies.zoo import abilene, dumbbell, grid, ring
 from repro.util.errors import MonitoringError, ValidationError
 from repro.util.timeline import Timeline
 
@@ -154,6 +163,94 @@ class TestBuildLinkChurn:
             )
             == []
         )
+
+
+def _stub_topology(routers, pairs):
+    """The two attributes churn reads, with links listed as given (repeats kept)."""
+    links = [SimpleNamespace(source=a, target=b) for a, b in pairs]
+    links += [SimpleNamespace(source=b, target=a) for a, b in pairs]
+    return SimpleNamespace(routers=sorted(routers), links=links)
+
+
+PRODUCT_TOPOLOGIES = {
+    "demo": build_demo_topology,
+    "abilene": abilene,
+    "ring": lambda: ring(6),
+    "grid": lambda: grid(3, 4),
+    "dumbbell": dumbbell,
+    "isp_120": lambda: synthetic_isp(core_size=40, pops=40, seed=0),
+    "isp_small": lambda: synthetic_isp(core_size=6, pops=6, seed=7),
+    "random_tree": lambda: random_topology(12, edge_probability=0.0, seed=3),
+    "random_sparse": lambda: random_topology(20, edge_probability=0.08, seed=5),
+    "random_dense": lambda: random_topology(15, edge_probability=0.4, seed=9),
+}
+
+
+class TestChurnCandidates:
+    """The one bridge pass picks exactly the links the per-link search keeps."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_TOPOLOGIES))
+    def test_product_topologies_match_the_per_link_oracle(self, name):
+        topology = PRODUCT_TOPOLOGIES[name]()
+        routers = topology.routers
+        rng = random.Random(name)
+        for excluded in ((), routers[:1], rng.sample(routers, len(routers) // 3)):
+            assert churn_candidates(topology, excluded) == churn_candidates_per_link(
+                topology, excluded
+            )
+
+    def test_isp_churn_draws_the_links_the_per_link_filter_drew(self):
+        topology = synthetic_isp(core_size=40, pops=40, seed=0)
+        excluded = ("Core3", "Pop7A")
+        events = build_link_churn(
+            topology, random.Random(11), count=8, start=5.0, spacing=6.0, hold=4.0,
+            exclude_routers=excluded,
+        )
+        candidates = churn_candidates_per_link(topology, excluded)
+        rng = random.Random(11)
+        drawn = [candidates[rng.randrange(len(candidates))] for _ in range(8)]
+        assert [(event.first, event.second) for event in events[::2]] == drawn
+
+    def test_a_tree_has_no_candidate(self):
+        topology = random_topology(12, edge_probability=0.0, seed=3)
+        assert churn_candidates(topology) == []
+        with pytest.raises(ValidationError):
+            build_link_churn(topology, random.Random(0), count=1, start=0.0, spacing=2.0, hold=1.0)
+
+    def test_a_disconnected_graph_has_no_candidate(self):
+        topology = Topology()
+        topology.add_routers(["a", "b", "c", "d", "e", "f"])
+        for first, second in ("ab", "bc", "ca", "de", "ef", "fd"):
+            topology.add_link(first, second)
+        assert churn_candidates(topology) == churn_candidates_per_link(topology) == []
+
+    def test_parallel_links_fail_together(self):
+        # a-b-c is a triangle; d hangs off c by two parallel links, which
+        # fail as one pair, so c-d is still a bridge.
+        pairs = [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("c", "d")]
+        topology = _stub_topology("abcd", pairs)
+        assert churn_candidates(topology) == churn_candidates_per_link(topology)
+        assert churn_candidates(topology) == [("a", "b"), ("a", "c"), ("b", "c")]
+        assert churn_candidates(topology, ["a"]) == [("b", "c")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(min_value=1, max_value=9),
+        edges=st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=24
+        ),
+        excluded=st.lists(st.integers(0, 8), max_size=3),
+    )
+    def test_arbitrary_graphs_match_the_per_link_oracle(self, size, edges, excluded):
+        routers = [f"r{index}" for index in range(size)]
+        pairs = [
+            (routers[first], routers[second])
+            for first, second in edges
+            if first < size and second < size and first != second
+        ]
+        topology = _stub_topology(routers, pairs)
+        names = [routers[index] for index in excluded if index < size]
+        assert churn_candidates(topology, names) == churn_candidates_per_link(topology, names)
 
 
 class TestFaultInjector:

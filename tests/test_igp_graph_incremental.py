@@ -1,11 +1,12 @@
 """Differential suite for the delta-applied computation graph.
 
-A router's :class:`~repro.igp.lsdb.LinkStateDatabase` builds its graph once
-(:meth:`~repro.igp.graph.ComputationGraph.from_lsdb`, on the first SPF run)
-and from then on applies every installed LSA to that live graph as one
-recorded delta step.  ``from_lsdb(live_lsas())`` is the oracle, and it lives
-here, wrapped around ``LinkStateDatabase.graph`` — not behind a switch in
-``src/``:
+A router's :class:`~repro.igp.lsdb.LinkStateDatabase` builds its graph once,
+on the first SPF run (a copy of a peer's
+:meth:`~repro.igp.graph.ComputationGraph.from_lsdb` build when their LSA
+mappings are equal), and from then on applies every installed LSA to that
+live graph as one recorded delta step.  ``from_lsdb(live_lsas())`` is the
+oracle, and it lives here, wrapped around ``LinkStateDatabase.graph`` — not
+behind a switch in ``src/``:
 
 (a) scripted worlds — boot, lie waves, link and weight events, a lie whose
     forwarding adjacency fails and returns, LSA loss, controller crash and
@@ -14,7 +15,12 @@ here, wrapped around ``LinkStateDatabase.graph`` — not behind a switch in
     install, and ``update_spf``/``update_rib`` over the *recorded* change ==
     ``compute_spf``/``compute_rib``;
 (c) deltas that cancel inside one ``spf_delay``;
-(d) a count guard: a converged network never calls ``from_lsdb`` again.
+(d) a count guard: a boot calls ``from_lsdb`` once per distinct LSDB
+    content (a router that builds early, on a partial database, builds its
+    own), and a converged network never calls it again;
+(e) the copies a boot hands out: each equals ``from_lsdb`` in insertion order
+    too, and changes to one leave its peers, the memo and other networks
+    untouched.
 """
 
 import random
@@ -27,12 +33,14 @@ from hypothesis import strategies as st
 from repro.core.controller import FibbingController
 from repro.experiments.scaling import build_ring_topology, churn_requirement
 from repro.igp.graph import ComputationGraph, GraphChange
-from repro.igp.lsa import FakeNodeLsa, PrefixLsa, RouterLsa
-from repro.igp.lsdb import LinkStateDatabase
+from repro.igp.lsa import FakeNodeLsa, LsaKey, PrefixLsa, RouterLsa
+from repro.igp.lsdb import GraphBuilds, LinkStateDatabase
 from repro.igp.network import IgpNetwork, compute_static_fibs
 from repro.igp.rib import compute_rib, dirty_prefixes, update_rib
+from repro.igp.router import RouterTimers
 from repro.igp.spf import compute_spf, update_spf
 from repro.topologies.demo import build_demo_topology, demo_lies
+from repro.topologies.isp import synthetic_isp
 from repro.topologies.random import random_topology
 from repro.util.errors import TopologyError
 from repro.util.prefixes import Prefix
@@ -506,17 +514,43 @@ class TestCancellingDeltas:
 # ---------------------------------------------------------------------- #
 # (d) count guard
 # ---------------------------------------------------------------------- #
+@pytest.fixture
+def builds(monkeypatch):
+    """Record every ``from_lsdb`` call and every database's first build.
+
+    Returns ``(calls, contents, owners)``: one entry per ``from_lsdb`` call,
+    and per first build (in build order) the LSA mapping the database held
+    and its owner.
+    """
+    calls, contents, owners = [], [], []
+
+    def counting(cls, lsas):
+        calls.append(1)
+        return _FROM_LSDB(cls, lsas)
+
+    def recording(self, lsdb):
+        contents.append(dict(lsdb._lsas))
+        owners.append(lsdb.owner)
+        return _BUILD(self, lsdb)
+
+    monkeypatch.setattr(ComputationGraph, "from_lsdb", classmethod(counting))
+    monkeypatch.setattr(GraphBuilds, "build", recording)
+    return calls, contents, owners
+
+
+_BUILD = GraphBuilds.build
+
+
+def distinct(contents):
+    return [content for index, content in enumerate(contents) if content not in contents[:index]]
+
+
 class TestFromLsdbCallCount:
-    def test_one_build_per_router_then_none(self, monkeypatch):
-        calls = []
-
-        def counting(cls, lsas):
-            calls.append(1)
-            return _FROM_LSDB(cls, lsas)
-
-        monkeypatch.setattr(ComputationGraph, "from_lsdb", classmethod(counting))
+    def test_one_build_per_boot_content_then_none(self, builds):
+        calls, contents, _ = builds
         network = booted(build_demo_topology())
-        assert len(calls) == len(network.routers)
+        assert len(contents) == len(network.routers)
+        assert len(calls) == len(distinct(contents)) == 1
         del calls[:]
         lies = demo_lies()
         network.inject(lies, at_router="R3")
@@ -528,4 +562,164 @@ class TestFromLsdbCallCount:
         network.inject([lie.withdraw() for lie in lies], at_router="R3")
         network.converge()
         assert calls == []
+        assert len(contents) == len(network.routers)
         assert_fibs_match_static(network)
+
+    def test_a_router_that_builds_early_falls_back_to_its_own_build(self, builds):
+        calls, contents, owners = builds
+        network = IgpNetwork(build_demo_topology())
+        # R1 runs its first SPF at once, on its own LSAs alone.
+        network.routers["R1"].timers = RouterTimers(spf_delay=0.0)
+        network.start()
+        network.converge()
+        assert len(distinct(contents)) == len(calls) == 2
+        assert owners[0] == "R1" and len(contents[0]) < len(network.routers["R1"].lsdb)
+        for process in network.routers.values():
+            assert_matches_oracle(process.lsdb, "after boot")
+        assert_fibs_match_static(network)
+
+
+# ---------------------------------------------------------------------- #
+# (e) a boot's shared builds: copies, one per router
+# ---------------------------------------------------------------------- #
+def ordered(mapping):
+    """``mapping`` as nested item lists, so that ``==`` compares insertion order too."""
+    return [
+        (key, ordered(value) if isinstance(value, dict) else value)
+        for key, value in mapping.items()
+    ]
+
+
+def ordered_state(graph):
+    return {name: ordered(part) for name, part in graph_state(graph).items()}
+
+
+def shares_a_dict(first, second):
+    """Whether two graphs hold any edge or announcement dict in common."""
+    for name, part in graph_state(first).items():
+        other = graph_state(second)[name]
+        if part is other or any(
+            isinstance(value, dict) and value is other.get(key)
+            for key, value in part.items()
+        ):
+            return True
+    return False
+
+
+class TestSharedBootBuilds:
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            build_demo_topology,
+            lambda: random_topology(12, edge_probability=0.3, seed=4),
+            lambda: synthetic_isp(core_size=6, pops=6, seed=7),
+        ],
+    )
+    def test_every_router_holds_the_from_lsdb_build_in_its_order(self, builds, topology):
+        calls, _, _ = builds
+        network = booted(topology())
+        assert len(calls) == 1
+        for process in network.routers.values():
+            graph = process.lsdb.graph()
+            oracle = _FROM_LSDB(ComputationGraph, process.lsdb.live_lsas())
+            assert ordered_state(graph) == ordered_state(oracle), process.name
+            assert graph.version == 0 and graph.deltas_since(0) == ()
+
+    def test_lies_in_the_boot_database_are_tracked_per_router(self, builds):
+        calls, _, _ = builds
+        network = IgpNetwork(build_demo_topology())
+        network.start()
+        lies = demo_lies()
+        network.inject(lies, at_router="R3")  # flooded before any router's first SPF
+        network.converge()
+        assert len(calls) == 1
+        graphs = [process.lsdb.graph() for process in network.routers.values()]
+        assert all(graph.is_fake("fA1") and graph.is_fake("fB") for graph in graphs)
+        assert_fibs_match_static(network, lies)
+        network.fail_link("A", "R1")  # the adjacency fA1 and fA2 forward over
+        network.converge()
+        for graph in graphs:
+            assert not graph.is_fake("fA1") and not graph.is_fake("fA2")
+            assert graph.is_fake("fB")
+        network.restore_link("A", "R1")
+        network.converge()
+        assert all(graph.is_fake("fA1") and graph.is_fake("fA2") for graph in graphs)
+        assert_fibs_match_static(network, lies)
+        assert len(calls) == 1
+
+    def test_a_change_to_one_router_leaves_its_peers_untouched(self, builds):
+        calls, _, owners = builds
+        network = booted(build_demo_topology())
+        # The router whose from_lsdb build the memo copied for the others.
+        target = network.routers[owners[0]].lsdb
+        peers = [process.lsdb for process in network.routers.values() if process.lsdb is not target]
+        before = {lsdb.owner: (ordered_state(lsdb.graph()), lsdb.graph().version) for lsdb in peers}
+        graph = target.graph()
+        lie = replace(demo_lies()[0], sequence=1)
+        target.install(lie)
+        assert graph.is_fake(lie.fake_node)
+        own = target.get(LsaKey(kind="router", origin=target.owner))
+        lost = own.links[0][0]
+        target.install(
+            replace(own, sequence=own.sequence + 1, links=own.links[1:])
+        )
+        assert lost not in graph.successors(target.owner)
+        assert target.owner not in graph.successors(lost)
+        assert graph.version > 0
+        assert_matches_oracle(target, "after its own changes")
+        for lsdb in peers:
+            assert (ordered_state(lsdb.graph()), lsdb.graph().version) == before[lsdb.owner]
+            assert not lsdb.graph().is_fake(lie.fake_node)
+        # The memo's build did not move either: a late database on the boot
+        # content gets a copy equal to a fresh from_lsdb build.
+        late = LinkStateDatabase("late")
+        late.builds = peers[0].builds
+        for lsa in peers[0].all_lsas():
+            late.install(lsa)
+        built = len(calls)
+        oracle = _FROM_LSDB(ComputationGraph, late.live_lsas())
+        assert ordered_state(late.graph()) == ordered_state(oracle)
+        assert len(calls) == built
+
+    def test_no_two_graphs_share_a_dict_within_or_across_networks(self):
+        networks = [booted(build_demo_topology()) for _ in range(2)]
+        assert networks[0].routers["A"].lsdb.builds is not networks[1].routers["A"].lsdb.builds
+        graphs = [
+            process.lsdb.graph() for network in networks for process in network.routers.values()
+        ]
+        assert len({id(graph) for graph in graphs}) == len(graphs)
+        for index, graph in enumerate(graphs):
+            for other in graphs[index + 1:]:
+                assert not shares_a_dict(graph, other)
+
+
+class TestCopy:
+    def test_a_copy_has_the_state_in_order_and_fresh_history(self):
+        lsdb = LinkStateDatabase("A")
+        for lsa in (
+            RouterLsa(origin="A", links=(("B", 1.0), ("C", 2.0))),
+            RouterLsa(origin="B", links=(("A", 1.0),)),
+            RouterLsa(origin="C", links=(("A", 2.0),)),
+            PrefixLsa(origin="C", prefix=PREFIXES[1], metric=1.0),
+        ):
+            lsdb.install(lsa)
+        graph = lsdb.graph()
+        lsdb.install(
+            FakeNodeLsa(
+                origin="ctl", fake_node="f0", anchor="A", prefix=PREFIXES[0],
+                forwarding_address="B",
+            )
+        )
+        lsdb.install(PrefixLsa(origin="B", prefix=PREFIXES[2], metric=3.0))
+        assert graph.version > 0 and graph._delta_log
+        copy = graph.copy()
+        assert ordered_state(copy) == ordered_state(graph)
+        assert copy.version == 0 and copy._delta_log == []
+        assert copy.changes_since(0).is_empty and copy.deltas_since(graph.version) is None
+        assert copy.fake_info("f0") is graph.fake_info("f0")
+        assert not shares_a_dict(copy, graph)
+        copy.remove_edge("A", "C")
+        copy.remove_fake_node("f0")
+        copy.announce("A", PREFIXES[2], 0.0)
+        assert_matches_oracle(lsdb, "after its copy moved")
+        assert graph.is_fake("f0") and graph.announcers(PREFIXES[2]) == {"B": 3.0}
